@@ -11,9 +11,9 @@ the cost implies.
 __version__ = "0.1.0"
 
 from .config import EngineConfig, tau_grid
-from .cost import (CostProfile, cost_profile, lcd_mean_energy,
-                   q_star_lcd_instant, sa_cost_time_average,
-                   sa_energy_instant, shortcut_shape_factor)
+from .cost import (lcd_mean_energy, q_star_lcd_instant,
+                   sa_cost_time_average, sa_energy_instant,
+                   shortcut_shape_factor)
 from .cycle import (CycleMetrics, compression_q_star,
                     find_efficiency_crossover, find_heat_sign_threshold,
                     rescaled, run_cycle, sweep)
@@ -28,16 +28,13 @@ from .errors import (ConfigError, DivisionByZeroCost, DomainError,
                      QuadratureFailure, SolverFailure, StaOttoError,
                      TrapInversionError)
 from .hyperbolic import coth, csch
-from .protocol import (FrequencyProtocol, InversionReport, ProtocolKind,
-                       ProtocolSample, boundary_residuals,
-                       check_trap_inversion, effective_frequency_sq,
-                       evaluate_polynomial_ramp, omega_of, polynomial_ramp,
-                       reversed_protocol, sample_protocol, user_table,
-                       user_table_from_csv)
-from .qsl import (BuresData, QslReport, bures_angle, bures_data,
-                  efficiency_bound, gaussian_fidelity, power_bound,
-                  qsl_time)
-from .strokes import (EngineCondition, StrokeResult, ThermalOscillatorState,
+from .protocol import (FrequencyProtocol, InversionReport, ProtocolSample,
+                       boundary_residuals, check_trap_inversion,
+                       effective_frequency_sq, omega_of, polynomial_ramp,
+                       sample_protocol)
+from .qsl import (BuresData, bures_angle, bures_data, efficiency_bound,
+                  gaussian_fidelity, power_bound, qsl_time)
+from .strokes import (EngineCondition, ThermalOscillatorState,
                       engine_condition, heat_sign_threshold,
                       hot_isochore_heat, stroke_work)
 

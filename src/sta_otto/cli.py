@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import shlex
 import sys
@@ -30,16 +31,15 @@ from typing import IO, Sequence
 
 import numpy as np
 
+from . import __version__
 from .checks import config_failure, run_all_checks
-from .config import EngineConfig, tau_grid
+from .config import EngineConfig
 from .cost import q_star_lcd_instant, sa_energy_instant
 from .cycle import (CycleMetrics, find_efficiency_crossover, run_cycle,
                     sweep)
 from .errors import ConfigError, StaOttoError
 from .protocol import polynomial_ramp, sample_protocol
 from .strokes import ThermalOscillatorState
-
-_VERSION = "0.1.0"
 
 _CONFIG_TYPES = {
     "omega1": float, "omega2": float, "beta1": float, "beta2": float,
@@ -119,7 +119,7 @@ def _timestamp() -> str:
 
 def write_manifest(fh: IO[str], command: str, config: EngineConfig,
                    argv: Sequence[str]) -> None:
-    fh.write(f"# sta-otto {command} v{_VERSION}\n")
+    fh.write(f"# sta-otto {command} v{__version__}\n")
     fh.write(f"# timestamp: {_timestamp()}\n")
     fh.write(f"# command: {shlex.join(['sta-otto', *argv])}\n")
     fh.write(f"# grid: tau_min={config.tau_min!r} tau_max={config.tau_max!r}"
@@ -169,8 +169,8 @@ def _write_rows(fh: IO[str], rows: Sequence[CycleMetrics], command: str,
 
 def cmd_cycle(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    if args.tau <= 0.0:
-        raise ValueError("tau must be positive")
+    if not 0.0 < args.tau < math.inf:
+        raise ValueError("tau must be positive and finite")
     metrics = run_cycle(config, args.tau)
     for name in _SWEEP_COLUMNS[:-1]:
         print(f"{name} = {_fmt(getattr(metrics, name))}")
@@ -231,8 +231,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_protocol_dump(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    if args.tau <= 0.0:
-        raise ValueError("tau must be positive")
+    if not 0.0 < args.tau < math.inf:
+        raise ValueError("tau must be positive and finite")
     if args.points < 2:
         raise ValueError("points must be at least 2")
     if args.stroke == "compression":

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,6 +37,9 @@ class EngineConfig:
     strict: bool = False
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite")
         if not self.omega2 > self.omega1 > 0.0:
             raise ConfigError("need omega2 > omega1 > 0 (compression-first cycle)")
         if not self.beta1 > self.beta2 > 0.0:
@@ -52,9 +56,6 @@ class EngineConfig:
             raise ConfigError("tau_count must be at least 2")
         if self.tau_spacing not in ("log", "linear"):
             raise ConfigError("tau_spacing must be 'log' or 'linear'")
-
-    def with_(self, **kwargs) -> "EngineConfig":
-        return replace(self, **kwargs)
 
 
 def tau_grid(config: EngineConfig) -> np.ndarray:

@@ -16,19 +16,15 @@ average
 strictly positive for the polynomial ramp (integration by parts turns
 it into (E0/omega0) / tau^2 times \\int omega'(s)^2/(4 omega^3) ds > 0)
 and scaling exactly as 1/tau^2 under reparametrization of the same
-shape.  A negative time average for an exotic user schedule is reported
-as-is: the sign is physical, not an error.
+shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
 from scipy.integrate import quad
 
 from .errors import ConfigError, QuadratureFailure
-from .protocol import FrequencyProtocol, ProtocolSample, sample_protocol, tag_of
+from .protocol import FrequencyProtocol, ProtocolSample, sample_protocol
 from .strokes import ThermalOscillatorState
 
 # the schedule must start where the thermal state sits
@@ -84,9 +80,8 @@ def sa_cost_time_average(protocol: FrequencyProtocol,
     """Time-averaged auxiliary energy over the stroke.
 
     Adaptive quadrature with a purely relative tolerance; the integrand
-    is smooth for every admissible schedule, so a failure to converge
-    indicates a genuinely pathological user table and is raised rather
-    than glossed over.
+    is smooth for every admissible ramp, so a failure to converge is
+    raised rather than glossed over.
     """
     if not 0.0 < quad_tol <= 1e-4:
         raise ValueError("quad_tol must lie in (0, 1e-4]")
@@ -101,28 +96,3 @@ def sa_cost_time_average(protocol: FrequencyProtocol,
         raise QuadratureFailure(f"cost integral did not converge: {out[3]}")
     value = out[0]
     return value / protocol.duration
-
-
-@dataclass(frozen=True)
-class CostProfile:
-    """Sampled auxiliary-energy trace plus its time average."""
-
-    stroke: str
-    times: np.ndarray
-    energies: np.ndarray
-    time_average: float
-
-
-def cost_profile(protocol: FrequencyProtocol,
-                 initial: ThermalOscillatorState, points: int = 201,
-                 quad_tol: float = 1e-10) -> CostProfile:
-    """Uniformly sampled <H_sa>(t) for plotting or CSV dumps."""
-    if points < 2:
-        raise ConfigError("points must be at least 2")
-    _check_start(protocol, initial)
-    times = np.linspace(0.0, protocol.duration, points)
-    energies = np.array([
-        sa_energy_instant(sample_protocol(protocol, float(t)), initial)
-        for t in times])
-    average = sa_cost_time_average(protocol, initial, quad_tol)
-    return CostProfile(tag_of(protocol), times, energies, average)

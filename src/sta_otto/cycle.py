@@ -80,6 +80,11 @@ def _strokes(config: EngineConfig,
     return compression, expansion
 
 
+def _check_tau(tau: float) -> None:
+    if not 0.0 < tau < math.inf:
+        raise ValueError("tau must be positive and finite")
+
+
 def _tagged(tag: str, exc: StaOttoError) -> StaOttoError:
     wrapped = type(exc)(f"{tag} stroke: {exc}")
     wrapped.__cause__ = exc
@@ -98,8 +103,7 @@ def _endpoint_q_star(config: EngineConfig, protocol: FrequencyProtocol,
 
 def run_cycle(config: EngineConfig, tau: float) -> CycleMetrics:
     """Evaluate all three cycle variants plus speed-limit bounds at tau."""
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
+    _check_tau(tau)
     compression, expansion = _strokes(config, tau)
     cold = ThermalOscillatorState(config.beta1, config.omega1, config.hbar)
     hot = ThermalOscillatorState(config.beta2, config.omega2, config.hbar)
@@ -202,8 +206,8 @@ def sweep(config: EngineConfig) -> list[CycleMetrics]:
 
 def _bracket_root(fn, bracket: Sequence[float], what: str) -> float:
     lo, hi = float(bracket[0]), float(bracket[1])
-    if not 0.0 < lo < hi:
-        raise ValueError("bracket must satisfy 0 < lo < hi")
+    if not 0.0 < lo < hi < math.inf:
+        raise ValueError("bracket must satisfy 0 < lo < hi < inf")
     try:
         return float(brentq(fn, lo, hi, rtol=1e-6))
     except ValueError as exc:
@@ -232,8 +236,7 @@ def find_efficiency_crossover(config: EngineConfig,
 
 def compression_q_star(config: EngineConfig, tau: float) -> float:
     """Endpoint Q* of the compression stroke alone (cheap sweep helper)."""
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
+    _check_tau(tau)
     compression, _ = _strokes(config, tau)
     return _endpoint_q_star(config, compression, "compression")
 

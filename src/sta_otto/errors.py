@@ -33,7 +33,7 @@ class QuadratureFailure(StaOttoError):
 
 
 class DomainError(StaOttoError):
-    """Fidelity radicand left its mathematical domain."""
+    """Fidelity or Bures angle outside its mathematical domain."""
 
 
 class DivisionByZeroCost(StaOttoError):

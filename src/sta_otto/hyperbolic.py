@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 
-# Below this, 1/tanh(x) loses digits to cancellation; the Laurent series
-# coth(x) = 1/x + x/3 - x^3/45 + 2x^5/945 is exact to double precision.
+# Below this, 1/tanh(x) loses digits to cancellation; the truncated Laurent
+# series coth(x) = 1/x + x/3 - x^3/45 + O(x^5) is exact to double precision.
 _SERIES_CUTOFF = 1e-4
 
 

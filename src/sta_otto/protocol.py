@@ -14,29 +14,21 @@ effective squared frequency
 
 which can go negative for fast driving (trap inversion); that condition
 is reported, and whether it is fatal is the caller's decision.
-
-User-supplied schedules are accepted as (t, omega) knots and fitted with
-an interpolating quintic spline so that omega_ddot exists and is smooth;
-the endpoint conditions are then checked by evaluation, never assumed.
 """
 
 from __future__ import annotations
 
-import csv
-import enum
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 from scipy.optimize import minimize_scalar
 
 from .errors import ConfigError, OutOfRangeTime
 
-
-class ProtocolKind(enum.Enum):
-    POLYNOMIAL_RAMP = "polynomial_ramp"
-    USER_TABLE = "user_table"
+# uniform samples of Omega^2 before the bounded refinement around the minimum
+_INVERSION_GRID = 256
 
 
 @dataclass(frozen=True)
@@ -60,80 +52,26 @@ class InversionReport:
 
 @dataclass(frozen=True)
 class FrequencyProtocol:
-    """A frequency schedule omega(t) on [0, duration]."""
+    """Quintic-ramp frequency schedule omega(t) on [0, duration]."""
 
     omega_initial: float
     omega_final: float
     duration: float
-    kind: ProtocolKind
-    # quintic-spline fit of user-table knots; None for the polynomial ramp
-    _spline: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.omega_initial <= 0.0 or self.omega_final <= 0.0:
-            raise ConfigError("protocol frequencies must be positive")
-        if self.duration <= 0.0:
-            raise ConfigError("protocol duration must be positive")
+        if not (0.0 < self.omega_initial < math.inf
+                and 0.0 < self.omega_final < math.inf):
+            raise ConfigError("protocol frequencies must be positive "
+                              "and finite")
+        if not 0.0 < self.duration < math.inf:
+            raise ConfigError("protocol duration must be positive and finite")
 
 
 def polynomial_ramp(omega_initial: float, omega_final: float,
                     duration: float) -> FrequencyProtocol:
     """Quintic ramp with flat (zero first and second derivative) ends."""
     return FrequencyProtocol(float(omega_initial), float(omega_final),
-                             float(duration), ProtocolKind.POLYNOMIAL_RAMP)
-
-
-def reversed_protocol(protocol: FrequencyProtocol) -> FrequencyProtocol:
-    """Same schedule family run from omega_final back to omega_initial.
-
-    The expansion stroke uses the compression ramp with the endpoint
-    frequencies swapped.  Only polynomial ramps can be reversed
-    symbolically; tables must be re-supplied.
-    """
-    if protocol.kind is not ProtocolKind.POLYNOMIAL_RAMP:
-        raise ConfigError("only polynomial ramps can be reversed")
-    return polynomial_ramp(protocol.omega_final, protocol.omega_initial,
-                           protocol.duration)
-
-
-def user_table(times: Sequence[float], omegas: Sequence[float]) -> FrequencyProtocol:
-    """Protocol from (t, omega) knots via an interpolating quintic spline."""
-    t = np.asarray(times, dtype=float)
-    w = np.asarray(omegas, dtype=float)
-    if t.ndim != 1 or t.shape != w.shape:
-        raise ConfigError("table knots must be two equal-length columns")
-    if t.size < 6:
-        raise ConfigError("table protocols need at least 6 knots for a quintic fit")
-    if np.any(np.diff(t) <= 0.0):
-        raise ConfigError("table times must be strictly increasing")
-    if t[0] != 0.0:
-        raise ConfigError("table must start at t = 0")
-    if np.any(w <= 0.0):
-        raise ConfigError("table frequencies must be positive")
-    spline = make_interp_spline(t, w, k=5)
-    return FrequencyProtocol(float(w[0]), float(w[-1]), float(t[-1]),
-                             ProtocolKind.USER_TABLE, spline)
-
-
-def user_table_from_csv(path: str) -> FrequencyProtocol:
-    """Read two-column (t, omega) knots; a non-numeric first row is a header."""
-    times: list[float] = []
-    omegas: list[float] = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or not "".join(row).strip():
-                continue
-            try:
-                tv, wv = float(row[0]), float(row[1])
-            except (ValueError, IndexError):
-                if not times:  # header line
-                    continue
-                raise ConfigError(f"bad table row in {path!r}: {row!r}") from None
-            times.append(tv)
-            omegas.append(wv)
-    if not times:
-        raise ConfigError(f"no knots found in {path!r}")
-    return user_table(times, omegas)
+                             float(duration))
 
 
 def _ramp_shape(s: float) -> tuple[float, float, float]:
@@ -152,19 +90,12 @@ def effective_frequency_sq(omega: float, omega_dot: float,
             + 0.5 * omega_ddot / omega)
 
 
-def _check_range(protocol: FrequencyProtocol, t: float) -> None:
+def sample_protocol(protocol: FrequencyProtocol, t: float) -> ProtocolSample:
+    """Closed-form quintic evaluation at time t; derivatives are analytic,
+    not finite differences."""
     if not 0.0 <= t <= protocol.duration:
         raise OutOfRangeTime(
             f"t = {t!r} outside [0, {protocol.duration!r}]")
-
-
-def evaluate_polynomial_ramp(protocol: FrequencyProtocol,
-                             t: float) -> ProtocolSample:
-    """Closed-form quintic evaluation; derivatives are analytic, not
-    finite differences."""
-    if protocol.kind is not ProtocolKind.POLYNOMIAL_RAMP:
-        raise ConfigError("evaluate_polynomial_ramp needs a polynomial ramp")
-    _check_range(protocol, t)
     tau = protocol.duration
     d = protocol.omega_final - protocol.omega_initial
     v, d1, d2 = _ramp_shape(t / tau)
@@ -175,33 +106,17 @@ def evaluate_polynomial_ramp(protocol: FrequencyProtocol,
                           effective_frequency_sq(omega, omega_dot, omega_ddot))
 
 
-def sample_protocol(protocol: FrequencyProtocol, t: float) -> ProtocolSample:
-    """Evaluate any protocol kind at time t."""
-    if protocol.kind is ProtocolKind.POLYNOMIAL_RAMP:
-        return evaluate_polynomial_ramp(protocol, t)
-    _check_range(protocol, t)
-    spl = protocol._spline
-    omega = float(spl(t))
-    omega_dot = float(spl(t, 1))
-    omega_ddot = float(spl(t, 2))
-    return ProtocolSample(t, omega, omega_dot, omega_ddot,
-                          effective_frequency_sq(omega, omega_dot, omega_ddot))
-
-
 def omega_of(protocol: FrequencyProtocol) -> Callable[[float], float]:
     """Fast omega(t) callable for integrators (skips sample assembly)."""
-    if protocol.kind is ProtocolKind.POLYNOMIAL_RAMP:
-        wi = protocol.omega_initial
-        d = protocol.omega_final - protocol.omega_initial
-        tau = protocol.duration
+    wi = protocol.omega_initial
+    d = protocol.omega_final - protocol.omega_initial
+    tau = protocol.duration
 
-        def omega(t: float) -> float:
-            s = t / tau
-            return wi + d * s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
+    def omega(t: float) -> float:
+        s = t / tau
+        return wi + d * s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
 
-        return omega
-    spl = protocol._spline
-    return lambda t: float(spl(t))
+    return omega
 
 
 def boundary_residuals(protocol: FrequencyProtocol) -> dict[str, float]:
@@ -225,21 +140,18 @@ def boundary_residuals(protocol: FrequencyProtocol) -> dict[str, float]:
     }
 
 
-def check_trap_inversion(protocol: FrequencyProtocol,
-                         grid_size: int = 256) -> InversionReport:
+def check_trap_inversion(protocol: FrequencyProtocol) -> InversionReport:
     """Scan Omega^2(t) on a uniform grid and refine around the minimum.
 
     Reporting only; strict-mode callers turn a positive finding into
     TrapInversionError themselves.
     """
-    if grid_size < 16:
-        raise ConfigError("grid_size must be at least 16")
     tau = protocol.duration
-    ts = np.linspace(0.0, tau, grid_size)
+    ts = np.linspace(0.0, tau, _INVERSION_GRID)
     vals = np.array([sample_protocol(protocol, t).omega_eff_sq for t in ts])
     i = int(np.argmin(vals))
     lo = ts[max(i - 1, 0)]
-    hi = ts[min(i + 1, grid_size - 1)]
+    hi = ts[min(i + 1, _INVERSION_GRID - 1)]
     best_t, best_v = ts[i], vals[i]
     if hi > lo:
         res = minimize_scalar(
@@ -250,11 +162,3 @@ def check_trap_inversion(protocol: FrequencyProtocol,
             best_t, best_v = float(res.x), float(res.fun)
     return InversionReport(float(best_v), float(best_t), bool(best_v <= 0.0))
 
-
-def tag_of(protocol: FrequencyProtocol) -> str:
-    """'compression' for rising frequency, 'expansion' for falling."""
-    if protocol.omega_final > protocol.omega_initial:
-        return "compression"
-    if protocol.omega_final < protocol.omega_initial:
-        return "expansion"
-    return "constant"

@@ -39,7 +39,7 @@ from .errors import DivisionByZeroCost, DomainError, InvalidDenominator
 from .hyperbolic import coth, csch
 from .strokes import ThermalOscillatorState
 
-# radicands this far below zero are rounding noise, anything worse is a bug
+# fidelities this far outside [0, 1] are rounding noise, anything worse is a bug
 _DOMAIN_SLACK = -1e-12
 
 
@@ -59,11 +59,7 @@ def gaussian_fidelity(beta: float, omega_a: float, omega_b: float,
     omega_e = omega_b / (q_star + math.sqrt(stretch_sq))
     delta = csch(u) ** 4
     big = nu * nu * (2.0 + omega_a / omega_e + omega_e / omega_a)
-    radicand = big + delta
-    if radicand < _DOMAIN_SLACK:
-        raise DomainError(f"fidelity radicand {radicand!r} is negative")
-    radicand = max(radicand, 0.0)
-    return 2.0 * (math.sqrt(radicand) + math.sqrt(delta)) / big
+    return 2.0 * (math.sqrt(big + delta) + math.sqrt(delta)) / big
 
 
 def bures_angle(fidelity: float) -> float:
@@ -133,15 +129,3 @@ def power_bound(work_ad_total: float, tau_qsl_1: float,
         raise InvalidDenominator(
             f"summed time bounds must be positive, got {total!r}")
     return -work_ad_total / total
-
-
-@dataclass(frozen=True)
-class QslReport:
-    """Per-cycle speed-limit summary."""
-
-    tau_qsl_1: float
-    tau_qsl_3: float
-    eta_bound: float
-    power_bound: float
-    premise_1: bool
-    premise_3: bool

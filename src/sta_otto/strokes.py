@@ -44,21 +44,8 @@ class ThermalOscillatorState:
 
 
 @dataclass(frozen=True)
-class StrokeResult:
-    """Per-stroke outputs assembled by the cycle driver."""
-
-    q_star: float
-    work_actual: float
-    work_adiabatic: float
-    sa_cost: float
-    bures_angle: float
-    tau_qsl: float
-
-
-@dataclass(frozen=True)
 class EngineCondition:
     is_engine: bool
-    reasons: tuple[str, ...]
 
 
 def stroke_work(q_star: float, omega_start: float, omega_end: float,
@@ -94,9 +81,4 @@ def heat_sign_threshold(config: EngineConfig) -> float:
 
 def engine_condition(work_total: float, heat_hot: float) -> EngineCondition:
     """Engine iff work_total < 0 and heat_hot > 0 (both strict)."""
-    reasons = []
-    if not work_total < 0.0:
-        reasons.append("no net work extracted")
-    if not heat_hot > 0.0:
-        reasons.append("heat pumped into hot reservoir")
-    return EngineCondition(not reasons, tuple(reasons))
+    return EngineCondition(bool(work_total < 0.0 and heat_hot > 0.0))

@@ -47,6 +47,14 @@ def base_sweep(base_config):
     return sweep(base_config)
 
 
+@pytest.fixture
+def no_solve(monkeypatch):
+    """Fail fast instead of hanging if a bad input reaches the ODE solver."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("input reached the ODE solver")
+    monkeypatch.setattr("sta_otto.cycle.solve_linear_pair", refuse)
+
+
 def pytest_configure(config):
     config._criteria_lines = []
 

@@ -7,69 +7,41 @@ happens, and fail with the quantitative explanation rather than
 glossing over the gap.  Details live in the failure messages below.
 """
 
-import math
 import time
 
-import numpy as np
 import pytest
 
-from sta_otto import (NoSignChange, ThermalOscillatorState,
-                      adiabaticity_from_ermakov, adiabaticity_parameter,
-                      bures_angle, ermakov_from_linear,
-                      find_efficiency_crossover, find_heat_sign_threshold,
-                      gaussian_fidelity, heat_sign_threshold,
-                      hot_isochore_heat, lcd_final_adiabaticity, omega_of,
-                      polynomial_ramp, run_cycle, sa_cost_time_average,
-                      solve_linear_pair, solve_second_moments, stroke_work)
+from sta_otto import (EngineConfig, NoSignChange, find_efficiency_crossover,
+                      find_heat_sign_threshold, heat_sign_threshold,
+                      run_cycle)
+from sta_otto.checks import (check_adiabatic_efficiency, check_bound_ordering,
+                             check_cost_scaling, check_fidelity_identity,
+                             check_fidelity_zero_t, check_lcd_exactness,
+                             check_p_sa_scaling, check_power_ordering,
+                             check_q_star_routes, check_wronskian)
 
-from conftest import HEAT_THRESHOLD, OVERLAP_ZERO_T, SUDDEN_CAP, TAU_STAR
-
-
-def _both_strokes(config, tau):
-    yield polynomial_ramp(config.omega1, config.omega2, tau), \
-        ThermalOscillatorState(config.beta1, config.omega1, config.hbar)
-    yield polynomial_ramp(config.omega2, config.omega1, tau), \
-        ThermalOscillatorState(config.beta2, config.omega2, config.hbar)
+from conftest import HEAT_THRESHOLD, SUDDEN_CAP, TAU_STAR
 
 
 def test_criterion_1_adiabatic_efficiency(base_config, record_criterion):
-    c = base_config
-    w1 = stroke_work(1.0, c.omega1, c.omega2, c.beta1, c.hbar)
-    w3 = stroke_work(1.0, c.omega2, c.omega1, c.beta2, c.hbar)
-    q2 = hot_isochore_heat(1.0, c)
-    eta_ad = -(w1 + w3) / q2
-    target = 1.0 - c.omega1 / c.omega2
-    err = abs(eta_ad - target)
-    record_criterion(1, "adiabatic efficiency closed form", err <= 1e-9,
-                     f"eta_ad = {eta_ad:.12g}, |err| = {err:.3g}")
-    assert err <= 1e-9
+    r = check_adiabatic_efficiency(base_config)
+    record_criterion(1, "adiabatic efficiency closed form", r.passed,
+                     f"|eta_ad - (1 - omega1/omega2)| = {r.residual:.3g}")
+    assert r.passed, r
 
 
 def test_criterion_2_shortcut_exactness(base_config, record_criterion):
-    worst = 0.0
-    for tau in (0.05, 0.1, 0.5, 1.0, 5.0):
-        for protocol, _ in _both_strokes(base_config, tau):
-            q = lcd_final_adiabaticity(protocol)
-            worst = max(worst, abs(q - 1.0))
-    record_criterion(2, "shortcut lands on the adiabatic target",
-                     worst <= 1e-6, f"max |Q* - 1| = {worst:.3g}")
-    assert worst <= 1e-6
+    r = check_lcd_exactness(base_config)
+    record_criterion(2, "shortcut lands on the adiabatic target", r.passed,
+                     f"max |Q* - 1| = {r.residual:.3g}")
+    assert r.passed, r
 
 
 def test_criterion_3_cost_scaling(base_config, record_criterion):
-    worst = 0.0
-    for stroke in range(2):
-        products = []
-        for tau in (0.1, 1.0, 10.0):
-            protocol, initial = list(_both_strokes(base_config,
-                                                   tau))[stroke]
-            products.append(sa_cost_time_average(protocol, initial)
-                            * tau * tau)
-        ref = products[1]
-        worst = max(worst, max(abs(p - ref) / ref for p in products))
-    record_criterion(3, "driving cost scales as 1/tau^2", worst <= 1e-8,
-                     f"max rel spread of cost*tau^2 = {worst:.3g}")
-    assert worst <= 1e-8
+    r = check_cost_scaling(base_config)
+    record_criterion(3, "driving cost scales as 1/tau^2", r.passed,
+                     f"max rel spread of cost*tau^2 = {r.residual:.3g}")
+    assert r.passed, r
 
 
 def test_criterion_4_efficiency_sweep(base_config, base_sweep,
@@ -129,17 +101,16 @@ def test_criterion_4_efficiency_sweep(base_config, base_sweep,
             "tau ~ 17-20, outside the sweep grid [0.01, 10].")
 
 
-def test_criterion_5_power_ordering(base_sweep, record_criterion):
-    margin = min(m.p_sa - m.p_na for m in base_sweep)
-    products = [m.p_sa * m.tau for m in base_sweep]
-    ref = products[len(products) // 2]
-    spread = max(abs(p - ref) / abs(ref) for p in products)
-    passed = margin >= -1e-12 and spread <= 1e-9
+def test_criterion_5_power_ordering(base_config, base_sweep,
+                                    record_criterion):
+    ordering = check_power_ordering(base_config, base_sweep)
+    scaling = check_p_sa_scaling(base_config, base_sweep)
     record_criterion(5, "shortcut power dominates and scales as 1/tau",
-                     passed, f"min(p_sa - p_na) = {margin:.3g}, "
-                     f"p_sa*tau rel spread = {spread:.3g}")
-    assert margin >= -1e-12
-    assert spread <= 1e-9
+                     ordering.passed and scaling.passed,
+                     f"max(p_na - p_sa) = {ordering.residual:.3g}, "
+                     f"p_sa*tau rel spread = {scaling.residual:.3g}")
+    assert ordering.passed, ordering
+    assert scaling.passed, scaling
 
 
 def test_criterion_6_heat_sign_root(base_config, base_sweep,
@@ -178,67 +149,38 @@ def test_criterion_6_heat_sign_root(base_config, base_sweep,
 
 
 def test_criterion_7_fidelity_identities(base_config, record_criterion):
-    worst_f, worst_angle = 0.0, 0.0
-    for beta, omega in ((0.5, 0.32), (0.05, 1.0), (20.0, 0.7)):
-        f = gaussian_fidelity(beta, omega, omega)
-        worst_f = max(worst_f, abs(f - 1.0))
-        worst_angle = max(worst_angle, bures_angle(min(f, 1.0)))
-    # arccos sqrt(F) has a sqrt(eps) ~ 1.5e-8 floor at F = 1, so the
-    # angle is checked against 1e-7 while F itself is held to 1e-12
-    identity_ok = worst_f <= 1e-12 and worst_angle <= 1e-7
-
-    wa, wb = base_config.omega1, base_config.omega2
-    beta_cold = 100.0 / (base_config.hbar * wa)
-    zero_t = gaussian_fidelity(beta_cold, wa, wb, hbar=base_config.hbar)
-    zero_t_err = abs(zero_t - OVERLAP_ZERO_T)
-    passed = identity_ok and zero_t_err <= 1e-9
+    # identical states at both default baths and at a cold third state
+    identities = [check_fidelity_identity(base_config),
+                  check_fidelity_identity(EngineConfig(beta1=20.0,
+                                                       omega1=0.7))]
+    zero_t = check_fidelity_zero_t(base_config)
+    passed = all(r.passed for r in identities) and zero_t.passed
+    worst_f = max(r.residual for r in identities)
     record_criterion(7, "fidelity identity and ground-state overlap",
-                     passed, f"max |F - 1| = {worst_f:.3g}, max angle = "
-                     f"{worst_angle:.3g}, zero-T err = {zero_t_err:.3g}")
-    assert identity_ok
-    assert zero_t_err <= 1e-9
+                     passed, f"max |F - 1| = {worst_f:.3g}, "
+                     f"zero-T err = {zero_t.residual:.3g}")
+    assert all(r.passed for r in identities), identities
+    assert zero_t.passed, zero_t
 
 
-def test_criterion_8_bound_ordering(base_sweep, record_criterion):
+def test_criterion_8_bound_ordering(base_config, base_sweep,
+                                    record_criterion):
     subset = [m for m in base_sweep
               if m.tqsl1 <= m.tau and m.tqsl3 <= m.tau]
-    eta_low = min(m.eta_qsl - m.eta_sa for m in subset)
-    eta_high = min(m.eta_ad - m.eta_qsl for m in subset)
-    p_margin = min(m.p_qsl - m.p_sa for m in subset)
-    passed = bool(subset) and min(eta_low, eta_high, p_margin) >= -1e-12
-    record_criterion(
-        8, "speed-limit bounds bracket the shortcut engine", passed,
-        f"premise holds at {len(subset)}/{len(base_sweep)} grid points; "
-        f"min margins: eta {min(eta_low, eta_high):.3g}, p {p_margin:.3g}")
+    r = check_bound_ordering(base_config, base_sweep)
+    passed = bool(subset) and r.passed
+    record_criterion(8, "speed-limit bounds bracket the shortcut engine",
+                     passed, f"{r.detail}; worst violation {r.residual:.3g}")
     assert subset
-    assert eta_low >= -1e-12 and eta_high >= -1e-12
-    assert p_margin >= -1e-12
+    assert r.passed, r
 
 
 def test_criterion_9_route_triangulation(base_config, record_criterion):
-    worst_q, worst_w = 0.0, 0.0
-    for tau in (0.1, 1.0, 10.0):
-        for protocol, initial in _both_strokes(base_config, tau):
-            pair = solve_linear_pair(protocol)
-            w0 = protocol.omega_initial
-            omega = omega_of(protocol)
-            ermakov = ermakov_from_linear(pair, w0)
-            moments = solve_second_moments(protocol, initial.beta,
-                                           base_config.m,
-                                           base_config.hbar)
-            for t in np.linspace(0.0, tau, 101):
-                t = float(t)
-                wt = omega(t)
-                q_husimi = adiabaticity_parameter(pair, w0, wt, t)
-                q_ermakov = adiabaticity_from_ermakov(ermakov, wt, t)
-                q_moments = moments.q_star(t, wt)
-                worst_q = max(worst_q,
-                              abs(q_ermakov - q_husimi) / q_husimi,
-                              abs(q_moments - q_husimi) / q_husimi)
-                worst_w = max(worst_w, abs(pair.wronskian(t) - 1.0))
-    passed = worst_q <= 1e-8 and worst_w <= 1e-9
-    record_criterion(9, "three adiabaticity routes agree", passed,
-                     f"max route spread = {worst_q:.3g}, "
-                     f"max |W - 1| = {worst_w:.3g}")
-    assert worst_q <= 1e-8
-    assert worst_w <= 1e-9
+    routes = check_q_star_routes(base_config)
+    wronskian = check_wronskian(base_config)
+    record_criterion(9, "three adiabaticity routes agree",
+                     routes.passed and wronskian.passed,
+                     f"max route spread = {routes.residual:.3g}, "
+                     f"max |W - 1| = {wronskian.residual:.3g}")
+    assert routes.passed, routes
+    assert wronskian.passed, wronskian

@@ -43,6 +43,25 @@ def test_cycle_rejects_bad_tau(capsys):
     assert "tau must be positive" in err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_arguments_exit_2(capsys, no_solve, bad):
+    code, _, err = run_cli(capsys, "cycle", "--tau", bad)
+    assert code == 2 and "tau must be positive and finite" in err
+    code, _, err = run_cli(capsys, "protocol-dump", "--tau", bad)
+    assert code == 2 and "tau must be positive and finite" in err
+    code, _, err = run_cli(capsys, "crossover", "--bracket", "0.01", bad)
+    assert code == 2 and "bracket" in err
+
+
+@pytest.mark.parametrize("line", ["omega2 = inf", "tau_max = inf",
+                                  "beta1 = nan"])
+def test_non_finite_config_exit_2(tmp_path, capsys, no_solve, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code, _, err = run_cli(capsys, "cycle", "--tau", "1", str(cfg))
+    assert code == 2 and "must be finite" in err
+
+
 def test_missing_config_file(capsys):
     code, _, err = run_cli(capsys, "cycle", "--tau", "1", "/no/such/file")
     assert code == 2

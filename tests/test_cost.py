@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from sta_otto import (ConfigError, ThermalOscillatorState, cost_profile,
-                      lcd_mean_energy, polynomial_ramp, q_star_lcd_instant,
+from sta_otto import (ConfigError, ThermalOscillatorState, lcd_mean_energy, polynomial_ramp, q_star_lcd_instant,
                       sa_cost_time_average, sa_energy_instant,
                       sample_protocol, shortcut_shape_factor)
 
@@ -123,15 +122,3 @@ def test_steep_ramp_track_shape():
     signs = [q > 1.0 for q in track if abs(q - 1.0) > 1e-9]
     assert sum(1 for a, b in zip(signs, signs[1:]) if a != b) == 1
     assert signs[0] and not signs[-1]
-
-
-def test_cost_profile(ramp, cold):
-    profile = cost_profile(ramp, cold, points=101)
-    assert profile.stroke == "compression"
-    assert profile.times.shape == (101,)
-    assert profile.energies[0] == 0.0 and profile.energies[-1] == 0.0
-    assert profile.time_average == pytest.approx(COST1_TAU1, rel=1e-10)
-    # the trace changes sign along the stroke, its average does not
-    assert profile.energies.min() < 0.0 < profile.energies.max()
-    with pytest.raises(ConfigError):
-        cost_profile(ramp, cold, points=1)

@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -62,6 +62,18 @@ def test_tau_validation(base_config):
         compression_q_star(base_config, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_tau_rejected(base_config, no_solve, bad):
+    with pytest.raises(ValueError, match="tau must be positive and finite"):
+        run_cycle(base_config, bad)
+    with pytest.raises(ValueError, match="tau must be positive and finite"):
+        compression_q_star(base_config, bad)
+    with pytest.raises(ValueError, match="bracket"):
+        find_efficiency_crossover(base_config, (0.01, bad))
+    with pytest.raises(ValueError, match="bracket"):
+        find_heat_sign_threshold(base_config, (bad, 10.0))
+
+
 def test_compression_q_star_matches_cycle(base_config, unit_metrics):
     assert compression_q_star(base_config, 1.0) \
         == pytest.approx(unit_metrics.q_star_1, rel=1e-12)
@@ -94,10 +106,10 @@ def test_sweep_deterministic(base_config, base_sweep):
 
 
 def test_strict_mode(base_config):
-    strict = base_config.with_(strict=True)
+    strict = replace(base_config, strict=True)
     with pytest.raises(TrapInversionError):
         run_cycle(strict, 0.1)
-    rows = sweep(strict.with_(tau_count=12))
+    rows = sweep(replace(strict, tau_count=12))
     errors = [m for m in rows if m.flags and m.flags[0].startswith("error:")]
     assert errors
     for m in errors:
@@ -134,7 +146,7 @@ def test_heat_sign_threshold_unreachable_for_quintic(base_config):
 
 
 def test_heat_sign_threshold_colder_bath(base_config):
-    config = base_config.with_(beta1=0.2)
+    config = replace(base_config, beta1=0.2)
     tau_death = find_heat_sign_threshold(config, (0.01, 10.0))
     assert tau_death == pytest.approx(TAU_HEAT_DEATH_B02, rel=1e-4)
     below = run_cycle(config, 0.9 * tau_death)

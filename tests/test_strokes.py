@@ -60,12 +60,10 @@ def test_adiabatic_efficiency_identity(base_config):
 
 
 def test_engine_condition_branches():
-    assert engine_condition(-1.0, 2.0).is_engine
-    bad_work = engine_condition(0.5, 2.0)
-    assert not bad_work.is_engine
-    assert "no net work extracted" in bad_work.reasons
-    bad_heat = engine_condition(-1.0, -0.1)
-    assert not bad_heat.is_engine
-    assert "heat pumped into hot reservoir" in bad_heat.reasons
-    both = engine_condition(0.5, -0.1)
-    assert len(both.reasons) == 2
+    assert engine_condition(-1.0, 2.0).is_engine is True
+    assert not engine_condition(0.5, 2.0).is_engine    # no net work out
+    assert not engine_condition(-1.0, -0.1).is_engine  # heat into hot bath
+    assert not engine_condition(0.5, -0.1).is_engine
+    # both conditions are strict
+    assert not engine_condition(0.0, 2.0).is_engine
+    assert not engine_condition(-1.0, 0.0).is_engine
