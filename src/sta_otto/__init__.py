@@ -14,9 +14,9 @@ from .config import EngineConfig, tau_grid
 from .cost import (lcd_mean_energy, q_star_lcd_instant,
                    sa_cost_time_average, sa_energy_instant,
                    shortcut_shape_factor)
-from .cycle import (CycleMetrics, compression_q_star,
-                    find_efficiency_crossover, find_heat_sign_threshold,
-                    rescaled, run_cycle, sweep)
+from .cycle import (CycleConstants, CycleMetrics, compression_q_star,
+                    cycle_constants, find_efficiency_crossover,
+                    find_heat_sign_threshold, rescaled, run_cycle, sweep)
 from .dynamics import (ErmakovSolution, LinearPairSolution, MomentSolution,
                        adiabaticity_from_ermakov, adiabaticity_parameter,
                        ermakov_from_linear, ermakov_residual,
@@ -30,8 +30,8 @@ from .errors import (ConfigError, DivisionByZeroCost, DomainError,
 from .hyperbolic import coth, csch
 from .protocol import (FrequencyProtocol, InversionReport, ProtocolSample,
                        boundary_residuals, check_trap_inversion,
-                       effective_frequency_sq, omega_of, polynomial_ramp,
-                       sample_protocol)
+                       effective_frequency_sq, inversion_threshold,
+                       omega_of, polynomial_ramp, sample_protocol)
 from .qsl import (BuresData, bures_angle, bures_data, efficiency_bound,
                   gaussian_fidelity, power_bound, qsl_time)
 from .strokes import (EngineCondition, ThermalOscillatorState,

@@ -10,20 +10,20 @@ is handled upstream by run_cycle, which turns inversion into errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import EngineConfig, tau_grid
 from .cost import lcd_mean_energy, sa_cost_time_average, sa_energy_instant
-from .cycle import _strokes, rescaled, run_cycle, sweep
+from .cycle import _strokes, cycle_constants, rescaled, run_cycle, sweep
 from .dynamics import (adiabaticity_from_ermakov, adiabaticity_parameter,
                        ermakov_from_linear, ermakov_residual,
                        lcd_final_adiabaticity, solve_linear_pair,
                        solve_second_moments)
 from .errors import ConfigError
-from .protocol import (boundary_residuals, check_trap_inversion, omega_of,
-                       polynomial_ramp, sample_protocol)
+from .protocol import (boundary_residuals, omega_of, polynomial_ramp,
+                       sample_protocol)
 from .qsl import bures_angle, gaussian_fidelity
 from .strokes import ThermalOscillatorState, hot_isochore_heat, stroke_work
 
@@ -235,9 +235,17 @@ def _sweep_rows(config: EngineConfig):
     return rows
 
 
+def _no_rows(name: str) -> CheckResult:
+    # every grid point errored (e.g. strict mode below tau_c): nothing
+    # to check is a failure, not a vacuous pass
+    return CheckResult(name, False, math.inf, "no valid rows")
+
+
 def check_bound_ordering(config: EngineConfig,
                          rows=None) -> CheckResult:
     rows = _sweep_rows(config) if rows is None else rows
+    if not rows:
+        return _no_rows("bound_ordering")
     premise = [r for r in rows
                if "qsl_premise_1" not in r.flags
                and "qsl_premise_3" not in r.flags]
@@ -253,6 +261,8 @@ def check_bound_ordering(config: EngineConfig,
 
 def check_eta_sa_monotone(config: EngineConfig, rows=None) -> CheckResult:
     rows = _sweep_rows(config) if rows is None else rows
+    if not rows:
+        return _no_rows("eta_sa_monotone")
     worst = 0.0
     for a, b in zip(rows, rows[1:]):
         worst = max(worst, a.eta_sa - b.eta_sa)
@@ -262,6 +272,8 @@ def check_eta_sa_monotone(config: EngineConfig, rows=None) -> CheckResult:
 
 def check_power_ordering(config: EngineConfig, rows=None) -> CheckResult:
     rows = _sweep_rows(config) if rows is None else rows
+    if not rows:
+        return _no_rows("power_ordering")
     worst = max(r.p_na - r.p_sa for r in rows)
     return CheckResult("power_ordering", worst <= 1e-12, max(worst, 0.0),
                        "P_SA >= P_NA on the grid")
@@ -269,6 +281,8 @@ def check_power_ordering(config: EngineConfig, rows=None) -> CheckResult:
 
 def check_p_sa_scaling(config: EngineConfig, rows=None) -> CheckResult:
     rows = _sweep_rows(config) if rows is None else rows
+    if not rows:
+        return _no_rows("p_sa_scaling")
     products = [r.p_sa * r.tau for r in rows]
     ref = products[len(products) // 2]
     worst = max(abs(p - ref) / abs(ref) for p in products)
@@ -278,12 +292,17 @@ def check_p_sa_scaling(config: EngineConfig, rows=None) -> CheckResult:
 
 def check_eta_ordering(config: EngineConfig, rows=None) -> CheckResult:
     rows = _sweep_rows(config) if rows is None else rows
+    if not rows:
+        return _no_rows("eta_ordering")
     worst = max(r.eta_sa - r.eta_ad for r in rows)
     return CheckResult("eta_ordering", worst <= 1e-12, max(worst, 0.0),
                        "eta_SA <= eta_AD on the grid")
 
 
 def check_rescaling_invariance(config: EngineConfig) -> CheckResult:
+    # a property of the physics, not of the inversion policy: strict
+    # mode would refuse both taus whenever they lie below tau_c
+    config = replace(config, strict=False)
     lam = 2.0
     other = rescaled(config, lam)
     worst = 0.0
@@ -304,16 +323,12 @@ def check_rescaling_invariance(config: EngineConfig) -> CheckResult:
 
 def check_trap_inversion_scan(config: EngineConfig) -> CheckResult:
     grid = tau_grid(config)
-    inverted = []
-    for tau in grid:
-        protocol = polynomial_ramp(config.omega1, config.omega2, float(tau))
-        if check_trap_inversion(protocol).inverted:
-            inverted.append(float(tau))
-    if not inverted:
+    inverted = grid[grid <= cycle_constants(config).tau_c]
+    if not len(inverted):
         return CheckResult("trap_inversion_scan", True, 0.0,
                            "no inversion on the configured grid")
     detail = (f"effective frequency inverts for {len(inverted)}/{len(grid)} "
-              f"grid points, tau <= {max(inverted):.6g}")
+              f"grid points, tau <= {float(inverted.max()):.6g}")
     return CheckResult("trap_inversion_scan", True, float(len(inverted)),
                        detail, warning=True)
 

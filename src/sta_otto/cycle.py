@@ -20,6 +20,7 @@ total work < 0 and efficiencies are -(W1 + W3)/Q2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -29,9 +30,12 @@ from scipy.optimize import brentq
 from .config import EngineConfig, tau_grid
 from .cost import sa_cost_time_average
 from .dynamics import adiabaticity_parameter, solve_linear_pair
-from .errors import NoSignChange, StaOttoError, TrapInversionError
-from .protocol import FrequencyProtocol, check_trap_inversion, polynomial_ramp
-from .qsl import bures_data, efficiency_bound, power_bound, qsl_time
+from .errors import (NoSignChange, SolverFailure, StaOttoError,
+                     TrapInversionError)
+from .protocol import (FrequencyProtocol, check_trap_inversion,
+                       inversion_threshold, polynomial_ramp)
+from .qsl import (BuresData, bures_data, efficiency_bound, power_bound,
+                  qsl_time)
 from .strokes import (ThermalOscillatorState, engine_condition,
                       heat_sign_threshold, hot_isochore_heat, stroke_work)
 
@@ -101,46 +105,85 @@ def _endpoint_q_star(config: EngineConfig, protocol: FrequencyProtocol,
                                   protocol.omega_final, protocol.duration)
 
 
-def run_cycle(config: EngineConfig, tau: float) -> CycleMetrics:
-    """Evaluate all three cycle variants plus speed-limit bounds at tau."""
-    _check_tau(tau)
-    compression, expansion = _strokes(config, tau)
+@dataclass(frozen=True)
+class CycleConstants:
+    """The parts of a cycle that depend on the config but not on tau.
+
+    k1, k3 are the stroke costs times tau^2 (the cost of a fixed ramp
+    shape scales exactly as 1/tau^2); tau_c is the inversion threshold
+    shared by both strokes; the AD energetics and the Bures geometry of
+    the stroke endpoints never see tau at all.
+    """
+
+    k1: float
+    k3: float
+    tau_c: float
+    w1_ad: float
+    w3_ad: float
+    q2_ad: float
+    geo1: BuresData
+    geo3: BuresData
+
+
+@functools.lru_cache(maxsize=128)
+def cycle_constants(config: EngineConfig) -> CycleConstants:
+    """Build (once per config) the tau-independent part of run_cycle."""
+    compression, expansion = _strokes(config, 1.0)
     cold = ThermalOscillatorState(config.beta1, config.omega1, config.hbar)
     hot = ThermalOscillatorState(config.beta2, config.omega2, config.hbar)
+    try:
+        k1 = sa_cost_time_average(compression, cold, config.quad_tol)
+    except StaOttoError as exc:
+        raise _tagged("compression", exc)
+    try:
+        k3 = sa_cost_time_average(expansion, hot, config.quad_tol)
+    except StaOttoError as exc:
+        raise _tagged("expansion", exc)
+    return CycleConstants(
+        k1=k1, k3=k3,
+        tau_c=inversion_threshold(config.omega1, config.omega2),
+        w1_ad=stroke_work(1.0, config.omega1, config.omega2, config.beta1,
+                          config.hbar),
+        w3_ad=stroke_work(1.0, config.omega2, config.omega1, config.beta2,
+                          config.hbar),
+        q2_ad=hot_isochore_heat(1.0, config),
+        geo1=bures_data(cold, config.omega2),
+        geo3=bures_data(hot, config.omega1))
+
+
+def run_cycle(config: EngineConfig, tau: float) -> CycleMetrics:
+    """Evaluate all three cycle variants plus speed-limit bounds at tau.
+
+    One ODE solve per call: the expansion ramp is the time reverse of
+    the compression ramp, so its transfer matrix is J M^-1 J and
+    Husimi's formula gives it the same Q* (Husimi, Prog. Theor. Phys.
+    9, 381 (1953)).  Everything else tau-independent comes from
+    cycle_constants.
+    """
+    _check_tau(tau)
+    const = cycle_constants(config)
+    compression = polynomial_ramp(config.omega1, config.omega2, tau)
 
     flags: list[str] = []
-    for tag, protocol in (("inversion_1", compression),
-                          ("inversion_3", expansion)):
-        report = check_trap_inversion(protocol)
-        if report.inverted:
-            if config.strict:
-                raise TrapInversionError(
-                    f"{tag}: effective frequency squared reaches "
-                    f"{report.min_omega_eff_sq!r} at t = {report.argmin_t!r}")
-            flags.append(tag)
+    if tau <= const.tau_c:
+        if config.strict:
+            report = check_trap_inversion(compression)
+            raise TrapInversionError(
+                f"inversion_1: effective frequency squared reaches "
+                f"{report.min_omega_eff_sq!r} at t = {report.argmin_t!r}")
+        flags += ["inversion_1", "inversion_3"]
 
     q1 = _endpoint_q_star(config, compression, "compression")
-    q3 = _endpoint_q_star(config, expansion, "expansion")
+    q3 = q1
 
     w1_na = stroke_work(q1, config.omega1, config.omega2, config.beta1,
                         config.hbar)
     w3_na = stroke_work(q3, config.omega2, config.omega1, config.beta2,
                         config.hbar)
-    w1_ad = stroke_work(1.0, config.omega1, config.omega2, config.beta1,
-                        config.hbar)
-    w3_ad = stroke_work(1.0, config.omega2, config.omega1, config.beta2,
-                        config.hbar)
+    w1_ad, w3_ad, q2_ad = const.w1_ad, const.w3_ad, const.q2_ad
     q2_na = hot_isochore_heat(q1, config)
-    q2_ad = hot_isochore_heat(1.0, config)
-
-    try:
-        cost1 = sa_cost_time_average(compression, cold, config.quad_tol)
-    except StaOttoError as exc:
-        raise _tagged("compression", exc)
-    try:
-        cost3 = sa_cost_time_average(expansion, hot, config.quad_tol)
-    except StaOttoError as exc:
-        raise _tagged("expansion", exc)
+    cost1 = const.k1 / (tau * tau)
+    cost3 = const.k3 / (tau * tau)
 
     w_na = w1_na + w3_na
     w_ad = w1_ad + w3_ad
@@ -150,8 +193,7 @@ def run_cycle(config: EngineConfig, tau: float) -> CycleMetrics:
     p_na = -w_na / (2.0 * tau)
     p_sa = -w_ad / (2.0 * tau)
 
-    geo1 = bures_data(cold, config.omega2)
-    geo3 = bures_data(hot, config.omega1)
+    geo1, geo3 = const.geo1, const.geo3
     tqsl1 = qsl_time(geo1.angle, cost1, config.hbar)
     tqsl3 = qsl_time(geo3.angle, cost3, config.hbar)
     eta_qsl = efficiency_bound(w_ad, q2_ad, geo1.angle + geo3.angle, tau,
@@ -213,6 +255,10 @@ def _bracket_root(fn, bracket: Sequence[float], what: str) -> float:
     except ValueError as exc:
         raise NoSignChange(
             f"{what} does not change sign on ({lo!r}, {hi!r})") from exc
+    except RuntimeError as exc:
+        raise SolverFailure(
+            f"{what}: root search on ({lo!r}, {hi!r}) did not converge: "
+            f"{exc}") from exc
 
 
 def find_efficiency_crossover(config: EngineConfig,

@@ -162,3 +162,33 @@ def check_trap_inversion(protocol: FrequencyProtocol) -> InversionReport:
             best_t, best_v = float(res.x), float(res.fun)
     return InversionReport(float(best_v), float(best_t), bool(best_v <= 0.0))
 
+
+def inversion_threshold(omega_initial: float, omega_final: float) -> float:
+    """Longest stroke duration tau_c at which the ramp inverts the trap.
+
+    In s = t/tau, Omega^2 = w^2 - h(s)/tau^2 with
+    h = 3/4 w_s^2/w^2 - 1/2 w_ss/w, so Omega^2 reaches zero somewhere
+    exactly when tau <= tau_c = sqrt(max_s h/w^2): one uniform scan of
+    the ratio, refined around its maximum.  Swapping the end
+    frequencies mirrors the ratio about s = 1/2, so both strokes of a
+    cycle share tau_c.
+    """
+    wi = float(omega_initial)
+    d = float(omega_final) - wi
+
+    def ratio(s):
+        # h/w^2 = 1 - Omega^2/w^2 evaluated at tau = 1
+        v, d1, d2 = _ramp_shape(s)
+        w = wi + d * v
+        return 1.0 - effective_frequency_sq(w, d * d1, d * d2) / (w * w)
+
+    ss = np.linspace(0.0, 1.0, _INVERSION_GRID)
+    vals = ratio(ss)
+    i = int(np.argmax(vals))
+    best = float(vals[i])
+    res = minimize_scalar(
+        lambda s: -ratio(s),
+        bounds=(ss[max(i - 1, 0)], ss[min(i + 1, _INVERSION_GRID - 1)]),
+        method="bounded", options={"xatol": 1e-12})
+    best = max(best, -float(res.fun))
+    return math.sqrt(max(best, 0.0))

@@ -35,6 +35,8 @@ TAU_STAR = 0.253077777781             # Brent root of eta_sa - eta_na, rtol 1e-6
 Q1_TAU1 = 1.68265052943513            # compression Q* at tau = 1
 Q1_TAU001 = 1.72249589529961          # compression Q* at tau = 0.01
 TAU_HEAT_DEATH_B02 = 4.19044578965    # heat-sign root for the beta1 = 0.2 config
+STRICT_MIN_OMEGA_EFF_SQ = -294.29466636445744  # strict-mode message, tau = 0.1
+STRICT_ARGMIN_T = 0.05719488692578404          # ... and the t it names
 
 
 @pytest.fixture(scope="session")

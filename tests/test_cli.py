@@ -173,6 +173,23 @@ def test_validate_default_config(capsys):
     assert "WARN trap_inversion_scan" in out
 
 
+def test_validate_all_rows_error(tmp_path, capsys):
+    # strict mode and a grid wholly below tau_c ~ 2.62: every sweep row
+    # is an error row, which the row checks must report, not crash on
+    cfg = tmp_path / "strict.cfg"
+    cfg.write_text("strict = true\ntau_max = 2.0\ntau_count = 12\n")
+    code, out, err = run_cli(capsys, "validate", str(cfg))
+    assert code == 1 and err == ""
+    names = [line.split(" ", 1)[1].split(":", 1)[0]
+             for line in out.splitlines()
+             if line.split(" ", 1)[0] in ("PASS", "WARN", "FAIL")]
+    assert len(names) == len(set(names)) == 22
+    for name in ("bound_ordering", "eta_sa_monotone", "power_ordering",
+                 "p_sa_scaling", "eta_ordering"):
+        assert f"FAIL {name}: residual = inf  (no valid rows)" in out
+    assert out.splitlines()[-1] == "5 of 22 checks failed"
+
+
 def test_validate_rejects_bath_order(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("beta1 = 0.01\nbeta2 = 0.05\n")

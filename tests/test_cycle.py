@@ -1,15 +1,21 @@
 import math
+from collections import Counter
 from dataclasses import fields, replace
 
 import pytest
 
-from sta_otto import (CycleMetrics, NoSignChange, TrapInversionError,
-                      compression_q_star, find_efficiency_crossover,
-                      find_heat_sign_threshold, rescaled, run_cycle, sweep)
+from sta_otto import (CycleMetrics, NoSignChange, SolverFailure,
+                      TrapInversionError, adiabaticity_parameter,
+                      check_trap_inversion, compression_q_star,
+                      cycle_constants, find_efficiency_crossover,
+                      find_heat_sign_threshold, polynomial_ramp, rescaled,
+                      run_cycle, solve_linear_pair, sweep)
+from sta_otto import cycle
 
 from conftest import (COST1_TAU1, COST3_TAU1, L1, L3, Q1_TAU001, Q1_TAU1,
-                      Q2_AD, SUDDEN_CAP, TAU_HEAT_DEATH_B02, TAU_STAR,
-                      W1_AD, W3_AD)
+                      Q2_AD, STRICT_ARGMIN_T, STRICT_MIN_OMEGA_EFF_SQ,
+                      SUDDEN_CAP, TAU_HEAT_DEATH_B02, TAU_STAR, W1_AD,
+                      W3_AD)
 
 _FLOAT_FIELDS = [f.name for f in fields(CycleMetrics)
                  if f.name not in ("is_engine_na", "flags")]
@@ -122,6 +128,60 @@ def test_strict_mode(base_config):
                 assert value == 0.0
 
 
+def test_strict_message(base_config):
+    strict = replace(base_config, strict=True)
+    with pytest.raises(TrapInversionError) as info:
+        run_cycle(strict, 0.1)
+    assert str(info.value) == (
+        f"inversion_1: effective frequency squared reaches "
+        f"{STRICT_MIN_OMEGA_EFF_SQ!r} at t = {STRICT_ARGMIN_T!r}")
+    # just below tau_c the message still reports the compression scan
+    with pytest.raises(TrapInversionError) as info:
+        run_cycle(strict, 2.5)
+    report = check_trap_inversion(polynomial_ramp(0.32, 1.0, 2.5))
+    assert str(info.value) == (
+        f"inversion_1: effective frequency squared reaches "
+        f"{report.min_omega_eff_sq!r} at t = {report.argmin_t!r}")
+
+
+def test_per_tau_work_budget(base_config, monkeypatch):
+    cycle_constants(base_config)
+    calls = Counter()
+    for name in ("solve_linear_pair", "check_trap_inversion",
+                 "sa_cost_time_average"):
+        def counted(*args, _name=name, _fn=getattr(cycle, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cycle, name, counted)
+    for tau in (0.5, 5.0):
+        calls.clear()
+        run_cycle(base_config, tau)
+        assert (calls["solve_linear_pair"], calls["check_trap_inversion"],
+                calls["sa_cost_time_average"]) == (1, 0, 0)
+
+
+def test_cycle_constants_match_per_tau_routes(base_config):
+    const = cycle_constants(base_config)
+    assert cycle_constants(replace(base_config)) is const
+    assert const.k1 == pytest.approx(COST1_TAU1, rel=1e-10)
+    assert const.k3 == pytest.approx(COST3_TAU1, rel=1e-10)
+    for tau in (0.1, 1.0, 10.0):
+        m = run_cycle(base_config, tau)
+        assert m.cost1 * tau * tau == pytest.approx(COST1_TAU1, rel=1e-10)
+        assert m.cost3 * tau * tau == pytest.approx(COST3_TAU1, rel=1e-10)
+        assert m.q_star_3 == m.q_star_1
+        # time reversal: an independent solve of the expansion stroke
+        # lands on the compression's Q*
+        expansion = polynomial_ramp(1.0, 0.32, tau)
+        pair = solve_linear_pair(expansion, base_config.rel_tol,
+                                 base_config.abs_tol)
+        q3 = adiabaticity_parameter(pair, 1.0, 0.32, tau)
+        assert q3 == pytest.approx(m.q_star_1, rel=1e-9)
+        inverted = tau <= const.tau_c
+        assert ("inversion_1" in m.flags) is inverted
+        assert ("inversion_3" in m.flags) is inverted
+
+
 def test_efficiency_crossover(base_config):
     tau_star = find_efficiency_crossover(base_config, (0.01, 10.0))
     assert tau_star == pytest.approx(TAU_STAR, rel=1e-4)
@@ -136,6 +196,14 @@ def test_crossover_requires_sign_change(base_config):
         find_efficiency_crossover(base_config, (5.0, 10.0))
     with pytest.raises(ValueError, match="bracket"):
         find_efficiency_crossover(base_config, (0.0, 10.0))
+
+
+def test_root_search_non_convergence(base_config, monkeypatch):
+    def stall(*args, **kwargs):
+        raise RuntimeError("Failed to converge after 100 iterations.")
+    monkeypatch.setattr(cycle, "brentq", stall)
+    with pytest.raises(SolverFailure, match="did not converge"):
+        find_efficiency_crossover(base_config, (0.01, 10.0))
 
 
 def test_heat_sign_threshold_unreachable_for_quintic(base_config):

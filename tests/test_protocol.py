@@ -5,7 +5,8 @@ import pytest
 
 from sta_otto import (ConfigError, OutOfRangeTime, boundary_residuals,
                       check_trap_inversion, effective_frequency_sq,
-                      omega_of, polynomial_ramp, sample_protocol)
+                      inversion_threshold, omega_of, polynomial_ramp,
+                      sample_protocol)
 
 
 @pytest.fixture
@@ -80,6 +81,19 @@ def test_trap_inversion_detection():
     assert not report.inverted
     assert report.min_omega_eff_sq > 0.0
     assert 0.0 <= report.argmin_t <= 5.0
+
+
+@pytest.mark.parametrize("omega1, omega2", [(0.32, 1.0), (0.345, 0.93)])
+def test_inversion_threshold_brackets_the_scan(omega1, omega2):
+    # default frequencies and a config jittered by up to 10%
+    tau_c = inversion_threshold(omega1, omega2)
+    for wi, wf in ((omega1, omega2), (omega2, omega1)):
+        assert check_trap_inversion(
+            polynomial_ramp(wi, wf, tau_c * (1.0 - 1e-6))).inverted
+        assert not check_trap_inversion(
+            polynomial_ramp(wi, wf, tau_c * (1.0 + 1e-6))).inverted
+    assert inversion_threshold(omega2, omega1) == pytest.approx(tau_c,
+                                                                rel=1e-14)
 
 
 def test_reversed_protocol():
