@@ -16,7 +16,8 @@ from .cost import (lcd_mean_energy, q_star_lcd_instant,
                    shortcut_shape_factor)
 from .cycle import (CycleConstants, CycleMetrics, compression_q_star,
                     cycle_constants, find_efficiency_crossover,
-                    find_heat_sign_threshold, rescaled, run_cycle, sweep)
+                    find_heat_sign_threshold, rescaled, run_cycle,
+                    stroke_pairs, sweep)
 from .dynamics import (ErmakovSolution, LinearPairSolution, MomentSolution,
                        adiabaticity_from_ermakov, adiabaticity_parameter,
                        ermakov_from_linear, ermakov_residual,
@@ -34,8 +35,7 @@ from .protocol import (FrequencyProtocol, InversionReport, ProtocolSample,
                        omega_of, polynomial_ramp, sample_protocol)
 from .qsl import (BuresData, bures_angle, bures_data, efficiency_bound,
                   gaussian_fidelity, power_bound, qsl_time)
-from .strokes import (EngineCondition, ThermalOscillatorState,
-                      engine_condition, heat_sign_threshold,
-                      hot_isochore_heat, stroke_work)
+from .strokes import (ThermalOscillatorState, engine_condition,
+                      heat_sign_threshold, hot_isochore_heat, stroke_work)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

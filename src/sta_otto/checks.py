@@ -16,7 +16,8 @@ import numpy as np
 
 from .config import EngineConfig, tau_grid
 from .cost import lcd_mean_energy, sa_cost_time_average, sa_energy_instant
-from .cycle import _strokes, cycle_constants, rescaled, run_cycle, sweep
+from .cycle import (cycle_constants, rescaled, run_cycle, stroke_pairs,
+                    sweep)
 from .dynamics import (adiabaticity_from_ermakov, adiabaticity_parameter,
                        ermakov_from_linear, ermakov_residual,
                        lcd_final_adiabaticity, solve_linear_pair,
@@ -25,7 +26,6 @@ from .errors import ConfigError
 from .protocol import (boundary_residuals, omega_of, polynomial_ramp,
                        sample_protocol)
 from .qsl import bures_angle, gaussian_fidelity
-from .strokes import ThermalOscillatorState, hot_isochore_heat, stroke_work
 
 
 @dataclass(frozen=True)
@@ -35,13 +35,6 @@ class CheckResult:
     residual: float
     detail: str = ""
     warning: bool = False
-
-
-def _both_strokes(config: EngineConfig, tau: float):
-    """(protocol, thermal starting state) of compression, then expansion."""
-    cold = ThermalOscillatorState(config.beta1, config.omega1, config.hbar)
-    hot = ThermalOscillatorState(config.beta2, config.omega2, config.hbar)
-    return zip(_strokes(config, tau), (cold, hot))
 
 
 def config_failure(exc: ConfigError) -> CheckResult:
@@ -58,7 +51,7 @@ def check_config_invariants(config: EngineConfig) -> CheckResult:
 def check_protocol_boundary(config: EngineConfig) -> CheckResult:
     worst = 0.0
     for tau in (0.35, 1.0):
-        for protocol, _ in _both_strokes(config, tau):
+        for protocol, _ in stroke_pairs(config, tau):
             worst = max(worst, *boundary_residuals(protocol).values())
     return CheckResult("protocol_boundary", worst <= 1e-12, worst,
                        "flat ends: omega at targets, derivatives zero")
@@ -93,7 +86,7 @@ def check_protocol_scaling(config: EngineConfig) -> CheckResult:
 def check_wronskian(config: EngineConfig) -> CheckResult:
     worst = 0.0
     for tau in (0.1, 1.0, 10.0):
-        for protocol, _ in _both_strokes(config, tau):
+        for protocol, _ in stroke_pairs(config, tau):
             pair = solve_linear_pair(protocol, config.rel_tol, config.abs_tol)
             ts = np.linspace(0.0, tau, 101)
             worst = max(worst, float(np.max(np.abs(pair.wronskian(ts) - 1.0))))
@@ -102,8 +95,10 @@ def check_wronskian(config: EngineConfig) -> CheckResult:
 
 
 def check_ermakov_residual(config: EngineConfig) -> CheckResult:
+    # the Wronskian invariant in Ermakov form: the residual reduces to
+    # omega0^2 |W^2 - 1| / b^3 (see ermakov_residual)
     worst = 0.0
-    for protocol, _ in _both_strokes(config, 1.0):
+    for protocol, _ in stroke_pairs(config, 1.0):
         pair = solve_linear_pair(protocol, config.rel_tol, config.abs_tol)
         for t in np.linspace(0.0, 1.0, 101):
             worst = max(worst, ermakov_residual(pair, protocol, float(t)))
@@ -115,17 +110,16 @@ def check_q_star_routes(config: EngineConfig) -> CheckResult:
     worst = 0.0
     floor = math.inf
     for tau in (0.1, 1.0, 10.0):
-        for protocol, initial in _both_strokes(config, tau):
+        for protocol, initial in stroke_pairs(config, tau):
             omega = omega_of(protocol)
             pair = solve_linear_pair(protocol, config.rel_tol, config.abs_tol)
-            erk = ermakov_from_linear(pair, protocol.omega_initial)
+            erk = ermakov_from_linear(pair)
             mom = solve_second_moments(protocol, initial.beta, config.m,
                                        config.hbar, config.rel_tol,
                                        config.abs_tol)
             for t in np.linspace(0.0, tau, 101):
                 wt = omega(float(t))
-                q_pair = adiabaticity_parameter(pair, protocol.omega_initial,
-                                                wt, float(t))
+                q_pair = adiabaticity_parameter(pair, wt, float(t))
                 q_erk = adiabaticity_from_ermakov(erk, wt, float(t))
                 q_mom = mom.q_star(float(t), wt)
                 scale = abs(q_pair)
@@ -140,7 +134,7 @@ def check_q_star_routes(config: EngineConfig) -> CheckResult:
 def check_adiabatic_limit(config: EngineConfig) -> CheckResult:
     protocol = polynomial_ramp(config.omega1, config.omega2, 100.0)
     pair = solve_linear_pair(protocol, config.rel_tol, config.abs_tol)
-    q = adiabaticity_parameter(pair, config.omega1, config.omega2, 100.0)
+    q = adiabaticity_parameter(pair, config.omega2, 100.0)
     return CheckResult("adiabatic_limit", abs(q - 1.0) <= 1e-3, abs(q - 1.0),
                        "slow drive approaches Q* = 1")
 
@@ -148,7 +142,7 @@ def check_adiabatic_limit(config: EngineConfig) -> CheckResult:
 def check_lcd_exactness(config: EngineConfig) -> CheckResult:
     worst = 0.0
     for tau in (0.05, 0.1, 0.5, 1.0, 5.0):
-        for protocol, _ in _both_strokes(config, tau):
+        for protocol, _ in stroke_pairs(config, tau):
             q = lcd_final_adiabaticity(protocol, config.rel_tol,
                                        config.abs_tol)
             worst = max(worst, abs(q - 1.0))
@@ -157,20 +151,15 @@ def check_lcd_exactness(config: EngineConfig) -> CheckResult:
 
 
 def check_adiabatic_efficiency(config: EngineConfig) -> CheckResult:
-    w1 = stroke_work(1.0, config.omega1, config.omega2, config.beta1,
-                     config.hbar)
-    w3 = stroke_work(1.0, config.omega2, config.omega1, config.beta2,
-                     config.hbar)
-    q2 = hot_isochore_heat(1.0, config)
-    eta = -(w1 + w3) / q2
+    const = cycle_constants(config)
+    eta = -(const.w1_ad + const.w3_ad) / const.q2_ad
     target = 1.0 - config.omega1 / config.omega2
     return CheckResult("adiabatic_efficiency", abs(eta - target) <= 1e-9,
                        abs(eta - target), "eta_AD = 1 - omega1/omega2")
 
 
 def check_cost_boundary(config: EngineConfig) -> CheckResult:
-    cold = ThermalOscillatorState(config.beta1, config.omega1, config.hbar)
-    protocol = polynomial_ramp(config.omega1, config.omega2, 1.0)
+    (protocol, cold), _ = stroke_pairs(config, 1.0)
     scale = cold.mean_energy
     worst = max(abs(sa_energy_instant(sample_protocol(protocol, 0.0), cold)),
                 abs(sa_energy_instant(sample_protocol(protocol, 1.0), cold)))
@@ -182,7 +171,7 @@ def check_cost_scaling(config: EngineConfig) -> CheckResult:
     # cost * tau^2 of (compression, expansion), each from its own bath
     scaled = {tau: [sa_cost_time_average(protocol, initial, config.quad_tol)
                     * tau * tau
-                    for protocol, initial in _both_strokes(config, tau)]
+                    for protocol, initial in stroke_pairs(config, tau)]
               for tau in (0.1, 1.0, 10.0)}
     worst = max(abs(v - ref) / abs(ref) for row in scaled.values()
                 for v, ref in zip(row, scaled[1.0]))
@@ -191,8 +180,7 @@ def check_cost_scaling(config: EngineConfig) -> CheckResult:
 
 
 def check_cost_consistency(config: EngineConfig) -> CheckResult:
-    cold = ThermalOscillatorState(config.beta1, config.omega1, config.hbar)
-    protocol = polynomial_ramp(config.omega1, config.omega2, 1.0)
+    (protocol, cold), _ = stroke_pairs(config, 1.0)
     worst = 0.0
     for t in np.linspace(0.0, 1.0, 21):
         sample = sample_protocol(protocol, float(t))
@@ -241,26 +229,30 @@ def _no_rows(name: str) -> CheckResult:
     return CheckResult(name, False, math.inf, "no valid rows")
 
 
-def check_bound_ordering(config: EngineConfig,
-                         rows=None) -> CheckResult:
-    rows = _sweep_rows(config) if rows is None else rows
+def check_bound_ordering(config: EngineConfig, rows) -> CheckResult:
+    """On the rows where the speed-limit premise holds, the bounds
+    bracket the shortcut engine and are tighter than the second law:
+    eta_sa <= eta_qsl <= eta_ad, p_sa <= p_qsl, and
+    eta_qsl <= eta_Carnot = 1 - beta2/beta1 (the efficiency form of the
+    abstract's claim, arXiv:1611.09045).
+    """
     if not rows:
         return _no_rows("bound_ordering")
+    eta_carnot = 1.0 - config.beta2 / config.beta1
     premise = [r for r in rows
                if "qsl_premise_1" not in r.flags
                and "qsl_premise_3" not in r.flags]
     worst = 0.0
     for r in premise:
         worst = max(worst, r.eta_sa - r.eta_qsl, r.eta_qsl - r.eta_ad,
-                    r.p_sa - r.p_qsl)
+                    r.p_sa - r.p_qsl, r.eta_qsl - eta_carnot)
     detail = (f"{len(premise)}/{len(rows)} grid points satisfy the "
               f"short-time premise")
     return CheckResult("bound_ordering", worst <= 1e-12, max(worst, 0.0),
                        detail)
 
 
-def check_eta_sa_monotone(config: EngineConfig, rows=None) -> CheckResult:
-    rows = _sweep_rows(config) if rows is None else rows
+def check_eta_sa_monotone(config: EngineConfig, rows) -> CheckResult:
     if not rows:
         return _no_rows("eta_sa_monotone")
     worst = 0.0
@@ -270,8 +262,7 @@ def check_eta_sa_monotone(config: EngineConfig, rows=None) -> CheckResult:
                        "shortcut efficiency non-decreasing in tau")
 
 
-def check_power_ordering(config: EngineConfig, rows=None) -> CheckResult:
-    rows = _sweep_rows(config) if rows is None else rows
+def check_power_ordering(config: EngineConfig, rows) -> CheckResult:
     if not rows:
         return _no_rows("power_ordering")
     worst = max(r.p_na - r.p_sa for r in rows)
@@ -279,8 +270,7 @@ def check_power_ordering(config: EngineConfig, rows=None) -> CheckResult:
                        "P_SA >= P_NA on the grid")
 
 
-def check_p_sa_scaling(config: EngineConfig, rows=None) -> CheckResult:
-    rows = _sweep_rows(config) if rows is None else rows
+def check_p_sa_scaling(config: EngineConfig, rows) -> CheckResult:
     if not rows:
         return _no_rows("p_sa_scaling")
     products = [r.p_sa * r.tau for r in rows]
@@ -290,8 +280,7 @@ def check_p_sa_scaling(config: EngineConfig, rows=None) -> CheckResult:
                        "P_SA * tau constant (work numerator fixed)")
 
 
-def check_eta_ordering(config: EngineConfig, rows=None) -> CheckResult:
-    rows = _sweep_rows(config) if rows is None else rows
+def check_eta_ordering(config: EngineConfig, rows) -> CheckResult:
     if not rows:
         return _no_rows("eta_ordering")
     worst = max(r.eta_sa - r.eta_ad for r in rows)

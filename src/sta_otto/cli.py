@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import shlex
 import sys
@@ -36,17 +35,12 @@ from .checks import config_failure, run_all_checks
 from .config import EngineConfig
 from .cost import q_star_lcd_instant, sa_energy_instant
 from .cycle import (CycleMetrics, find_efficiency_crossover, run_cycle,
-                    sweep)
+                    stroke_pairs, sweep)
 from .errors import ConfigError, StaOttoError
-from .protocol import polynomial_ramp, sample_protocol
-from .strokes import ThermalOscillatorState
+from .protocol import sample_protocol
 
-_CONFIG_TYPES = {
-    "omega1": float, "omega2": float, "beta1": float, "beta2": float,
-    "m": float, "hbar": float, "tau_min": float, "tau_max": float,
-    "tau_count": int, "tau_spacing": str, "rel_tol": float,
-    "abs_tol": float, "quad_tol": float, "strict": bool,
-}
+# key -> type, in manifest order
+_CONFIG_TYPES = {f.name: type(f.default) for f in fields(EngineConfig)}
 
 _SWEEP_COLUMNS = [f.name for f in fields(CycleMetrics)
                   if f.name not in ("is_engine_na", "flags")] + ["flags"]
@@ -72,7 +66,8 @@ def _coerce(key: str, raw: str, where: str):
         raise ConfigError(f"{where}: boolean expected for {key!r}, "
                           f"got {raw!r}")
     if kind is str:
-        return raw
+        # the manifest echoes strings with their repr quotes
+        return raw.strip("'\"")
     try:
         return kind(raw)
     except ValueError:
@@ -133,23 +128,18 @@ def write_manifest(fh: IO[str], command: str, config: EngineConfig,
 
 def read_manifest(path: str) -> EngineConfig:
     """Recover the exact configuration echoed atop a result CSV."""
-    updates = {}
     prefix = "# config: "
+    header = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             if not line.startswith("#"):
                 break
-            if line.startswith(prefix):
-                key, _, value = line[len(prefix):].partition("=")
-                key, value = key.strip(), value.strip()
-                if key not in _CONFIG_TYPES:
-                    raise ConfigError(f"{path}: unknown manifest key {key!r}")
-                if _CONFIG_TYPES[key] is str:
-                    value = value.strip("'\"")
-                updates[key] = _coerce(key, value, path)
-    if not updates:
+            header.append(line)
+    if not any(line.startswith(prefix) for line in header):
         raise ConfigError(f"{path}: no manifest found")
-    return EngineConfig(**updates)
+    # the other header lines stay '#' comments, so errors name file lines
+    return parse_config_text(
+        "".join(line.removeprefix(prefix) for line in header), path)
 
 
 def _metric_row(metrics: CycleMetrics) -> list[str]:
@@ -169,8 +159,6 @@ def _write_rows(fh: IO[str], rows: Sequence[CycleMetrics], command: str,
 
 def cmd_cycle(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    if not 0.0 < args.tau < math.inf:
-        raise ValueError("tau must be positive and finite")
     metrics = run_cycle(config, args.tau)
     for name in _SWEEP_COLUMNS[:-1]:
         print(f"{name} = {_fmt(getattr(metrics, name))}")
@@ -231,18 +219,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_protocol_dump(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    if not 0.0 < args.tau < math.inf:
-        raise ValueError("tau must be positive and finite")
+    compression, expansion = stroke_pairs(config, args.tau)
     if args.points < 2:
         raise ValueError("points must be at least 2")
-    if args.stroke == "compression":
-        protocol = polynomial_ramp(config.omega1, config.omega2, args.tau)
-        initial = ThermalOscillatorState(config.beta1, config.omega1,
-                                         config.hbar)
-    else:
-        protocol = polynomial_ramp(config.omega2, config.omega1, args.tau)
-        initial = ThermalOscillatorState(config.beta2, config.omega2,
-                                         config.hbar)
+    protocol, initial = (compression if args.stroke == "compression"
+                         else expansion)
 
     def emit(fh: IO[str]) -> None:
         write_manifest(fh, "protocol-dump", config, args.argv)
@@ -313,10 +294,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args.argv = argv
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StaOttoError as exc:

@@ -18,7 +18,8 @@ class EngineConfig:
     to nothing, thermalizes with the hot bath (beta2), expands back, and
     thermalizes with the cold bath (beta1).  Cold means beta1 > beta2.
     m appears in the Hamiltonian but cancels from every output; it is
-    kept so configurations document the full oscillator.
+    kept so configurations document the full oscillator.  Field order
+    is the key order of the config file and of the CSV manifest.
     """
 
     omega1: float = 0.32
@@ -27,13 +28,13 @@ class EngineConfig:
     beta2: float = 0.05
     m: float = 1.0
     hbar: float = 1.0
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    quad_tol: float = 1e-10
     tau_min: float = 0.01
     tau_max: float = 10.0
     tau_count: int = 200
     tau_spacing: str = "log"
+    rel_tol: float = 1e-10
+    abs_tol: float = 1e-12
+    quad_tol: float = 1e-10
     strict: bool = False
 
     def __post_init__(self) -> None:

@@ -77,16 +77,27 @@ class CycleMetrics:
         return self.cost1 + self.cost3
 
 
-def _strokes(config: EngineConfig,
-             tau: float) -> tuple[FrequencyProtocol, FrequencyProtocol]:
-    compression = polynomial_ramp(config.omega1, config.omega2, tau)
-    expansion = polynomial_ramp(config.omega2, config.omega1, tau)
-    return compression, expansion
-
-
 def _check_tau(tau: float) -> None:
     if not 0.0 < tau < math.inf:
         raise ValueError("tau must be positive and finite")
+
+
+_Stroke = tuple[FrequencyProtocol, ThermalOscillatorState]
+
+
+def stroke_pairs(config: EngineConfig,
+                 tau: float) -> tuple[_Stroke, _Stroke]:
+    """((compression ramp, cold state), (expansion ramp, hot state)).
+
+    Each unitary stroke of duration tau starts from the thermal state
+    of the bath it just left: the compression from (beta1, omega1),
+    the expansion from (beta2, omega2).
+    """
+    _check_tau(tau)
+    cold = ThermalOscillatorState(config.beta1, config.omega1, config.hbar)
+    hot = ThermalOscillatorState(config.beta2, config.omega2, config.hbar)
+    return ((polynomial_ramp(config.omega1, config.omega2, tau), cold),
+            (polynomial_ramp(config.omega2, config.omega1, tau), hot))
 
 
 def _tagged(tag: str, exc: StaOttoError) -> StaOttoError:
@@ -101,8 +112,8 @@ def _endpoint_q_star(config: EngineConfig, protocol: FrequencyProtocol,
         pair = solve_linear_pair(protocol, config.rel_tol, config.abs_tol)
     except StaOttoError as exc:
         raise _tagged(tag, exc)
-    return adiabaticity_parameter(pair, protocol.omega_initial,
-                                  protocol.omega_final, protocol.duration)
+    return adiabaticity_parameter(pair, protocol.omega_final,
+                                  protocol.duration)
 
 
 @dataclass(frozen=True)
@@ -128,9 +139,7 @@ class CycleConstants:
 @functools.lru_cache(maxsize=128)
 def cycle_constants(config: EngineConfig) -> CycleConstants:
     """Build (once per config) the tau-independent part of run_cycle."""
-    compression, expansion = _strokes(config, 1.0)
-    cold = ThermalOscillatorState(config.beta1, config.omega1, config.hbar)
-    hot = ThermalOscillatorState(config.beta2, config.omega2, config.hbar)
+    (compression, cold), (expansion, hot) = stroke_pairs(config, 1.0)
     try:
         k1 = sa_cost_time_average(compression, cold, config.quad_tol)
     except StaOttoError as exc:
@@ -206,8 +215,8 @@ def run_cycle(config: EngineConfig, tau: float) -> CycleMetrics:
     if tqsl3 > tau:
         flags.append("qsl_premise_3")
 
-    condition = engine_condition(w_na, q2_na)
-    if not condition.is_engine:
+    is_engine_na = engine_condition(w_na, q2_na)
+    if not is_engine_na:
         flags.append("not_engine_na")
 
     return CycleMetrics(
@@ -217,7 +226,7 @@ def run_cycle(config: EngineConfig, tau: float) -> CycleMetrics:
         eta_sa=eta_sa, eta_na=eta_na, eta_ad=eta_ad,
         p_sa=p_sa, p_na=p_na, eta_qsl=eta_qsl, p_qsl=p_qsl,
         bures1=geo1.angle, bures3=geo3.angle, tqsl1=tqsl1, tqsl3=tqsl3,
-        is_engine_na=condition.is_engine, flags=tuple(flags))
+        is_engine_na=is_engine_na, flags=tuple(flags))
 
 
 def _error_row(tau: float, exc: StaOttoError) -> CycleMetrics:
@@ -282,8 +291,7 @@ def find_efficiency_crossover(config: EngineConfig,
 
 def compression_q_star(config: EngineConfig, tau: float) -> float:
     """Endpoint Q* of the compression stroke alone (cheap sweep helper)."""
-    _check_tau(tau)
-    compression, _ = _strokes(config, tau)
+    (compression, _), _ = stroke_pairs(config, tau)
     return _endpoint_q_star(config, compression, "compression")
 
 

@@ -115,15 +115,16 @@ def solve_effective_pair(protocol: FrequencyProtocol, rel_tol: float = 1e-10,
     return LinearPairSolution(protocol.omega_initial, protocol.duration, dense)
 
 
-def ermakov_from_linear(pair: LinearPairSolution,
-                        omega0: float) -> ErmakovSolution:
-    """Closed-form Ermakov solution b = sqrt(Y^2 + omega0^2 X^2).
+def ermakov_from_linear(pair: LinearPairSolution) -> ErmakovSolution:
+    """Closed-form Ermakov solution b = sqrt(Y^2 + omega0^2 X^2), with
+    omega0 = pair.omega0.
 
     Exact as long as the pair's Wronskian is 1: the identity
     b''(b^3) = omega0^2 W^2 - omega^2 b^4 makes the Ermakov residual
     proportional to |W^2 - 1|, so it measures solver error only.
     b cannot vanish, since Y and X share no zero while W = 1.
     """
+    omega0 = pair.omega0
     w0sq = omega0 * omega0
 
     def b(t: float) -> float:
@@ -157,14 +158,16 @@ def ermakov_residual(pair: LinearPairSolution, protocol: FrequencyProtocol,
     return abs(bdd + w2 * bv - w0sq / bv**3)
 
 
-def adiabaticity_parameter(pair: LinearPairSolution, omega0: float,
-                           omega_t: float, t: float) -> float:
+def adiabaticity_parameter(pair: LinearPairSolution, omega_t: float,
+                           t: float) -> float:
     """Husimi-form Q* from the fundamental pair.
 
-    Mid-protocol values use the instantaneous omega_t; at t = duration
-    this is the endpoint adiabaticity parameter entering the stroke
-    energies.  Always >= 1 for a thermal start.
+    omega0 is the pair's starting frequency.  Mid-protocol values use
+    the instantaneous omega_t; at t = duration this is the endpoint
+    adiabaticity parameter entering the stroke energies.  Always >= 1
+    for a thermal start.
     """
+    omega0 = pair.omega0
     x, xd, y, yd = pair.evaluate(t)
     num = (omega0 * omega0 * (omega_t * omega_t * x * x + xd * xd)
            + omega_t * omega_t * y * y + yd * yd)
@@ -275,5 +278,5 @@ def lcd_final_adiabaticity(protocol: FrequencyProtocol,
     central verification that the shortcut works.
     """
     pair = solve_effective_pair(protocol, rel_tol, abs_tol)
-    return adiabaticity_parameter(pair, protocol.omega_initial,
-                                  protocol.omega_final, protocol.duration)
+    return adiabaticity_parameter(pair, protocol.omega_final,
+                                  protocol.duration)

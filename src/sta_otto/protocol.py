@@ -140,6 +140,24 @@ def boundary_residuals(protocol: FrequencyProtocol) -> dict[str, float]:
     }
 
 
+def _scan_min(fn: Callable[[float], float], lo: float, hi: float,
+              xatol: float) -> tuple[float, float]:
+    """(x, fn(x)) at the minimum of fn over [lo, hi]: a uniform scan,
+    then a bounded refinement between the neighbours of the smallest
+    sample."""
+    xs = np.linspace(lo, hi, _INVERSION_GRID)
+    vals = [fn(x) for x in xs.tolist()]
+    i = int(np.argmin(vals))
+    best_x, best_v = xs[i], vals[i]
+    left, right = xs[max(i - 1, 0)], xs[min(i + 1, _INVERSION_GRID - 1)]
+    if right > left:
+        res = minimize_scalar(fn, bounds=(left, right), method="bounded",
+                              options={"xatol": xatol})
+        if res.fun < best_v:
+            best_x, best_v = res.x, res.fun
+    return float(best_x), float(best_v)
+
+
 def check_trap_inversion(protocol: FrequencyProtocol) -> InversionReport:
     """Scan Omega^2(t) on a uniform grid and refine around the minimum.
 
@@ -147,20 +165,9 @@ def check_trap_inversion(protocol: FrequencyProtocol) -> InversionReport:
     TrapInversionError themselves.
     """
     tau = protocol.duration
-    ts = np.linspace(0.0, tau, _INVERSION_GRID)
-    vals = np.array([sample_protocol(protocol, t).omega_eff_sq for t in ts])
-    i = int(np.argmin(vals))
-    lo = ts[max(i - 1, 0)]
-    hi = ts[min(i + 1, _INVERSION_GRID - 1)]
-    best_t, best_v = ts[i], vals[i]
-    if hi > lo:
-        res = minimize_scalar(
-            lambda t: sample_protocol(protocol, t).omega_eff_sq,
-            bounds=(lo, hi), method="bounded",
-            options={"xatol": 1e-12 * max(tau, 1.0)})
-        if res.fun < best_v:
-            best_t, best_v = float(res.x), float(res.fun)
-    return InversionReport(float(best_v), float(best_t), bool(best_v <= 0.0))
+    t, v = _scan_min(lambda t: sample_protocol(protocol, t).omega_eff_sq,
+                     0.0, tau, 1e-12 * max(tau, 1.0))
+    return InversionReport(v, t, v <= 0.0)
 
 
 def inversion_threshold(omega_initial: float, omega_final: float) -> float:
@@ -168,27 +175,19 @@ def inversion_threshold(omega_initial: float, omega_final: float) -> float:
 
     In s = t/tau, Omega^2 = w^2 - h(s)/tau^2 with
     h = 3/4 w_s^2/w^2 - 1/2 w_ss/w, so Omega^2 reaches zero somewhere
-    exactly when tau <= tau_c = sqrt(max_s h/w^2): one uniform scan of
-    the ratio, refined around its maximum.  Swapping the end
-    frequencies mirrors the ratio about s = 1/2, so both strokes of a
-    cycle share tau_c.
+    exactly when tau <= tau_c = sqrt(max_s h/w^2): the same scan and
+    refinement as check_trap_inversion, applied to -h/w^2.  Swapping
+    the end frequencies mirrors the ratio about s = 1/2, so both
+    strokes of a cycle share tau_c.
     """
     wi = float(omega_initial)
     d = float(omega_final) - wi
 
-    def ratio(s):
-        # h/w^2 = 1 - Omega^2/w^2 evaluated at tau = 1
+    def neg_ratio(s):
+        # -h/w^2 = Omega^2/w^2 - 1 evaluated at tau = 1
         v, d1, d2 = _ramp_shape(s)
         w = wi + d * v
-        return 1.0 - effective_frequency_sq(w, d * d1, d * d2) / (w * w)
+        return effective_frequency_sq(w, d * d1, d * d2) / (w * w) - 1.0
 
-    ss = np.linspace(0.0, 1.0, _INVERSION_GRID)
-    vals = ratio(ss)
-    i = int(np.argmax(vals))
-    best = float(vals[i])
-    res = minimize_scalar(
-        lambda s: -ratio(s),
-        bounds=(ss[max(i - 1, 0)], ss[min(i + 1, _INVERSION_GRID - 1)]),
-        method="bounded", options={"xatol": 1e-12})
-    best = max(best, -float(res.fun))
-    return math.sqrt(max(best, 0.0))
+    _, v = _scan_min(neg_ratio, 0.0, 1.0, 1e-12)
+    return math.sqrt(max(-v, 0.0))

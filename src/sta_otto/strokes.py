@@ -43,11 +43,6 @@ class ThermalOscillatorState:
         return 0.5 * self.hbar * self.omega * coth(x)
 
 
-@dataclass(frozen=True)
-class EngineCondition:
-    is_engine: bool
-
-
 def stroke_work(q_star: float, omega_start: float, omega_end: float,
                 beta: float, hbar: float = 1.0) -> float:
     """Mean work of a driven stroke starting from thermal (beta, omega_start).
@@ -79,6 +74,6 @@ def heat_sign_threshold(config: EngineConfig) -> float:
     return ct_hot / ct_cold
 
 
-def engine_condition(work_total: float, heat_hot: float) -> EngineCondition:
+def engine_condition(work_total: float, heat_hot: float) -> bool:
     """Engine iff work_total < 0 and heat_hot > 0 (both strict)."""
-    return EngineCondition(bool(work_total < 0.0 and heat_hot > 0.0))
+    return bool(work_total < 0.0 and heat_hot > 0.0)

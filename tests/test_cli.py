@@ -1,9 +1,11 @@
 import csv
+from dataclasses import fields
 
 import pytest
 
-from sta_otto import EngineConfig
-from sta_otto.cli import main, parse_config_text, read_manifest
+from sta_otto import ConfigError, EngineConfig
+from sta_otto.cli import (main, parse_config_text, read_manifest,
+                          write_manifest)
 
 from conftest import TAU_STAR
 
@@ -234,3 +236,35 @@ def test_protocol_dump_bad_args(capsys):
     assert code == 2 and "tau must be positive" in err
     code, _, err = run_cli(capsys, "protocol-dump", "--points", "1")
     assert code == 2 and "points must be at least 2" in err
+
+
+@pytest.mark.parametrize("argv", [("sweep",), ("cycle", "--tau", "5"),
+                                  ("protocol-dump",)])
+def test_unwritable_output_exit_2(tmp_path, capsys, argv):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("tau_count = 2\n")
+    out = tmp_path / "no" / "such" / "dir.csv"
+    code, _, err = run_cli(capsys, *argv, str(cfg), "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: ") and str(out) in err
+
+
+def test_manifest_schema_roundtrip(tmp_path):
+    config = EngineConfig(omega1=0.4, omega2=1.3, beta1=0.7, beta2=0.1,
+                          m=2.0, hbar=0.5, tau_min=0.02, tau_max=5.0,
+                          tau_count=17, tau_spacing="linear", rel_tol=1e-9,
+                          abs_tol=1e-11, quad_tol=1e-9, strict=True)
+    for f in fields(EngineConfig):
+        assert getattr(config, f.name) != f.default, f.name
+    path = tmp_path / "manifest.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        write_manifest(fh, "sweep", config, ["sweep"])
+        fh.write("tau\n")
+    assert read_manifest(str(path)) == config
+
+    header = path.read_text(encoding="utf-8").splitlines()[:-1]
+    path.write_text("\n".join(header + ["# config: speed = 3", "tau", ""]))
+    with pytest.raises(ConfigError) as info:
+        read_manifest(str(path))
+    # the error names the offending line of the file
+    assert str(info.value) == f"{path}:{len(header) + 1}: unknown key 'speed'"

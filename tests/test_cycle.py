@@ -175,7 +175,7 @@ def test_cycle_constants_match_per_tau_routes(base_config):
         expansion = polynomial_ramp(1.0, 0.32, tau)
         pair = solve_linear_pair(expansion, base_config.rel_tol,
                                  base_config.abs_tol)
-        q3 = adiabaticity_parameter(pair, 1.0, 0.32, tau)
+        q3 = adiabaticity_parameter(pair, 0.32, tau)
         assert q3 == pytest.approx(m.q_star_1, rel=1e-9)
         inverted = tau <= const.tau_c
         assert ("inversion_1" in m.flags) is inverted

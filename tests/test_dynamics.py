@@ -33,14 +33,14 @@ def test_wronskian_constant(pair):
 
 
 def test_endpoint_q_star_regression(pair, ramp):
-    q = adiabaticity_parameter(pair, 0.32, 1.0, 1.0)
+    q = adiabaticity_parameter(pair, 1.0, 1.0)
     assert q == pytest.approx(Q1_TAU1, rel=1e-9)
 
 
 def test_fast_drive_approaches_sudden_cap():
     ramp = polynomial_ramp(0.32, 1.0, 0.01)
     pair = solve_linear_pair(ramp)
-    q = adiabaticity_parameter(pair, 0.32, 1.0, 0.01)
+    q = adiabaticity_parameter(pair, 1.0, 0.01)
     assert q == pytest.approx(Q1_TAU001, rel=1e-9)
     assert q < SUDDEN_CAP + 1e-9
 
@@ -48,25 +48,25 @@ def test_fast_drive_approaches_sudden_cap():
 def test_slow_drive_is_adiabatic():
     ramp = polynomial_ramp(0.32, 1.0, 100.0)
     pair = solve_linear_pair(ramp)
-    q = adiabaticity_parameter(pair, 0.32, 1.0, 100.0)
+    q = adiabaticity_parameter(pair, 1.0, 100.0)
     assert abs(q - 1.0) < 1e-3
 
 
 def test_q_star_never_below_one(pair, ramp):
     omega = omega_of(ramp)
     for t in np.linspace(0.0, 1.0, 101):
-        q = adiabaticity_parameter(pair, 0.32, omega(float(t)), float(t))
+        q = adiabaticity_parameter(pair, omega(float(t)), float(t))
         assert q >= 1.0 - 1e-9
 
 
 def test_ermakov_route_matches_pair(pair, ramp):
-    erk = ermakov_from_linear(pair, 0.32)
+    erk = ermakov_from_linear(pair)
     assert erk.b(0.0) == pytest.approx(1.0, abs=1e-12)
     assert erk.b_dot(0.0) == pytest.approx(0.0, abs=1e-12)
     omega = omega_of(ramp)
     for t in np.linspace(0.0, 1.0, 101):
         wt = omega(float(t))
-        q_pair = adiabaticity_parameter(pair, 0.32, wt, float(t))
+        q_pair = adiabaticity_parameter(pair, wt, float(t))
         q_erk = adiabaticity_from_ermakov(erk, wt, float(t))
         assert q_erk == pytest.approx(q_pair, rel=1e-10)
 
@@ -76,7 +76,7 @@ def test_moment_route_matches_pair(pair, ramp):
     omega = omega_of(ramp)
     for t in np.linspace(0.0, 1.0, 51):
         wt = omega(float(t))
-        q_pair = adiabaticity_parameter(pair, 0.32, wt, float(t))
+        q_pair = adiabaticity_parameter(pair, wt, float(t))
         assert mom.q_star(float(t), wt) == pytest.approx(q_pair, rel=1e-9)
 
 
@@ -91,7 +91,7 @@ def test_moment_route_beta_independent(ramp):
 
 
 def test_direct_ermakov_integration_agrees(pair, ramp):
-    erk = ermakov_from_linear(pair, 0.32)
+    erk = ermakov_from_linear(pair)
     direct = solve_ermakov_direct(ramp)
     for t in np.linspace(0.0, 1.0, 21):
         assert direct.b(float(t)) == pytest.approx(erk.b(float(t)),

@@ -60,10 +60,10 @@ def test_adiabatic_efficiency_identity(base_config):
 
 
 def test_engine_condition_branches():
-    assert engine_condition(-1.0, 2.0).is_engine is True
-    assert not engine_condition(0.5, 2.0).is_engine    # no net work out
-    assert not engine_condition(-1.0, -0.1).is_engine  # heat into hot bath
-    assert not engine_condition(0.5, -0.1).is_engine
+    assert engine_condition(-1.0, 2.0) is True
+    assert not engine_condition(0.5, 2.0)    # no net work out
+    assert not engine_condition(-1.0, -0.1)  # heat into hot bath
+    assert not engine_condition(0.5, -0.1)
     # both conditions are strict
-    assert not engine_condition(0.0, 2.0).is_engine
-    assert not engine_condition(-1.0, 0.0).is_engine
+    assert not engine_condition(0.0, 2.0)
+    assert not engine_condition(-1.0, 0.0)
