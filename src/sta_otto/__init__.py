@@ -6,6 +6,10 @@ that cycle for the bare drive, the ideal quasistatic reference, and the
 shortcut drive that reaches the adiabatic target in finite time at an
 explicit energetic cost, together with the geometric speed-limit bounds
 the cost implies.
+
+scipy is imported inside the functions that call it, so importing the
+package, reading a config and every command path that solves nothing
+stay free of its import time.
 """
 
 __version__ = "0.1.0"

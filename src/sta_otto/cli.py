@@ -173,8 +173,9 @@ def cmd_cycle(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    rows = sweep(config)
+    # open first: an unwritable path must not cost the whole sweep
     with open(args.out, "w", encoding="utf-8") as fh:
+        rows = sweep(config)
         _write_rows(fh, rows, "sweep", config, args.argv)
     failed = sum(1 for r in rows
                  if any(f.startswith("error:") for f in r.flags))

@@ -21,8 +21,6 @@ shape.
 
 from __future__ import annotations
 
-from scipy.integrate import quad
-
 from .errors import ConfigError, QuadratureFailure
 from .protocol import FrequencyProtocol, ProtocolSample, sample_protocol
 from .strokes import ThermalOscillatorState
@@ -86,6 +84,7 @@ def sa_cost_time_average(protocol: FrequencyProtocol,
     if not 0.0 < quad_tol <= 1e-4:
         raise ValueError("quad_tol must lie in (0, 1e-4]")
     _check_start(protocol, initial)
+    from scipy.integrate import quad
 
     def integrand(t: float) -> float:
         return sa_energy_instant(sample_protocol(protocol, t), initial)

@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from scipy.optimize import brentq
-
 from .config import EngineConfig, tau_grid
 from .cost import sa_cost_time_average
 from .dynamics import adiabaticity_parameter, solve_linear_pair
@@ -259,6 +257,8 @@ def _bracket_root(fn, bracket: Sequence[float], what: str) -> float:
     lo, hi = float(bracket[0]), float(bracket[1])
     if not 0.0 < lo < hi < math.inf:
         raise ValueError("bracket must satisfy 0 < lo < hi < inf")
+    from scipy.optimize import brentq
+
     try:
         return float(brentq(fn, lo, hi, rtol=1e-6))
     except ValueError as exc:

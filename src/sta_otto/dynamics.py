@@ -32,8 +32,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from scipy.integrate import solve_ivp
-
 from .errors import SolverFailure
 from .hyperbolic import coth
 from .protocol import FrequencyProtocol, omega_of, sample_protocol
@@ -46,6 +44,8 @@ def _check_tolerances(rel_tol: float, abs_tol: float) -> None:
 
 
 def _integrate(rhs, y0, duration: float, rel_tol: float, abs_tol: float):
+    from scipy.integrate import solve_ivp
+
     sol = solve_ivp(rhs, (0.0, duration), y0, method="DOP853",
                     dense_output=True, rtol=rel_tol, atol=abs_tol)
     if not sol.success:

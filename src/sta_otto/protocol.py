@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import ConfigError, OutOfRangeTime
 
@@ -151,6 +150,8 @@ def _scan_min(fn: Callable[[float], float], lo: float, hi: float,
     best_x, best_v = xs[i], vals[i]
     left, right = xs[max(i - 1, 0)], xs[min(i + 1, _INVERSION_GRID - 1)]
     if right > left:
+        from scipy.optimize import minimize_scalar
+
         res = minimize_scalar(fn, bounds=(left, right), method="bounded",
                               options={"xatol": xatol})
         if res.fun < best_v:

@@ -240,7 +240,10 @@ def test_protocol_dump_bad_args(capsys):
 
 @pytest.mark.parametrize("argv", [("sweep",), ("cycle", "--tau", "5"),
                                   ("protocol-dump",)])
-def test_unwritable_output_exit_2(tmp_path, capsys, argv):
+def test_unwritable_output_exit_2(tmp_path, capsys, request, argv):
+    if argv[0] == "sweep":
+        # sweep opens --out before it evaluates a single point
+        request.getfixturevalue("no_solve")
     cfg = tmp_path / "small.cfg"
     cfg.write_text("tau_count = 2\n")
     out = tmp_path / "no" / "such" / "dir.csv"

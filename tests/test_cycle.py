@@ -201,7 +201,7 @@ def test_crossover_requires_sign_change(base_config):
 def test_root_search_non_convergence(base_config, monkeypatch):
     def stall(*args, **kwargs):
         raise RuntimeError("Failed to converge after 100 iterations.")
-    monkeypatch.setattr(cycle, "brentq", stall)
+    monkeypatch.setattr("scipy.optimize.brentq", stall)
     with pytest.raises(SolverFailure, match="did not converge"):
         find_efficiency_crossover(base_config, (0.01, 10.0))
 

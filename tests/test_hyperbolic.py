@@ -1,6 +1,9 @@
 import math
 
+import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sta_otto import coth, csch
 
@@ -51,3 +54,18 @@ def test_zero_argument_raises():
         coth(0.0)
     with pytest.raises(ZeroDivisionError):
         csch(0.0)
+
+
+@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+@given(exponent=st.floats(-300.0, 3.0), negative=st.booleans())
+# where 1 - exp(-2|x|) computed with exp loses the most digits
+@example(exponent=math.log10(1.0002e-4), negative=False)
+@example(exponent=math.log10(1.23e-4), negative=True)
+def test_coth_csch_match_mpmath(exponent, negative):
+    x = math.copysign(10.0 ** exponent, -1.0 if negative else 1.0)
+    with mpmath.workdps(40):
+        for fn, ref in ((coth, mpmath.coth), (csch, mpmath.csch)):
+            want = ref(mpmath.mpf(x))
+            # csch(x) for |x| > 709 lies below the smallest normal float,
+            # where only an absolute error of a few subnormals is possible
+            assert abs(fn(x) - want) <= 1e-15 * abs(want) + 1e-323, fn

@@ -1,6 +1,10 @@
 """Module boundaries of the package itself."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import sta_otto
@@ -23,3 +27,34 @@ def test_no_private_imports_between_modules():
                       if internal and a.name.startswith("_")
                       and not a.name.endswith("__")]
     assert not found, found
+
+
+_IMPORT_PATH_SCRIPT = """
+import json, sys
+import sta_otto
+from sta_otto import cli
+cli.load_config(None)
+codes = [cli.main(["protocol-dump", "--tau", "1", "--out", sys.argv[1]]),
+         cli.main(["sweep", sys.argv[2], "--out", sys.argv[3]])]
+print(json.dumps([codes, sorted(m for m in sys.modules
+                                if m.split(".")[0] == "scipy")]))
+"""
+
+
+def test_no_scipy_on_import_path(tmp_path):
+    # scipy costs most of the start-up time; the import, the config and
+    # every command path that solves nothing must not load it
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("tau_count = 2\n")
+    env = {k: v for k, v in os.environ.items() if k != "STA_OTTO_CONFIG"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PATH_SCRIPT,
+         str(tmp_path / "dump.csv"), str(cfg),
+         str(tmp_path / "no" / "such" / "dir.csv")],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 2], proc.stderr
+    assert loaded == []
