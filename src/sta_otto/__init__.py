@@ -7,9 +7,10 @@ shortcut drive that reaches the adiabatic target in finite time at an
 explicit energetic cost, together with the geometric speed-limit bounds
 the cost implies.
 
-scipy is imported inside the functions that call it, so importing the
-package, reading a config and every command path that solves nothing
-stay free of its import time.
+Neither numpy nor scipy is imported at module level: each is imported
+inside the functions that call it, so importing the package, reading a
+config, --help, protocol-dump and every command path that solves
+nothing load only the standard library.
 """
 
 __version__ = "0.1.0"
@@ -25,7 +26,8 @@ from .cycle import (CycleConstants, CycleMetrics, compression_q_star,
 from .dynamics import (ErmakovSolution, LinearPairSolution, MomentSolution,
                        adiabaticity_from_ermakov, adiabaticity_parameter,
                        ermakov_from_linear, ermakov_residual,
-                       lcd_final_adiabaticity, solve_effective_pair,
+                       husimi_q_star, lcd_final_adiabaticity,
+                       linear_pair_endpoint, solve_effective_pair,
                        solve_ermakov_direct, solve_linear_pair,
                        solve_second_moments)
 from .errors import (ConfigError, DivisionByZeroCost, DomainError,

@@ -12,9 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .config import EngineConfig, tau_grid
+from .config import EngineConfig, linspace, tau_grid
 from .cost import lcd_mean_energy, sa_cost_time_average, sa_energy_instant
 from .cycle import (cycle_constants, rescaled, run_cycle, stroke_pairs,
                     sweep)
@@ -88,8 +86,8 @@ def check_wronskian(config: EngineConfig) -> CheckResult:
     for tau in (0.1, 1.0, 10.0):
         for protocol, _ in stroke_pairs(config, tau):
             pair = solve_linear_pair(protocol, config.rel_tol, config.abs_tol)
-            ts = np.linspace(0.0, tau, 101)
-            worst = max(worst, float(np.max(np.abs(pair.wronskian(ts) - 1.0))))
+            drift = abs(pair.wronskian(linspace(0.0, tau, 101)) - 1.0)
+            worst = max(worst, float(drift.max()))
     return CheckResult("wronskian_constancy", worst <= 1e-9, worst,
                        "unit Wronskian of the fundamental pair")
 
@@ -100,8 +98,8 @@ def check_ermakov_residual(config: EngineConfig) -> CheckResult:
     worst = 0.0
     for protocol, _ in stroke_pairs(config, 1.0):
         pair = solve_linear_pair(protocol, config.rel_tol, config.abs_tol)
-        for t in np.linspace(0.0, 1.0, 101):
-            worst = max(worst, ermakov_residual(pair, protocol, float(t)))
+        for t in linspace(0.0, 1.0, 101):
+            worst = max(worst, ermakov_residual(pair, protocol, t))
     return CheckResult("ermakov_residual", worst <= 1e-8, worst,
                        "b'' + omega^2 b = omega0^2/b^3 from the pair")
 
@@ -117,11 +115,11 @@ def check_q_star_routes(config: EngineConfig) -> CheckResult:
             mom = solve_second_moments(protocol, initial.beta, config.m,
                                        config.hbar, config.rel_tol,
                                        config.abs_tol)
-            for t in np.linspace(0.0, tau, 101):
-                wt = omega(float(t))
-                q_pair = adiabaticity_parameter(pair, wt, float(t))
-                q_erk = adiabaticity_from_ermakov(erk, wt, float(t))
-                q_mom = mom.q_star(float(t), wt)
+            for t in linspace(0.0, tau, 101):
+                wt = omega(t)
+                q_pair = adiabaticity_parameter(pair, wt, t)
+                q_erk = adiabaticity_from_ermakov(erk, wt, t)
+                q_mom = mom.q_star(t, wt)
                 scale = abs(q_pair)
                 worst = max(worst, abs(q_erk - q_pair) / scale,
                             abs(q_mom - q_pair) / scale)
@@ -182,10 +180,10 @@ def check_cost_scaling(config: EngineConfig) -> CheckResult:
 def check_cost_consistency(config: EngineConfig) -> CheckResult:
     (protocol, cold), _ = stroke_pairs(config, 1.0)
     worst = 0.0
-    for t in np.linspace(0.0, 1.0, 21):
-        sample = sample_protocol(protocol, float(t))
+    for t in linspace(0.0, 1.0, 21):
+        sample = sample_protocol(protocol, t)
         adiabatic = sample.omega / config.omega1 * cold.mean_energy
-        total = lcd_mean_energy(protocol, cold, float(t))
+        total = lcd_mean_energy(protocol, cold, t)
         aux = sa_energy_instant(sample, cold)
         worst = max(worst, abs(total - adiabatic - aux) / cold.mean_energy)
     return CheckResult("cost_consistency", worst <= 1e-12, worst,
@@ -312,12 +310,13 @@ def check_rescaling_invariance(config: EngineConfig) -> CheckResult:
 
 def check_trap_inversion_scan(config: EngineConfig) -> CheckResult:
     grid = tau_grid(config)
-    inverted = grid[grid <= cycle_constants(config).tau_c]
-    if not len(inverted):
+    tau_c = cycle_constants(config).tau_c
+    inverted = [tau for tau in grid if tau <= tau_c]
+    if not inverted:
         return CheckResult("trap_inversion_scan", True, 0.0,
                            "no inversion on the configured grid")
     detail = (f"effective frequency inverts for {len(inverted)}/{len(grid)} "
-              f"grid points, tau <= {float(inverted.max()):.6g}")
+              f"grid points, tau <= {max(inverted):.6g}")
     return CheckResult("trap_inversion_scan", True, float(len(inverted)),
                        detail, warning=True)
 

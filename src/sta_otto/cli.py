@@ -28,11 +28,9 @@ from dataclasses import fields
 from datetime import datetime, timezone
 from typing import IO, Sequence
 
-import numpy as np
-
 from . import __version__
 from .checks import config_failure, run_all_checks
-from .config import EngineConfig
+from .config import EngineConfig, linspace
 from .cost import q_star_lcd_instant, sa_energy_instant
 from .cycle import (CycleMetrics, find_efficiency_crossover, run_cycle,
                     stroke_pairs, sweep)
@@ -47,6 +45,9 @@ _SWEEP_COLUMNS = [f.name for f in fields(CycleMetrics)
 
 _DUMP_COLUMNS = ["t", "omega", "omega_dot", "omega_ddot", "omega_eff_sq",
                  "h_sa", "q_star_lcd"]
+
+# protocol-dump builds its time grid up front
+MAX_DUMP_POINTS = 1_000_000
 
 
 def _fmt(value) -> str:
@@ -223,6 +224,8 @@ def cmd_protocol_dump(args: argparse.Namespace) -> int:
     compression, expansion = stroke_pairs(config, args.tau)
     if args.points < 2:
         raise ValueError("points must be at least 2")
+    if args.points > MAX_DUMP_POINTS:
+        raise ValueError(f"points must be at most {MAX_DUMP_POINTS}")
     protocol, initial = (compression if args.stroke == "compression"
                          else expansion)
 
@@ -230,8 +233,8 @@ def cmd_protocol_dump(args: argparse.Namespace) -> int:
         write_manifest(fh, "protocol-dump", config, args.argv)
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_DUMP_COLUMNS)
-        for t in np.linspace(0.0, args.tau, args.points):
-            sample = sample_protocol(protocol, float(t))
+        for t in linspace(0.0, args.tau, args.points):
+            sample = sample_protocol(protocol, t)
             writer.writerow([
                 _fmt(sample.t), _fmt(sample.omega), _fmt(sample.omega_dot),
                 _fmt(sample.omega_ddot), _fmt(sample.omega_eff_sq),

@@ -5,9 +5,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .errors import ConfigError
+
+# the sweep grid is built before the first solve: an absurd count must
+# fail as a config error, not as a multi-gigabyte allocation
+MAX_TAU_COUNT = 100_000
 
 
 @dataclass(frozen=True)
@@ -55,13 +57,37 @@ class EngineConfig:
             raise ConfigError("need 0 < tau_min < tau_max")
         if self.tau_count < 2:
             raise ConfigError("tau_count must be at least 2")
+        if self.tau_count > MAX_TAU_COUNT:
+            raise ConfigError(f"tau_count must be at most {MAX_TAU_COUNT}")
         if self.tau_spacing not in ("log", "linear"):
             raise ConfigError("tau_spacing must be 'log' or 'linear'")
 
 
-def tau_grid(config: EngineConfig) -> np.ndarray:
+def linspace(start: float, stop: float, count: int) -> list[float]:
+    """count evenly spaced floats from start to stop inclusive (count >= 2),
+    bitwise equal to numpy.linspace: start + i*step, last point stop."""
+    div = count - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0.0:
+        # a span so small that step underflows: scale i/div instead
+        points = [i / div * delta + start for i in range(count)]
+    else:
+        points = [i * step + start for i in range(count)]
+    points[-1] = stop
+    return points
+
+
+def tau_grid(config: EngineConfig) -> list[float]:
     """Sweep abscissa; log or linear per the configuration."""
     if config.tau_spacing == "log":
-        return np.logspace(np.log10(config.tau_min), np.log10(config.tau_max),
-                           config.tau_count)
-    return np.linspace(config.tau_min, config.tau_max, config.tau_count)
+        # numpy on purpose: its SIMD power and log10 differ from libm's
+        # by one ulp on 17 of the 200 default points, so a pure-Python
+        # grid would move the sweep's taus.  Every caller goes on to
+        # solve, which loads numpy through scipy anyway.
+        import numpy as np
+
+        return np.logspace(np.log10(config.tau_min),
+                           np.log10(config.tau_max),
+                           config.tau_count).tolist()
+    return linspace(config.tau_min, config.tau_max, config.tau_count)

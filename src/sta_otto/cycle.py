@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .config import EngineConfig, tau_grid
 from .cost import sa_cost_time_average
-from .dynamics import adiabaticity_parameter, solve_linear_pair
+from .dynamics import husimi_q_star, linear_pair_endpoint
 from .errors import (NoSignChange, SolverFailure, StaOttoError,
                      TrapInversionError)
 from .protocol import (FrequencyProtocol, check_trap_inversion,
@@ -107,11 +107,10 @@ def _tagged(tag: str, exc: StaOttoError) -> StaOttoError:
 def _endpoint_q_star(config: EngineConfig, protocol: FrequencyProtocol,
                      tag: str) -> float:
     try:
-        pair = solve_linear_pair(protocol, config.rel_tol, config.abs_tol)
+        state = linear_pair_endpoint(protocol, config.rel_tol, config.abs_tol)
     except StaOttoError as exc:
         raise _tagged(tag, exc)
-    return adiabaticity_parameter(pair, protocol.omega_final,
-                                  protocol.duration)
+    return husimi_q_star(protocol.omega_initial, protocol.omega_final, state)
 
 
 @dataclass(frozen=True)
@@ -247,9 +246,9 @@ def sweep(config: EngineConfig) -> list[CycleMetrics]:
     rows = []
     for tau in tau_grid(config):
         try:
-            rows.append(run_cycle(config, float(tau)))
+            rows.append(run_cycle(config, tau))
         except StaOttoError as exc:
-            rows.append(_error_row(float(tau), exc))
+            rows.append(_error_row(tau, exc))
     return rows
 
 

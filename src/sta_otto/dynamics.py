@@ -21,9 +21,11 @@ closed-form Ermakov transform of the pair, and an independent
 integration of the nonlinear Ermakov equation.  They must agree; the
 test suite holds them to 1e-8 of each other.
 
-Integration uses an adaptive embedded Runge-Kutta of order 8 with dense
-output; tight default tolerances (1e-10 relative) keep Q* - 1 resolvable
-down to ~1e-6 in the adiabatic regime.
+Integration uses an adaptive embedded Runge-Kutta of order 8, with dense
+output where a caller reads the solution inside the stroke; the
+production cycle reads only the endpoint (linear_pair_endpoint).  Tight
+default tolerances (1e-10 relative) keep Q* - 1 resolvable down to ~1e-6
+in the adiabatic regime.
 """
 
 from __future__ import annotations
@@ -43,15 +45,16 @@ def _check_tolerances(rel_tol: float, abs_tol: float) -> None:
             raise ValueError(f"{name} must lie in (0, 1e-4]")
 
 
-def _integrate(rhs, y0, duration: float, rel_tol: float, abs_tol: float):
+def _integrate(rhs, y0, duration: float, rel_tol: float, abs_tol: float,
+               dense_output: bool = True):
     from scipy.integrate import solve_ivp
 
     sol = solve_ivp(rhs, (0.0, duration), y0, method="DOP853",
-                    dense_output=True, rtol=rel_tol, atol=abs_tol)
+                    dense_output=dense_output, rtol=rel_tol, atol=abs_tol)
     if not sol.success:
         raise SolverFailure(
             f"integration stalled at t = {sol.t[-1]!r}: {sol.message}")
-    return sol.sol
+    return sol
 
 
 @dataclass(frozen=True)
@@ -82,9 +85,8 @@ class ErmakovSolution:
     b_dot: Callable[[float], float]
 
 
-def solve_linear_pair(protocol: FrequencyProtocol, rel_tol: float = 1e-10,
-                      abs_tol: float = 1e-12) -> LinearPairSolution:
-    """Integrate the fundamental pair for the bare frequency omega(t)."""
+def _integrate_pair(protocol: FrequencyProtocol, rel_tol: float,
+                    abs_tol: float, dense_output: bool):
     _check_tolerances(rel_tol, abs_tol)
     omega = omega_of(protocol)
 
@@ -92,9 +94,31 @@ def solve_linear_pair(protocol: FrequencyProtocol, rel_tol: float = 1e-10,
         w2 = omega(t) ** 2
         return (y[1], -w2 * y[0], y[3], -w2 * y[2])
 
-    dense = _integrate(rhs, (0.0, 1.0, 1.0, 0.0), protocol.duration,
-                       rel_tol, abs_tol)
-    return LinearPairSolution(protocol.omega_initial, protocol.duration, dense)
+    return _integrate(rhs, (0.0, 1.0, 1.0, 0.0), protocol.duration,
+                      rel_tol, abs_tol, dense_output)
+
+
+def solve_linear_pair(protocol: FrequencyProtocol, rel_tol: float = 1e-10,
+                      abs_tol: float = 1e-12) -> LinearPairSolution:
+    """Integrate the fundamental pair for the bare frequency omega(t)."""
+    sol = _integrate_pair(protocol, rel_tol, abs_tol, dense_output=True)
+    return LinearPairSolution(protocol.omega_initial, protocol.duration,
+                              sol.sol)
+
+
+def linear_pair_endpoint(protocol: FrequencyProtocol, rel_tol: float = 1e-10,
+                         abs_tol: float = 1e-12
+                         ) -> tuple[float, float, float, float]:
+    """(X, X', Y, Y') of the fundamental pair at t = duration.
+
+    The same steps as solve_linear_pair without the dense output, which
+    costs three extra right-hand-side evaluations per step; the state is
+    the solver's last step, bitwise what the dense solution returns at
+    the endpoint.
+    """
+    sol = _integrate_pair(protocol, rel_tol, abs_tol, dense_output=False)
+    x, xd, y, yd = sol.y[:, -1].tolist()
+    return x, xd, y, yd
 
 
 def solve_effective_pair(protocol: FrequencyProtocol, rel_tol: float = 1e-10,
@@ -110,9 +134,10 @@ def solve_effective_pair(protocol: FrequencyProtocol, rel_tol: float = 1e-10,
         w2 = sample_protocol(protocol, t).omega_eff_sq
         return (y[1], -w2 * y[0], y[3], -w2 * y[2])
 
-    dense = _integrate(rhs, (0.0, 1.0, 1.0, 0.0), protocol.duration,
-                       rel_tol, abs_tol)
-    return LinearPairSolution(protocol.omega_initial, protocol.duration, dense)
+    sol = _integrate(rhs, (0.0, 1.0, 1.0, 0.0), protocol.duration,
+                     rel_tol, abs_tol)
+    return LinearPairSolution(protocol.omega_initial, protocol.duration,
+                              sol.sol)
 
 
 def ermakov_from_linear(pair: LinearPairSolution) -> ErmakovSolution:
@@ -167,8 +192,13 @@ def adiabaticity_parameter(pair: LinearPairSolution, omega_t: float,
     adiabaticity parameter entering the stroke energies.  Always >= 1
     for a thermal start.
     """
-    omega0 = pair.omega0
-    x, xd, y, yd = pair.evaluate(t)
+    return husimi_q_star(pair.omega0, omega_t, pair.evaluate(t))
+
+
+def husimi_q_star(omega0: float, omega_t: float, state) -> float:
+    """Q* from a pair state (X, X', Y, Y') started at omega0, read at the
+    instantaneous frequency omega_t."""
+    x, xd, y, yd = state
     num = (omega0 * omega0 * (omega_t * omega_t * x * x + xd * xd)
            + omega_t * omega_t * y * y + yd * yd)
     return num / (2.0 * omega0 * omega_t)
@@ -199,7 +229,8 @@ def solve_ermakov_direct(protocol: FrequencyProtocol, rel_tol: float = 1e-10,
         b, bd = y
         return (bd, w0sq / b**3 - omega(t) ** 2 * b)
 
-    dense = _integrate(rhs, (1.0, 0.0), protocol.duration, rel_tol, abs_tol)
+    dense = _integrate(rhs, (1.0, 0.0), protocol.duration, rel_tol,
+                       abs_tol).sol
 
     def b(t: float) -> float:
         return float(dense(t)[0])
@@ -263,8 +294,8 @@ def solve_second_moments(protocol: FrequencyProtocol, beta: float,
     w0 = protocol.omega_initial
     nu = coth(0.5 * beta * hbar * w0)
     y0 = (hbar * nu / (2.0 * m * w0), 0.0, 0.5 * m * hbar * w0 * nu)
-    dense = _integrate(rhs, y0, protocol.duration, rel_tol, abs_tol)
-    return MomentSolution(w0, protocol.duration, beta, m, hbar, dense)
+    sol = _integrate(rhs, y0, protocol.duration, rel_tol, abs_tol)
+    return MomentSolution(w0, protocol.duration, beta, m, hbar, sol.sol)
 
 
 def lcd_final_adiabaticity(protocol: FrequencyProtocol,

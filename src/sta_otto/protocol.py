@@ -22,8 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
+from .config import linspace
 from .errors import ConfigError, OutOfRangeTime
 
 # uniform samples of Omega^2 before the bounded refinement around the minimum
@@ -144,9 +143,9 @@ def _scan_min(fn: Callable[[float], float], lo: float, hi: float,
     """(x, fn(x)) at the minimum of fn over [lo, hi]: a uniform scan,
     then a bounded refinement between the neighbours of the smallest
     sample."""
-    xs = np.linspace(lo, hi, _INVERSION_GRID)
-    vals = [fn(x) for x in xs.tolist()]
-    i = int(np.argmin(vals))
+    xs = linspace(lo, hi, _INVERSION_GRID)
+    vals = [fn(x) for x in xs]
+    i = vals.index(min(vals))
     best_x, best_v = xs[i], vals[i]
     left, right = xs[max(i - 1, 0)], xs[min(i + 1, _INVERSION_GRID - 1)]
     if right > left:

@@ -4,8 +4,9 @@ from dataclasses import fields
 import pytest
 
 from sta_otto import ConfigError, EngineConfig
-from sta_otto.cli import (main, parse_config_text, read_manifest,
-                          write_manifest)
+from sta_otto.cli import (MAX_DUMP_POINTS, main, parse_config_text,
+                          read_manifest, write_manifest)
+from sta_otto.config import MAX_TAU_COUNT
 
 from conftest import TAU_STAR
 
@@ -236,6 +237,18 @@ def test_protocol_dump_bad_args(capsys):
     assert code == 2 and "tau must be positive" in err
     code, _, err = run_cli(capsys, "protocol-dump", "--points", "1")
     assert code == 2 and "points must be at least 2" in err
+
+
+def test_size_caps_exit_2(tmp_path, capsys, no_solve):
+    # an absurd size fails as a usage error before anything is built
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"tau_count = {MAX_TAU_COUNT + 1}\n")
+    code, _, err = run_cli(capsys, "sweep", str(cfg), "--out",
+                           str(tmp_path / "out.csv"))
+    assert code == 2 and "tau_count must be at most" in err
+    code, out, err = run_cli(capsys, "protocol-dump", "--points",
+                             str(MAX_DUMP_POINTS + 1))
+    assert code == 2 and "points must be at most" in err and out == ""
 
 
 @pytest.mark.parametrize("argv", [("sweep",), ("cycle", "--tau", "5"),

@@ -147,7 +147,7 @@ def test_strict_message(base_config):
 def test_per_tau_work_budget(base_config, monkeypatch):
     cycle_constants(base_config)
     calls = Counter()
-    for name in ("solve_linear_pair", "check_trap_inversion",
+    for name in ("linear_pair_endpoint", "check_trap_inversion",
                  "sa_cost_time_average"):
         def counted(*args, _name=name, _fn=getattr(cycle, name), **kwargs):
             calls[_name] += 1
@@ -156,7 +156,7 @@ def test_per_tau_work_budget(base_config, monkeypatch):
     for tau in (0.5, 5.0):
         calls.clear()
         run_cycle(base_config, tau)
-        assert (calls["solve_linear_pair"], calls["check_trap_inversion"],
+        assert (calls["linear_pair_endpoint"], calls["check_trap_inversion"],
                 calls["sa_cost_time_average"]) == (1, 0, 0)
 
 

@@ -3,9 +3,10 @@ import pytest
 
 from sta_otto import (adiabaticity_from_ermakov, adiabaticity_parameter,
                       ermakov_from_linear, ermakov_residual,
-                      lcd_final_adiabaticity, polynomial_ramp,
-                      solve_effective_pair, solve_ermakov_direct,
-                      solve_linear_pair, solve_second_moments)
+                      lcd_final_adiabaticity, linear_pair_endpoint,
+                      polynomial_ramp, solve_effective_pair,
+                      solve_ermakov_direct, solve_linear_pair,
+                      solve_second_moments)
 from sta_otto.protocol import omega_of
 
 from conftest import Q1_TAU1, Q1_TAU001, SUDDEN_CAP
@@ -35,6 +36,16 @@ def test_wronskian_constant(pair):
 def test_endpoint_q_star_regression(pair, ramp):
     q = adiabaticity_parameter(pair, 1.0, 1.0)
     assert q == pytest.approx(Q1_TAU1, rel=1e-9)
+
+
+@pytest.mark.parametrize("tau", [0.01, 0.25, 1.0, 10.0])
+@pytest.mark.parametrize("ends", [(0.32, 1.0), (1.0, 0.32)])
+def test_endpoint_solve_matches_dense_bitwise(ends, tau):
+    # the production solve drops the dense output; its end state must be
+    # exactly the dense solution's value at t = tau
+    ramp = polynomial_ramp(*ends, tau)
+    dense = solve_linear_pair(ramp).evaluate(tau)
+    assert linear_pair_endpoint(ramp) == tuple(float(v) for v in dense)
 
 
 def test_fast_drive_approaches_sudden_cap():

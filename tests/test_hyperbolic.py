@@ -15,13 +15,16 @@ def test_coth_frozen_values():
     assert coth(0.025) == pytest.approx(COTH_0025, rel=1e-15)
 
 
-def test_coth_series_branch_matches_laurent():
+def test_coth_matches_laurent_at_tiny_x():
+    # the expm1 form against the two-term Laurent series, exact to double
+    # precision at x = 1e-6
     x = 1e-6
     assert coth(x) == pytest.approx(1.0 / x + x / 3.0, rel=1e-15)
 
 
-def test_branch_consistency_at_cutoff():
-    # just above the series cutoff both branches are valid; they must agree
+def test_coth_csch_match_laurent_at_small_x():
+    # the expm1 form against the three-term Laurent series of each, whose
+    # truncation error at x = 1.01e-4 is far below the tolerance
     x = 1.01e-4
     series = 1.0 / x + x / 3.0 - x**3 / 45.0
     assert coth(x) == pytest.approx(series, rel=1e-12)

@@ -37,13 +37,13 @@ cli.load_config(None)
 codes = [cli.main(["protocol-dump", "--tau", "1", "--out", sys.argv[1]]),
          cli.main(["sweep", sys.argv[2], "--out", sys.argv[3]])]
 print(json.dumps([codes, sorted(m for m in sys.modules
-                                if m.split(".")[0] == "scipy")]))
+                                if m.split(".")[0] in ("numpy", "scipy"))]))
 """
 
 
-def test_no_scipy_on_import_path(tmp_path):
-    # scipy costs most of the start-up time; the import, the config and
-    # every command path that solves nothing must not load it
+def test_no_numpy_or_scipy_on_import_path(tmp_path):
+    # numpy and scipy cost most of the start-up time; the import, the
+    # config and every command path that solves nothing must load neither
     cfg = tmp_path / "small.cfg"
     cfg.write_text("tau_count = 2\n")
     env = {k: v for k, v in os.environ.items() if k != "STA_OTTO_CONFIG"}
