@@ -13,6 +13,8 @@ config, --help, protocol-dump and every command path that solves
 nothing load only the standard library.
 """
 
+from types import ModuleType as _ModuleType
+
 __version__ = "0.1.0"
 
 from .config import EngineConfig, tau_grid
@@ -23,13 +25,11 @@ from .cycle import (CycleConstants, CycleMetrics, compression_q_star,
                     cycle_constants, find_efficiency_crossover,
                     find_heat_sign_threshold, rescaled, run_cycle,
                     stroke_pairs, sweep)
-from .dynamics import (ErmakovSolution, LinearPairSolution, MomentSolution,
-                       adiabaticity_from_ermakov, adiabaticity_parameter,
-                       ermakov_from_linear, ermakov_residual,
-                       husimi_q_star, lcd_final_adiabaticity,
-                       linear_pair_endpoint, solve_effective_pair,
-                       solve_ermakov_direct, solve_linear_pair,
-                       solve_second_moments)
+from .dynamics import (adiabaticity_from_ermakov, ermakov_from_linear,
+                       ermakov_residual, husimi_q_star,
+                       lcd_final_adiabaticity, moment_q_star,
+                       solve_effective_pair, solve_ermakov_direct,
+                       solve_linear_pair, solve_second_moments, wronskian)
 from .errors import (ConfigError, DivisionByZeroCost, DomainError,
                      InvalidDenominator, NoSignChange, OutOfRangeTime,
                      QuadratureFailure, SolverFailure, StaOttoError,
@@ -44,4 +44,7 @@ from .qsl import (BuresData, bures_angle, bures_data, efficiency_bound,
 from .strokes import (ThermalOscillatorState, engine_condition,
                       heat_sign_threshold, hot_isochore_heat, stroke_work)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, not the submodules the imports above bind
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, _ModuleType))

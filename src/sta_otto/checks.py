@@ -14,12 +14,12 @@ from dataclasses import dataclass, replace
 
 from .config import EngineConfig, linspace, tau_grid
 from .cost import lcd_mean_energy, sa_cost_time_average, sa_energy_instant
-from .cycle import (cycle_constants, rescaled, run_cycle, stroke_pairs,
-                    sweep)
-from .dynamics import (adiabaticity_from_ermakov, adiabaticity_parameter,
-                       ermakov_from_linear, ermakov_residual,
-                       lcd_final_adiabaticity, solve_linear_pair,
-                       solve_second_moments)
+from .cycle import (compression_q_star, cycle_constants, rescaled,
+                    run_cycle, stroke_pairs, sweep)
+from .dynamics import (adiabaticity_from_ermakov, ermakov_from_linear,
+                       ermakov_residual, husimi_q_star,
+                       lcd_final_adiabaticity, moment_q_star,
+                       solve_linear_pair, solve_second_moments, wronskian)
 from .errors import ConfigError
 from .protocol import (boundary_residuals, omega_of, polynomial_ramp,
                        sample_protocol)
@@ -85,9 +85,9 @@ def check_wronskian(config: EngineConfig) -> CheckResult:
     worst = 0.0
     for tau in (0.1, 1.0, 10.0):
         for protocol, _ in stroke_pairs(config, tau):
-            pair = solve_linear_pair(protocol, config.rel_tol, config.abs_tol)
-            drift = abs(pair.wronskian(linspace(0.0, tau, 101)) - 1.0)
-            worst = max(worst, float(drift.max()))
+            states = solve_linear_pair(protocol, linspace(0.0, tau, 101),
+                                       config.rel_tol, config.abs_tol)
+            worst = max(worst, *(abs(wronskian(s) - 1.0) for s in states))
     return CheckResult("wronskian_constancy", worst <= 1e-9, worst,
                        "unit Wronskian of the fundamental pair")
 
@@ -97,9 +97,12 @@ def check_ermakov_residual(config: EngineConfig) -> CheckResult:
     # omega0^2 |W^2 - 1| / b^3 (see ermakov_residual)
     worst = 0.0
     for protocol, _ in stroke_pairs(config, 1.0):
-        pair = solve_linear_pair(protocol, config.rel_tol, config.abs_tol)
-        for t in linspace(0.0, 1.0, 101):
-            worst = max(worst, ermakov_residual(pair, protocol, t))
+        omega, omega0 = omega_of(protocol), protocol.omega_initial
+        times = linspace(0.0, 1.0, 101)
+        states = solve_linear_pair(protocol, times, config.rel_tol,
+                                   config.abs_tol)
+        for t, state in zip(times, states):
+            worst = max(worst, ermakov_residual(omega0, omega(t), state))
     return CheckResult("ermakov_residual", worst <= 1e-8, worst,
                        "b'' + omega^2 b = omega0^2/b^3 from the pair")
 
@@ -109,17 +112,20 @@ def check_q_star_routes(config: EngineConfig) -> CheckResult:
     floor = math.inf
     for tau in (0.1, 1.0, 10.0):
         for protocol, initial in stroke_pairs(config, tau):
-            omega = omega_of(protocol)
-            pair = solve_linear_pair(protocol, config.rel_tol, config.abs_tol)
-            erk = ermakov_from_linear(pair)
-            mom = solve_second_moments(protocol, initial.beta, config.m,
-                                       config.hbar, config.rel_tol,
-                                       config.abs_tol)
-            for t in linspace(0.0, tau, 101):
+            omega, omega0 = omega_of(protocol), protocol.omega_initial
+            times = linspace(0.0, tau, 101)
+            pairs = solve_linear_pair(protocol, times, config.rel_tol,
+                                      config.abs_tol)
+            moments = solve_second_moments(protocol, times, initial.beta,
+                                           config.m, config.hbar,
+                                           config.rel_tol, config.abs_tol)
+            for t, pair, mom in zip(times, pairs, moments):
                 wt = omega(t)
-                q_pair = adiabaticity_parameter(pair, wt, t)
-                q_erk = adiabaticity_from_ermakov(erk, wt, t)
-                q_mom = mom.q_star(t, wt)
+                q_pair = husimi_q_star(omega0, wt, pair)
+                q_erk = adiabaticity_from_ermakov(
+                    omega0, wt, ermakov_from_linear(omega0, pair))
+                q_mom = moment_q_star(omega0, wt, mom, initial.beta,
+                                      config.m, config.hbar)
                 scale = abs(q_pair)
                 worst = max(worst, abs(q_erk - q_pair) / scale,
                             abs(q_mom - q_pair) / scale)
@@ -130,9 +136,7 @@ def check_q_star_routes(config: EngineConfig) -> CheckResult:
 
 
 def check_adiabatic_limit(config: EngineConfig) -> CheckResult:
-    protocol = polynomial_ramp(config.omega1, config.omega2, 100.0)
-    pair = solve_linear_pair(protocol, config.rel_tol, config.abs_tol)
-    q = adiabaticity_parameter(pair, config.omega2, 100.0)
+    q = compression_q_star(config, 100.0)
     return CheckResult("adiabatic_limit", abs(q - 1.0) <= 1e-3, abs(q - 1.0),
                        "slow drive approaches Q* = 1")
 

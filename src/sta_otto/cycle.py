@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .config import EngineConfig, tau_grid
 from .cost import sa_cost_time_average
-from .dynamics import husimi_q_star, linear_pair_endpoint
+from .dynamics import husimi_q_star, solve_linear_pair
 from .errors import (NoSignChange, SolverFailure, StaOttoError,
                      TrapInversionError)
 from .protocol import (FrequencyProtocol, check_trap_inversion,
@@ -107,7 +107,8 @@ def _tagged(tag: str, exc: StaOttoError) -> StaOttoError:
 def _endpoint_q_star(config: EngineConfig, protocol: FrequencyProtocol,
                      tag: str) -> float:
     try:
-        state = linear_pair_endpoint(protocol, config.rel_tol, config.abs_tol)
+        state = solve_linear_pair(protocol, (protocol.duration,),
+                                  config.rel_tol, config.abs_tol)[0]
     except StaOttoError as exc:
         raise _tagged(tag, exc)
     return husimi_q_star(protocol.omega_initial, protocol.omega_final, state)

@@ -18,25 +18,32 @@ mean energy of an initially thermal oscillator) is
 
 Three routes to Q* are exposed: the linear pair directly, the
 closed-form Ermakov transform of the pair, and an independent
-integration of the nonlinear Ermakov equation.  They must agree; the
-test suite holds them to 1e-8 of each other.
+integration of the second moments (plus a direct integration of the
+nonlinear Ermakov equation).  They must agree; the test suite holds
+them to 1e-8 of each other.
 
-Integration uses an adaptive embedded Runge-Kutta of order 8, with dense
-output where a caller reads the solution inside the stroke; the
-production cycle reads only the endpoint (linear_pair_endpoint).  Tight
-default tolerances (1e-10 relative) keep Q* - 1 resolvable down to ~1e-6
-in the adiabatic regime.
+Each solver integrates the whole stroke and returns its state only at
+the requested times, as a list of plain tuples; every caller knows
+those times before the solve, and the production cycle asks for
+t = tau alone.  The formulas that read a state (husimi_q_star,
+wronskian, ermakov_from_linear, ermakov_residual,
+adiabaticity_from_ermakov, moment_q_star) are pure functions of it.
+
+Integration uses an adaptive embedded Runge-Kutta of order 8 (DOP853).
+Tight default tolerances (1e-10 relative) keep Q* - 1 resolvable down
+to ~1e-6 in the adiabatic regime.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Sequence
 
 from .errors import SolverFailure
 from .hyperbolic import coth
 from .protocol import FrequencyProtocol, omega_of, sample_protocol
+
+PairState = tuple[float, float, float, float]   # (X, X', Y, Y')
 
 
 def _check_tolerances(rel_tol: float, abs_tol: float) -> None:
@@ -45,48 +52,25 @@ def _check_tolerances(rel_tol: float, abs_tol: float) -> None:
             raise ValueError(f"{name} must lie in (0, 1e-4]")
 
 
-def _integrate(rhs, y0, duration: float, rel_tol: float, abs_tol: float,
-               dense_output: bool = True):
+def _integrate(rhs, y0, duration: float, times: Sequence[float],
+               rel_tol: float, abs_tol: float) -> list[tuple[float, ...]]:
+    """Integrate over [0, duration]; the states at the increasing times,
+    each read from the interpolant of the step that contains it."""
     from scipy.integrate import solve_ivp
 
     sol = solve_ivp(rhs, (0.0, duration), y0, method="DOP853",
-                    dense_output=dense_output, rtol=rel_tol, atol=abs_tol)
+                    t_eval=times, rtol=rel_tol, atol=abs_tol)
     if not sol.success:
         raise SolverFailure(
-            f"integration stalled at t = {sol.t[-1]!r}: {sol.message}")
-    return sol
+            f"integration stalled before t = {duration!r}: {sol.message}")
+    return [tuple(state) for state in sol.y.T.tolist()]
 
 
-@dataclass(frozen=True)
-class LinearPairSolution:
-    """Dense-output fundamental pair (X, X', Y, Y') over [0, duration]."""
-
-    omega0: float
-    duration: float
-    _dense: object = field(repr=False, compare=False)
-
-    def evaluate(self, t):
-        """Return (X, X_dot, Y, Y_dot) at t (scalar or array)."""
-        x, xd, y, yd = self._dense(t)
-        return x, xd, y, yd
-
-    def wronskian(self, t):
-        x, xd, y, yd = self.evaluate(t)
-        return y * xd - yd * x
-
-
-@dataclass(frozen=True)
-class ErmakovSolution:
-    """Scaling factor b(t) with b(0)=1, b'(0)=0 (thermal start, no squeeze)."""
-
-    omega0: float
-    duration: float
-    b: Callable[[float], float]
-    b_dot: Callable[[float], float]
-
-
-def _integrate_pair(protocol: FrequencyProtocol, rel_tol: float,
-                    abs_tol: float, dense_output: bool):
+def solve_linear_pair(protocol: FrequencyProtocol, times: Sequence[float],
+                      rel_tol: float = 1e-10,
+                      abs_tol: float = 1e-12) -> list[PairState]:
+    """(X, X', Y, Y') of the fundamental pair for the bare frequency
+    omega(t), at each of the times (within [0, duration], increasing)."""
     _check_tolerances(rel_tol, abs_tol)
     omega = omega_of(protocol)
 
@@ -94,35 +78,13 @@ def _integrate_pair(protocol: FrequencyProtocol, rel_tol: float,
         w2 = omega(t) ** 2
         return (y[1], -w2 * y[0], y[3], -w2 * y[2])
 
-    return _integrate(rhs, (0.0, 1.0, 1.0, 0.0), protocol.duration,
-                      rel_tol, abs_tol, dense_output)
+    return _integrate(rhs, (0.0, 1.0, 1.0, 0.0), protocol.duration, times,
+                      rel_tol, abs_tol)
 
 
-def solve_linear_pair(protocol: FrequencyProtocol, rel_tol: float = 1e-10,
-                      abs_tol: float = 1e-12) -> LinearPairSolution:
-    """Integrate the fundamental pair for the bare frequency omega(t)."""
-    sol = _integrate_pair(protocol, rel_tol, abs_tol, dense_output=True)
-    return LinearPairSolution(protocol.omega_initial, protocol.duration,
-                              sol.sol)
-
-
-def linear_pair_endpoint(protocol: FrequencyProtocol, rel_tol: float = 1e-10,
-                         abs_tol: float = 1e-12
-                         ) -> tuple[float, float, float, float]:
-    """(X, X', Y, Y') of the fundamental pair at t = duration.
-
-    The same steps as solve_linear_pair without the dense output, which
-    costs three extra right-hand-side evaluations per step; the state is
-    the solver's last step, bitwise what the dense solution returns at
-    the endpoint.
-    """
-    sol = _integrate_pair(protocol, rel_tol, abs_tol, dense_output=False)
-    x, xd, y, yd = sol.y[:, -1].tolist()
-    return x, xd, y, yd
-
-
-def solve_effective_pair(protocol: FrequencyProtocol, rel_tol: float = 1e-10,
-                         abs_tol: float = 1e-12) -> LinearPairSolution:
+def solve_effective_pair(protocol: FrequencyProtocol, times: Sequence[float],
+                         rel_tol: float = 1e-10,
+                         abs_tol: float = 1e-12) -> list[PairState]:
     """Fundamental pair for the shortcut's effective frequency Omega(t).
 
     Omega^2 may be negative mid-protocol (trap inversion); the linear
@@ -134,37 +96,42 @@ def solve_effective_pair(protocol: FrequencyProtocol, rel_tol: float = 1e-10,
         w2 = sample_protocol(protocol, t).omega_eff_sq
         return (y[1], -w2 * y[0], y[3], -w2 * y[2])
 
-    sol = _integrate(rhs, (0.0, 1.0, 1.0, 0.0), protocol.duration,
-                     rel_tol, abs_tol)
-    return LinearPairSolution(protocol.omega_initial, protocol.duration,
-                              sol.sol)
+    return _integrate(rhs, (0.0, 1.0, 1.0, 0.0), protocol.duration, times,
+                      rel_tol, abs_tol)
 
 
-def ermakov_from_linear(pair: LinearPairSolution) -> ErmakovSolution:
-    """Closed-form Ermakov solution b = sqrt(Y^2 + omega0^2 X^2), with
-    omega0 = pair.omega0.
+def wronskian(state: PairState) -> float:
+    """Y X' - Y' X; exactly 1 for the true fundamental pair."""
+    x, xd, y, yd = state
+    return y * xd - yd * x
+
+
+def husimi_q_star(omega0: float, omega_t: float, state: PairState) -> float:
+    """Q* from a pair state (X, X', Y, Y') started at omega0, read at the
+    instantaneous frequency omega_t.  Always >= 1 for a thermal start."""
+    x, xd, y, yd = state
+    num = (omega0 * omega0 * (omega_t * omega_t * x * x + xd * xd)
+           + omega_t * omega_t * y * y + yd * yd)
+    return num / (2.0 * omega0 * omega_t)
+
+
+def ermakov_from_linear(omega0: float,
+                        state: PairState) -> tuple[float, float]:
+    """Closed-form Ermakov solution (b, b') with b = sqrt(Y^2 + omega0^2 X^2).
 
     Exact as long as the pair's Wronskian is 1: the identity
     b''(b^3) = omega0^2 W^2 - omega^2 b^4 makes the Ermakov residual
     proportional to |W^2 - 1|, so it measures solver error only.
     b cannot vanish, since Y and X share no zero while W = 1.
     """
-    omega0 = pair.omega0
     w0sq = omega0 * omega0
-
-    def b(t: float) -> float:
-        x, _, y, _ = pair.evaluate(t)
-        return math.sqrt(y * y + w0sq * x * x)
-
-    def b_dot(t: float) -> float:
-        x, xd, y, yd = pair.evaluate(t)
-        return (y * yd + w0sq * x * xd) / math.sqrt(y * y + w0sq * x * x)
-
-    return ErmakovSolution(omega0, pair.duration, b, b_dot)
+    x, xd, y, yd = state
+    b = math.sqrt(y * y + w0sq * x * x)
+    return b, (y * yd + w0sq * x * xd) / b
 
 
-def ermakov_residual(pair: LinearPairSolution, protocol: FrequencyProtocol,
-                     t: float) -> float:
+def ermakov_residual(omega0: float, omega_t: float,
+                     state: PairState) -> float:
     """|b'' + omega^2 b - omega0^2/b^3| for the pair-derived scaling factor.
 
     b'' is assembled from the pair via d/dt(b b') = (Y'^2 + omega0^2 X'^2)
@@ -172,9 +139,9 @@ def ermakov_residual(pair: LinearPairSolution, protocol: FrequencyProtocol,
     omega0^2 |W^2 - 1| / b^3: a direct, dimensionful measure of how well
     the integrated pair satisfies the Ermakov equation.
     """
-    w0sq = pair.omega0 ** 2
-    w2 = omega_of(protocol)(t) ** 2
-    x, xd, y, yd = pair.evaluate(t)
+    w0sq = omega0 ** 2
+    w2 = omega_t ** 2
+    x, xd, y, yd = state
     bsq = y * y + w0sq * x * x
     bv = math.sqrt(bsq)
     bd = (y * yd + w0sq * x * xd) / bv
@@ -183,41 +150,19 @@ def ermakov_residual(pair: LinearPairSolution, protocol: FrequencyProtocol,
     return abs(bdd + w2 * bv - w0sq / bv**3)
 
 
-def adiabaticity_parameter(pair: LinearPairSolution, omega_t: float,
-                           t: float) -> float:
-    """Husimi-form Q* from the fundamental pair.
-
-    omega0 is the pair's starting frequency.  Mid-protocol values use
-    the instantaneous omega_t; at t = duration this is the endpoint
-    adiabaticity parameter entering the stroke energies.  Always >= 1
-    for a thermal start.
-    """
-    return husimi_q_star(pair.omega0, omega_t, pair.evaluate(t))
-
-
-def husimi_q_star(omega0: float, omega_t: float, state) -> float:
-    """Q* from a pair state (X, X', Y, Y') started at omega0, read at the
-    instantaneous frequency omega_t."""
-    x, xd, y, yd = state
-    num = (omega0 * omega0 * (omega_t * omega_t * x * x + xd * xd)
-           + omega_t * omega_t * y * y + yd * yd)
-    return num / (2.0 * omega0 * omega_t)
-
-
-def adiabaticity_from_ermakov(solution: ErmakovSolution, omega_t: float,
-                              t: float) -> float:
-    """Q* from the scaling factor:
+def adiabaticity_from_ermakov(omega0: float, omega_t: float,
+                              ermakov: tuple[float, float]) -> float:
+    """Q* from the scaling factor (b, b'):
     (omega0^2/b^2 + b'^2 + omega_t^2 b^2) / (2 omega0 omega_t)."""
-    bv = solution.b(t)
-    bd = solution.b_dot(t)
-    w0 = solution.omega0
-    return ((w0 * w0 / (bv * bv) + bd * bd + omega_t * omega_t * bv * bv)
-            / (2.0 * w0 * omega_t))
+    bv, bd = ermakov
+    return ((omega0 * omega0 / (bv * bv) + bd * bd
+             + omega_t * omega_t * bv * bv) / (2.0 * omega0 * omega_t))
 
 
-def solve_ermakov_direct(protocol: FrequencyProtocol, rel_tol: float = 1e-10,
-                         abs_tol: float = 1e-12) -> ErmakovSolution:
-    """Integrate the nonlinear Ermakov equation itself.
+def solve_ermakov_direct(protocol: FrequencyProtocol, times: Sequence[float],
+                         rel_tol: float = 1e-10,
+                         abs_tol: float = 1e-12) -> list[tuple[float, float]]:
+    """(b, b') from the nonlinear Ermakov equation itself, at the times.
 
     Independent of the linear pair; used to triangulate Q*.
     """
@@ -229,58 +174,21 @@ def solve_ermakov_direct(protocol: FrequencyProtocol, rel_tol: float = 1e-10,
         b, bd = y
         return (bd, w0sq / b**3 - omega(t) ** 2 * b)
 
-    dense = _integrate(rhs, (1.0, 0.0), protocol.duration, rel_tol,
-                       abs_tol).sol
-
-    def b(t: float) -> float:
-        return float(dense(t)[0])
-
-    def b_dot(t: float) -> float:
-        return float(dense(t)[1])
-
-    return ErmakovSolution(protocol.omega_initial, protocol.duration,
-                           b, b_dot)
+    return _integrate(rhs, (1.0, 0.0), protocol.duration, times, rel_tol,
+                      abs_tol)
 
 
-@dataclass(frozen=True)
-class MomentSolution:
-    """Second moments of an initially thermal oscillator under driving.
+def solve_second_moments(protocol: FrequencyProtocol, times: Sequence[float],
+                         beta: float, m: float = 1.0, hbar: float = 1.0,
+                         rel_tol: float = 1e-10, abs_tol: float = 1e-12
+                         ) -> list[tuple[float, float, float]]:
+    """(<x^2>, <{x,p}>/2, <p^2>) of an initially thermal oscillator under
+    driving, at the times.
 
-    Integrates the closed system for (<x^2>, <{x,p}>/2, <p^2>) directly,
-    which never references the fundamental pair or the scaling factor;
-    the adiabaticity parameter extracted from the mean energy is the
-    third, independent route to Q*.  Q* is a ratio of energies, so it
-    must come out independent of beta, m and hbar; the tests exploit
-    that as an extra invariant.
+    The closed system for the second moments never references the
+    fundamental pair or the scaling factor, so moment_q_star is the
+    third, independent route to Q*.
     """
-
-    omega0: float
-    duration: float
-    beta: float
-    m: float
-    hbar: float
-    _dense: object = field(repr=False, compare=False)
-
-    def second_moments(self, t):
-        """Return (<x^2>, <{x,p}>/2, <p^2>) at t."""
-        xx, c, pp = self._dense(t)
-        return xx, c, pp
-
-    def mean_energy(self, t: float, omega_t: float) -> float:
-        xx, _, pp = self.second_moments(t)
-        return pp / (2.0 * self.m) + 0.5 * self.m * omega_t**2 * xx
-
-    def q_star(self, t: float, omega_t: float) -> float:
-        e0 = 0.5 * self.hbar * self.omega0 \
-            * coth(0.5 * self.beta * self.hbar * self.omega0)
-        return self.mean_energy(t, omega_t) * self.omega0 / (omega_t * e0)
-
-
-def solve_second_moments(protocol: FrequencyProtocol, beta: float,
-                         m: float = 1.0, hbar: float = 1.0,
-                         rel_tol: float = 1e-10,
-                         abs_tol: float = 1e-12) -> MomentSolution:
-    """Integrate the second-moment equations for a thermal start."""
     _check_tolerances(rel_tol, abs_tol)
     if beta <= 0.0 or m <= 0.0 or hbar <= 0.0:
         raise ValueError("beta, m and hbar must be positive")
@@ -294,8 +202,22 @@ def solve_second_moments(protocol: FrequencyProtocol, beta: float,
     w0 = protocol.omega_initial
     nu = coth(0.5 * beta * hbar * w0)
     y0 = (hbar * nu / (2.0 * m * w0), 0.0, 0.5 * m * hbar * w0 * nu)
-    sol = _integrate(rhs, y0, protocol.duration, rel_tol, abs_tol)
-    return MomentSolution(w0, protocol.duration, beta, m, hbar, sol.sol)
+    return _integrate(rhs, y0, protocol.duration, times, rel_tol, abs_tol)
+
+
+def moment_q_star(omega0: float, omega_t: float,
+                  moments: tuple[float, float, float], beta: float,
+                  m: float = 1.0, hbar: float = 1.0) -> float:
+    """Q* as mean energy over its adiabatic value, from the second moments
+    of a thermal start at (beta, omega0).
+
+    Q* is a ratio of energies, so it must come out independent of beta,
+    m and hbar; the tests exploit that as an extra invariant.
+    """
+    xx, _, pp = moments
+    energy = pp / (2.0 * m) + 0.5 * m * omega_t**2 * xx
+    e0 = 0.5 * hbar * omega0 * coth(0.5 * beta * hbar * omega0)
+    return energy * omega0 / (omega_t * e0)
 
 
 def lcd_final_adiabaticity(protocol: FrequencyProtocol,
@@ -308,6 +230,6 @@ def lcd_final_adiabaticity(protocol: FrequencyProtocol,
     any schedule with flat ends, trap inversion included.  This is the
     central verification that the shortcut works.
     """
-    pair = solve_effective_pair(protocol, rel_tol, abs_tol)
-    return adiabaticity_parameter(pair, protocol.omega_final,
-                                  protocol.duration)
+    state = solve_effective_pair(protocol, (protocol.duration,), rel_tol,
+                                 abs_tol)[0]
+    return husimi_q_star(protocol.omega_initial, protocol.omega_final, state)

@@ -54,7 +54,7 @@ def no_solve(monkeypatch):
     """Fail fast instead of hanging if a bad input reaches the ODE solver."""
     def refuse(*args, **kwargs):
         raise AssertionError("input reached the ODE solver")
-    monkeypatch.setattr("sta_otto.cycle.linear_pair_endpoint", refuse)
+    monkeypatch.setattr("sta_otto.cycle.solve_linear_pair", refuse)
 
 
 def pytest_configure(config):

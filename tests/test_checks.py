@@ -15,3 +15,27 @@ def test_bound_ordering_catches_eta_qsl_above_carnot(base_config,
     assert not r.passed
     assert r.residual == bad.eta_qsl - eta_carnot
     assert r.detail == "200/200 grid points satisfy the short-time premise"
+
+
+def test_every_solve_samples_known_times(base_config, monkeypatch):
+    # every caller knows the times it reads before the solve, so no solve
+    # may build an interpolant or keep its steps for later reads
+    import scipy.integrate
+
+    from sta_otto import run_cycle
+    from sta_otto.checks import run_all_checks
+
+    solve_ivp = scipy.integrate.solve_ivp
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(kwargs)
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", recorded)
+    config = replace(base_config, tau_count=4)
+    run_cycle(config, 1.0)
+    run_all_checks(config)
+    assert calls
+    assert all(kwargs.get("t_eval") is not None for kwargs in calls)
+    assert not any(kwargs.get("dense_output") for kwargs in calls)

@@ -5,11 +5,11 @@ from dataclasses import fields, replace
 import pytest
 
 from sta_otto import (CycleMetrics, NoSignChange, SolverFailure,
-                      TrapInversionError, adiabaticity_parameter,
-                      check_trap_inversion, compression_q_star,
-                      cycle_constants, find_efficiency_crossover,
-                      find_heat_sign_threshold, polynomial_ramp, rescaled,
-                      run_cycle, solve_linear_pair, sweep)
+                      TrapInversionError, check_trap_inversion,
+                      compression_q_star, cycle_constants,
+                      find_efficiency_crossover, find_heat_sign_threshold,
+                      husimi_q_star, polynomial_ramp, rescaled, run_cycle,
+                      solve_linear_pair, sweep)
 from sta_otto import cycle
 
 from conftest import (COST1_TAU1, COST3_TAU1, L1, L3, Q1_TAU001, Q1_TAU1,
@@ -147,7 +147,7 @@ def test_strict_message(base_config):
 def test_per_tau_work_budget(base_config, monkeypatch):
     cycle_constants(base_config)
     calls = Counter()
-    for name in ("linear_pair_endpoint", "check_trap_inversion",
+    for name in ("solve_linear_pair", "check_trap_inversion",
                  "sa_cost_time_average"):
         def counted(*args, _name=name, _fn=getattr(cycle, name), **kwargs):
             calls[_name] += 1
@@ -156,7 +156,7 @@ def test_per_tau_work_budget(base_config, monkeypatch):
     for tau in (0.5, 5.0):
         calls.clear()
         run_cycle(base_config, tau)
-        assert (calls["linear_pair_endpoint"], calls["check_trap_inversion"],
+        assert (calls["solve_linear_pair"], calls["check_trap_inversion"],
                 calls["sa_cost_time_average"]) == (1, 0, 0)
 
 
@@ -173,9 +173,9 @@ def test_cycle_constants_match_per_tau_routes(base_config):
         # time reversal: an independent solve of the expansion stroke
         # lands on the compression's Q*
         expansion = polynomial_ramp(1.0, 0.32, tau)
-        pair = solve_linear_pair(expansion, base_config.rel_tol,
-                                 base_config.abs_tol)
-        q3 = adiabaticity_parameter(pair, 0.32, tau)
+        state = solve_linear_pair(expansion, (tau,), base_config.rel_tol,
+                                  base_config.abs_tol)[0]
+        q3 = husimi_q_star(1.0, 0.32, state)
         assert q3 == pytest.approx(m.q_star_1, rel=1e-9)
         inverted = tau <= const.tau_c
         assert ("inversion_1" in m.flags) is inverted

@@ -6,6 +6,9 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
+
+import pytest
 
 import sta_otto
 
@@ -58,3 +61,21 @@ def test_no_numpy_or_scipy_on_import_path(tmp_path):
     codes, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0, 2], proc.stderr
     assert loaded == []
+
+
+def test_star_import_binds_no_modules():
+    # __all__ lists the public API; the submodules that the package's own
+    # imports bind are reached as sta_otto.<name>, not star-imported
+    assert not [name for name in sta_otto.__all__
+                if isinstance(getattr(sta_otto, name), ModuleType)]
+
+
+@pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")
+def test_version_has_one_owner():
+    # pyproject.toml reads the version from the package, so a bump of
+    # __version__ (printed in every CSV manifest) is the only bump
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    pyproject = PACKAGE.parent.parent / "pyproject.toml"
+    project = read_configuration(str(pyproject), expand=True)["project"]
+    assert project["version"] == sta_otto.__version__
