@@ -39,8 +39,8 @@ from .protocol import (FrequencyProtocol, InversionReport, ProtocolSample,
                        boundary_residuals, check_trap_inversion,
                        effective_frequency_sq, inversion_threshold,
                        omega_of, polynomial_ramp, sample_protocol)
-from .qsl import (BuresData, bures_angle, bures_data, efficiency_bound,
-                  gaussian_fidelity, power_bound, qsl_time)
+from .qsl import (bures_angle, efficiency_bound, gaussian_fidelity,
+                  power_bound, qsl_time)
 from .strokes import (ThermalOscillatorState, engine_condition,
                       heat_sign_threshold, hot_isochore_heat, stroke_work)
 

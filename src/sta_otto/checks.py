@@ -2,6 +2,8 @@
 
 Every check is a named function returning a CheckResult with a measured
 residual, so a failure report says not only what broke but by how much.
+Data that several checks read (pair_samples, the sweep rows) is
+computed once by run_all_checks and passed to each of them.
 Checks marked as warnings (trap inversion on the configured grid, speed
 bound premise violations) inform without failing the suite; strict mode
 is handled upstream by run_cycle, which turns inversion into errors.
@@ -81,41 +83,49 @@ def check_protocol_scaling(config: EngineConfig) -> CheckResult:
                        "omega_dot ~ 1/tau, omega_ddot ~ 1/tau^2")
 
 
-def check_wronskian(config: EngineConfig) -> CheckResult:
-    worst = 0.0
+def pair_samples(config: EngineConfig) -> dict:
+    """{tau: [(protocol, initial, times, states) per stroke]} for tau in
+    (0.1, 1, 10): the linear pair of each stroke from stroke_pairs,
+    solved once on linspace(0, tau, 101) for every check that reads it.
+    """
+    samples = {}
     for tau in (0.1, 1.0, 10.0):
-        for protocol, _ in stroke_pairs(config, tau):
-            states = solve_linear_pair(protocol, linspace(0.0, tau, 101),
-                                       config.rel_tol, config.abs_tol)
+        times = linspace(0.0, tau, 101)
+        samples[tau] = [
+            (protocol, initial, times,
+             solve_linear_pair(protocol, times, config.rel_tol,
+                               config.abs_tol))
+            for protocol, initial in stroke_pairs(config, tau)]
+    return samples
+
+
+def check_wronskian(config: EngineConfig, samples) -> CheckResult:
+    worst = 0.0
+    for strokes in samples.values():
+        for _, _, _, states in strokes:
             worst = max(worst, *(abs(wronskian(s) - 1.0) for s in states))
     return CheckResult("wronskian_constancy", worst <= 1e-9, worst,
                        "unit Wronskian of the fundamental pair")
 
 
-def check_ermakov_residual(config: EngineConfig) -> CheckResult:
+def check_ermakov_residual(config: EngineConfig, samples) -> CheckResult:
     # the Wronskian invariant in Ermakov form: the residual reduces to
     # omega0^2 |W^2 - 1| / b^3 (see ermakov_residual)
     worst = 0.0
-    for protocol, _ in stroke_pairs(config, 1.0):
+    for protocol, _, times, states in samples[1.0]:
         omega, omega0 = omega_of(protocol), protocol.omega_initial
-        times = linspace(0.0, 1.0, 101)
-        states = solve_linear_pair(protocol, times, config.rel_tol,
-                                   config.abs_tol)
         for t, state in zip(times, states):
             worst = max(worst, ermakov_residual(omega0, omega(t), state))
     return CheckResult("ermakov_residual", worst <= 1e-8, worst,
                        "b'' + omega^2 b = omega0^2/b^3 from the pair")
 
 
-def check_q_star_routes(config: EngineConfig) -> CheckResult:
+def check_q_star_routes(config: EngineConfig, samples) -> CheckResult:
     worst = 0.0
     floor = math.inf
-    for tau in (0.1, 1.0, 10.0):
-        for protocol, initial in stroke_pairs(config, tau):
+    for strokes in samples.values():
+        for protocol, initial, times, pairs in strokes:
             omega, omega0 = omega_of(protocol), protocol.omega_initial
-            times = linspace(0.0, tau, 101)
-            pairs = solve_linear_pair(protocol, times, config.rel_tol,
-                                      config.abs_tol)
             moments = solve_second_moments(protocol, times, initial.beta,
                                            config.m, config.hbar,
                                            config.rel_tol, config.abs_tol)
@@ -170,13 +180,16 @@ def check_cost_boundary(config: EngineConfig) -> CheckResult:
 
 
 def check_cost_scaling(config: EngineConfig) -> CheckResult:
-    # cost * tau^2 of (compression, expansion), each from its own bath
-    scaled = {tau: [sa_cost_time_average(protocol, initial, config.quad_tol)
-                    * tau * tau
-                    for protocol, initial in stroke_pairs(config, tau)]
-              for tau in (0.1, 1.0, 10.0)}
-    worst = max(abs(v - ref) / abs(ref) for row in scaled.values()
-                for v, ref in zip(row, scaled[1.0]))
+    # cost * tau^2 of (compression, expansion), each from its own bath,
+    # against the tau = 1 constants every cycle scales
+    const = cycle_constants(config)
+    worst = 0.0
+    for tau in (0.1, 10.0):
+        for (protocol, initial), ref in zip(stroke_pairs(config, tau),
+                                            (const.k1, const.k3)):
+            v = (sa_cost_time_average(protocol, initial, config.quad_tol)
+                 * tau * tau)
+            worst = max(worst, abs(v - ref) / abs(ref))
     return CheckResult("cost_scaling", worst <= 1e-8, worst,
                        "time-averaged cost ~ 1/tau^2 at fixed shape")
 
@@ -220,9 +233,7 @@ def check_fidelity_zero_t(config: EngineConfig) -> CheckResult:
 
 
 def _sweep_rows(config: EngineConfig):
-    rows = [r for r in sweep(config) if not any(
-        flag.startswith("error:") for flag in r.flags)]
-    return rows
+    return [r for r in sweep(config) if not r.failed]
 
 
 def _no_rows(name: str) -> CheckResult:
@@ -331,9 +342,13 @@ def run_all_checks(config: EngineConfig) -> list[CheckResult]:
         check_protocol_boundary(config),
         check_protocol_midpoint(config),
         check_protocol_scaling(config),
-        check_wronskian(config),
-        check_ermakov_residual(config),
-        check_q_star_routes(config),
+    ]
+    # after the protocol checks: they fail fast where a solve would crawl
+    samples = pair_samples(config)
+    results += [
+        check_wronskian(config, samples),
+        check_ermakov_residual(config, samples),
+        check_q_star_routes(config, samples),
         check_adiabatic_limit(config),
         check_lcd_exactness(config),
         check_adiabatic_efficiency(config),

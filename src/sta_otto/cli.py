@@ -178,8 +178,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         rows = sweep(config)
         _write_rows(fh, rows, "sweep", config, args.argv)
-    failed = sum(1 for r in rows
-                 if any(f.startswith("error:") for f in r.flags))
+    failed = sum(r.failed for r in rows)
     print(f"wrote {len(rows)} rows to {args.out} ({failed} failed)")
     if failed > 0.1 * len(rows):
         print(f"error: {failed}/{len(rows)} grid points failed",
@@ -303,6 +302,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except StaOttoError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except ArithmeticError as exc:
+        # an absurd but finite config overflows a float or reaches coth(0)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -32,10 +32,14 @@ from .errors import (NoSignChange, SolverFailure, StaOttoError,
                      TrapInversionError)
 from .protocol import (FrequencyProtocol, check_trap_inversion,
                        inversion_threshold, polynomial_ramp)
-from .qsl import (BuresData, bures_data, efficiency_bound, power_bound,
-                  qsl_time)
+from .qsl import (bures_angle, efficiency_bound, gaussian_fidelity,
+                  power_bound, qsl_time)
 from .strokes import (ThermalOscillatorState, engine_condition,
                       heat_sign_threshold, hot_isochore_heat, stroke_work)
+
+
+# flag prefix of a sweep point that raised; CycleMetrics.failed reads it
+_ERROR_TAG = "error:"
 
 
 @dataclass(frozen=True)
@@ -73,6 +77,11 @@ class CycleMetrics:
     @property
     def cost_total(self) -> float:
         return self.cost1 + self.cost3
+
+    @property
+    def failed(self) -> bool:
+        """True for a sweep point recorded by _error_row."""
+        return any(flag.startswith(_ERROR_TAG) for flag in self.flags)
 
 
 def _check_tau(tau: float) -> None:
@@ -120,7 +129,7 @@ class CycleConstants:
 
     k1, k3 are the stroke costs times tau^2 (the cost of a fixed ramp
     shape scales exactly as 1/tau^2); tau_c is the inversion threshold
-    shared by both strokes; the AD energetics and the Bures geometry of
+    shared by both strokes; the AD energetics and the Bures angles of
     the stroke endpoints never see tau at all.
     """
 
@@ -130,8 +139,8 @@ class CycleConstants:
     w1_ad: float
     w3_ad: float
     q2_ad: float
-    geo1: BuresData
-    geo3: BuresData
+    angle1: float
+    angle3: float
 
 
 @functools.lru_cache(maxsize=128)
@@ -154,8 +163,10 @@ def cycle_constants(config: EngineConfig) -> CycleConstants:
         w3_ad=stroke_work(1.0, config.omega2, config.omega1, config.beta2,
                           config.hbar),
         q2_ad=hot_isochore_heat(1.0, config),
-        geo1=bures_data(cold, config.omega2),
-        geo3=bures_data(hot, config.omega1))
+        angle1=bures_angle(gaussian_fidelity(cold.beta, cold.omega,
+                                             config.omega2, cold.hbar)),
+        angle3=bures_angle(gaussian_fidelity(hot.beta, hot.omega,
+                                             config.omega1, hot.hbar)))
 
 
 def run_cycle(config: EngineConfig, tau: float) -> CycleMetrics:
@@ -200,10 +211,10 @@ def run_cycle(config: EngineConfig, tau: float) -> CycleMetrics:
     p_na = -w_na / (2.0 * tau)
     p_sa = -w_ad / (2.0 * tau)
 
-    geo1, geo3 = const.geo1, const.geo3
-    tqsl1 = qsl_time(geo1.angle, cost1, config.hbar)
-    tqsl3 = qsl_time(geo3.angle, cost3, config.hbar)
-    eta_qsl = efficiency_bound(w_ad, q2_ad, geo1.angle + geo3.angle, tau,
+    angle1, angle3 = const.angle1, const.angle3
+    tqsl1 = qsl_time(angle1, cost1, config.hbar)
+    tqsl3 = qsl_time(angle3, cost3, config.hbar)
+    eta_qsl = efficiency_bound(w_ad, q2_ad, angle1 + angle3, tau,
                                config.hbar)
     p_qsl = power_bound(w_ad, tqsl1, tqsl3)
     # the time bounds presume the auxiliary driving dominates; outside
@@ -223,12 +234,12 @@ def run_cycle(config: EngineConfig, tau: float) -> CycleMetrics:
         q2_na=q2_na, q2_ad=q2_ad, cost1=cost1, cost3=cost3,
         eta_sa=eta_sa, eta_na=eta_na, eta_ad=eta_ad,
         p_sa=p_sa, p_na=p_na, eta_qsl=eta_qsl, p_qsl=p_qsl,
-        bures1=geo1.angle, bures3=geo3.angle, tqsl1=tqsl1, tqsl3=tqsl3,
+        bures1=angle1, bures3=angle3, tqsl1=tqsl1, tqsl3=tqsl3,
         is_engine_na=is_engine_na, flags=tuple(flags))
 
 
 def _error_row(tau: float, exc: StaOttoError) -> CycleMetrics:
-    tag = f"error:{type(exc).__name__}:{exc}"
+    tag = f"{_ERROR_TAG}{type(exc).__name__}:{exc}"
     z = 0.0
     return CycleMetrics(
         tau=tau, q_star_1=z, q_star_3=z, w1_na=z, w3_na=z, w1_ad=z,

@@ -9,56 +9,44 @@ and power.
 
 For a single mode both states are zero-mean Gaussians, so the Uhlmann
 fidelity closes in terms of their covariance matrices.  The initial
-state is thermal at (beta, omega_a); the final state keeps the initial
-occupation (the stroke is unitary) and sits at omega_b with excess
-energy factor q_star, realised as a stretch of the position quadrature.
-With nu = coth(beta hbar omega_a / 2) and the stretched frequency
-omega_e = omega_b / (q_star + sqrt(q_star^2 - 1)),
+state is thermal at (beta, omega_a); the shortcut lands the stroke on
+the adiabatic target, which keeps the initial occupation (the stroke
+is unitary) at omega_b.  With nu = coth(beta hbar omega_a / 2),
 
-    Delta = nu^2 (2 + omega_a/omega_e + omega_e/omega_a),
+    Delta = nu^2 (2 + omega_a/omega_b + omega_b/omega_a),
     delta = csch(beta hbar omega_a / 2)^4,
     F = 2 / (sqrt(Delta + delta) - sqrt(delta))
       = 2 (sqrt(Delta + delta) + sqrt(delta)) / Delta,
 
 where the second form avoids cancellation for hot states and the csch
-keeps cold states from underflowing.  q_star = 1 gives the perfectly
-followed stroke: F = 2 sqrt(omega_a omega_b)/(omega_a + omega_b) at
-zero temperature, equal to 1 only for omega_b = omega_a.  The stretch
-convention has a built-in anchor: at the sudden value
-q_star = (omega_a^2 + omega_b^2)/(2 omega_a omega_b) of a compression,
-omega_e collapses back to omega_a and F returns to exactly 1, matching
-a quench too fast to move the state at all.
+keeps cold states from underflowing.  At zero temperature
+F = 2 sqrt(omega_a omega_b)/(omega_a + omega_b), equal to 1 only for
+omega_b = omega_a.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DivisionByZeroCost, DomainError, InvalidDenominator
 from .hyperbolic import coth, csch
-from .strokes import ThermalOscillatorState
 
 # fidelities this far outside [0, 1] are rounding noise, anything worse is a bug
 _DOMAIN_SLACK = -1e-12
 
 
 def gaussian_fidelity(beta: float, omega_a: float, omega_b: float,
-                      q_star: float = 1.0, hbar: float = 1.0) -> float:
+                      hbar: float = 1.0) -> float:
     """Uhlmann fidelity between the stroke's initial and final states."""
     for name, v in (("beta", beta), ("omega_a", omega_a),
                     ("omega_b", omega_b), ("hbar", hbar)):
         if v <= 0.0:
             raise ValueError(f"{name} must be positive")
-    if q_star < 1.0 - 1e-9:
-        raise ValueError("q_star must be at least 1")
 
     u = 0.5 * beta * hbar * omega_a
     nu = coth(u)
-    stretch_sq = max(q_star * q_star - 1.0, 0.0)
-    omega_e = omega_b / (q_star + math.sqrt(stretch_sq))
     delta = csch(u) ** 4
-    big = nu * nu * (2.0 + omega_a / omega_e + omega_e / omega_a)
+    big = nu * nu * (2.0 + omega_a / omega_b + omega_b / omega_a)
     return 2.0 * (math.sqrt(big + delta) + math.sqrt(delta)) / big
 
 
@@ -67,26 +55,6 @@ def bures_angle(fidelity: float) -> float:
     if fidelity < _DOMAIN_SLACK or fidelity - 1.0 > -_DOMAIN_SLACK:
         raise DomainError(f"fidelity {fidelity!r} outside [0, 1]")
     return math.acos(math.sqrt(min(max(fidelity, 0.0), 1.0)))
-
-
-@dataclass(frozen=True)
-class BuresData:
-    """Fidelity and angle for one stroke's endpoint pair."""
-
-    fidelity: float
-    angle: float
-
-
-def bures_data(initial: ThermalOscillatorState, omega_final: float,
-               q_star: float = 1.0) -> BuresData:
-    """Endpoint geometry of a stroke starting from a thermal state.
-
-    The shortcut-assisted stroke lands exactly on the adiabatic target,
-    so its bound uses q_star = 1, the default.
-    """
-    f = gaussian_fidelity(initial.beta, initial.omega, omega_final,
-                          q_star, initial.hbar)
-    return BuresData(f, bures_angle(f))
 
 
 def qsl_time(angle: float, sa_cost: float, hbar: float = 1.0) -> float:

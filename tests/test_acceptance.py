@@ -18,7 +18,8 @@ from sta_otto.checks import (check_adiabatic_efficiency, check_bound_ordering,
                              check_cost_scaling, check_fidelity_identity,
                              check_fidelity_zero_t, check_lcd_exactness,
                              check_p_sa_scaling, check_power_ordering,
-                             check_q_star_routes, check_wronskian)
+                             check_q_star_routes, check_wronskian,
+                             pair_samples)
 
 from conftest import HEAT_THRESHOLD, SUDDEN_CAP, TAU_STAR
 
@@ -176,8 +177,9 @@ def test_criterion_8_bound_ordering(base_config, base_sweep,
 
 
 def test_criterion_9_route_triangulation(base_config, record_criterion):
-    routes = check_q_star_routes(base_config)
-    wronskian = check_wronskian(base_config)
+    samples = pair_samples(base_config)
+    routes = check_q_star_routes(base_config, samples)
+    wronskian = check_wronskian(base_config, samples)
     record_criterion(9, "three adiabaticity routes agree",
                      routes.passed and wronskian.passed,
                      f"max route spread = {routes.residual:.3g}, "

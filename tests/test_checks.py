@@ -1,6 +1,8 @@
+from collections import Counter
 from dataclasses import replace
 
-from sta_otto.checks import check_bound_ordering
+from sta_otto import checks, cycle
+from sta_otto.checks import check_bound_ordering, run_all_checks
 
 
 def test_bound_ordering_catches_eta_qsl_above_carnot(base_config,
@@ -23,7 +25,6 @@ def test_every_solve_samples_known_times(base_config, monkeypatch):
     import scipy.integrate
 
     from sta_otto import run_cycle
-    from sta_otto.checks import run_all_checks
 
     solve_ivp = scipy.integrate.solve_ivp
     calls = []
@@ -39,3 +40,26 @@ def test_every_solve_samples_known_times(base_config, monkeypatch):
     assert calls
     assert all(kwargs.get("t_eval") is not None for kwargs in calls)
     assert not any(kwargs.get("dense_output") for kwargs in calls)
+
+
+def test_validate_work_budget(base_config, monkeypatch):
+    # each (stroke, tau) pair is solved once on its 101-point grid and
+    # shared by the checks that read it; cost_scaling takes its tau = 1
+    # reference from cycle_constants instead of a quadrature of its own
+    calls = Counter()
+    solve, quad = checks.solve_linear_pair, checks.sa_cost_time_average
+
+    def counted_solve(protocol, times, *args):
+        calls["pair_grid_solves"] += len(times) == 101
+        return solve(protocol, times, *args)
+
+    def counted_quad(*args):
+        calls["cost_scaling_quads"] += 1
+        return quad(*args)
+
+    for module in (checks, cycle):
+        monkeypatch.setattr(module, "solve_linear_pair", counted_solve)
+    monkeypatch.setattr(checks, "sa_cost_time_average", counted_quad)
+    run_all_checks(replace(base_config, tau_count=4))
+    assert calls["pair_grid_solves"] == 6
+    assert calls["cost_scaling_quads"] == 4

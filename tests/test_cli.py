@@ -65,6 +65,23 @@ def test_non_finite_config_exit_2(tmp_path, capsys, no_solve, line):
     assert code == 2 and "must be finite" in err
 
 
+@pytest.mark.parametrize("line", ["beta2 = 1e-100", "omega2 = 1e100",
+                                  "beta2 = 5e-324"])
+def test_absurd_finite_config_exit_3(tmp_path, capsys, line):
+    # finite, so accepted, but a float overflows (csch(u)**4 in the
+    # fidelity, w**4 in the cost) or a thermal factor reaches coth(0):
+    # a numerical failure with one error line, not a traceback
+    cfg = tmp_path / "absurd.cfg"
+    cfg.write_text(line + "\ntau_count = 4\n")
+    for argv in (("cycle", "--tau", "1"),
+                 ("sweep", "--out", str(tmp_path / "out.csv")),
+                 ("validate",)):
+        code, out, err = run_cli(capsys, *argv, str(cfg))
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in out + err
+
+
 def test_missing_config_file(capsys):
     code, _, err = run_cli(capsys, "cycle", "--tau", "1", "/no/such/file")
     assert code == 2

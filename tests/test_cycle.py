@@ -116,8 +116,8 @@ def test_strict_mode(base_config):
     with pytest.raises(TrapInversionError):
         run_cycle(strict, 0.1)
     rows = sweep(replace(strict, tau_count=12))
-    errors = [m for m in rows if m.flags and m.flags[0].startswith("error:")]
-    assert errors
+    errors = [m for m in rows if m.failed]
+    assert 0 < len(errors) < len(rows)
     for m in errors:
         assert m.flags[0].startswith("error:TrapInversionError:")
         assert not m.is_engine_na
@@ -158,6 +158,15 @@ def test_per_tau_work_budget(base_config, monkeypatch):
         run_cycle(base_config, tau)
         assert (calls["solve_linear_pair"], calls["check_trap_inversion"],
                 calls["sa_cost_time_average"]) == (1, 0, 0)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: at tau = 1000 the DOP853 solve gives Q* - 1 = "
+    "-1.25e-9 and P_NA > P_SA; a unimodular Magnus kernel keeps Q* >= 1"))
+def test_long_stroke_keeps_q_star_above_one(base_config):
+    m = run_cycle(base_config, 1000.0)
+    assert m.q_star_1 >= 1.0
+    assert m.p_na <= m.p_sa
 
 
 def test_cycle_constants_match_per_tau_routes(base_config):

@@ -3,12 +3,10 @@ import math
 import pytest
 
 from sta_otto import (DivisionByZeroCost, DomainError, InvalidDenominator,
-                      ThermalOscillatorState, bures_angle, bures_data,
-                      efficiency_bound, gaussian_fidelity, power_bound,
-                      qsl_time)
+                      bures_angle, cycle_constants, efficiency_bound,
+                      gaussian_fidelity, power_bound, qsl_time)
 
-from conftest import (F1, F3, L1, L3, OVERLAP_ZERO_T, Q2_AD, SUDDEN_CAP,
-                      W1_AD, W3_AD)
+from conftest import F1, F3, L1, L3, OVERLAP_ZERO_T, Q2_AD, W1_AD, W3_AD
 
 W_AD = W1_AD + W3_AD
 
@@ -18,12 +16,11 @@ def test_stroke_fidelities_frozen():
     assert gaussian_fidelity(0.05, 1.0, 0.32) == pytest.approx(F3, rel=1e-12)
 
 
-def test_stroke_angles_frozen():
-    d1 = bures_data(ThermalOscillatorState(0.5, 0.32), 1.0)
-    d3 = bures_data(ThermalOscillatorState(0.05, 1.0), 0.32)
-    assert d1.fidelity == pytest.approx(F1, rel=1e-12)
-    assert d1.angle == pytest.approx(L1, rel=1e-12)
-    assert d3.angle == pytest.approx(L3, rel=1e-12)
+def test_stroke_angles_frozen(base_config):
+    const = cycle_constants(base_config)
+    assert gaussian_fidelity(0.5, 0.32, 1.0) == pytest.approx(F1, rel=1e-12)
+    assert const.angle1 == pytest.approx(L1, rel=1e-12)
+    assert const.angle3 == pytest.approx(L3, rel=1e-12)
 
 
 def test_zero_temperature_limit():
@@ -43,21 +40,6 @@ def test_identity_fidelity():
         assert bures_angle(min(f, 1.0)) <= 1e-7
 
 
-def test_excess_energy_stretch_convention():
-    base = gaussian_fidelity(0.5, 0.32, 1.0)
-    # at the sudden value the stretch undoes the frequency jump: a
-    # sudden quench leaves the state untouched, so F must return to 1
-    assert gaussian_fidelity(0.5, 0.32, 1.0, q_star=SUDDEN_CAP) \
-        == pytest.approx(1.0, abs=1e-12)
-    # past it the state keeps stretching and fidelity drops again
-    assert gaussian_fidelity(0.5, 0.32, 1.0, q_star=10.0) < base
-    # for an expansion pair any stretch moves away from the start
-    base3 = gaussian_fidelity(0.05, 1.0, 0.32)
-    assert gaussian_fidelity(0.05, 1.0, 0.32, q_star=1.5) < base3
-    assert gaussian_fidelity(0.5, 0.32, 1.0, q_star=1.0 + 1e-12) \
-        == pytest.approx(base, rel=1e-6)
-
-
 def test_fidelity_argument_validation():
     with pytest.raises(ValueError):
         gaussian_fidelity(-0.5, 0.32, 1.0)
@@ -65,8 +47,6 @@ def test_fidelity_argument_validation():
         gaussian_fidelity(0.5, 0.0, 1.0)
     with pytest.raises(ValueError):
         gaussian_fidelity(0.5, 0.32, -1.0)
-    with pytest.raises(ValueError):
-        gaussian_fidelity(0.5, 0.32, 1.0, q_star=0.9)
 
 
 def test_fidelity_stays_physical_at_extremes():
