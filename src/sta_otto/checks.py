@@ -26,6 +26,7 @@ from .errors import ConfigError
 from .protocol import (boundary_residuals, omega_of, polynomial_ramp,
                        sample_protocol)
 from .qsl import bures_angle, gaussian_fidelity
+from .strokes import ThermalOscillatorState
 
 
 @dataclass(frozen=True)
@@ -93,8 +94,7 @@ def pair_samples(config: EngineConfig) -> dict:
         times = linspace(0.0, tau, 101)
         samples[tau] = [
             (protocol, initial, times,
-             solve_linear_pair(protocol, times, config.rel_tol,
-                               config.abs_tol))
+             solve_linear_pair(protocol, times, config))
             for protocol, initial in stroke_pairs(config, tau)]
     return samples
 
@@ -126,16 +126,13 @@ def check_q_star_routes(config: EngineConfig, samples) -> CheckResult:
     for strokes in samples.values():
         for protocol, initial, times, pairs in strokes:
             omega, omega0 = omega_of(protocol), protocol.omega_initial
-            moments = solve_second_moments(protocol, times, initial.beta,
-                                           config.m, config.hbar,
-                                           config.rel_tol, config.abs_tol)
+            moments = solve_second_moments(protocol, times, initial, config)
             for t, pair, mom in zip(times, pairs, moments):
                 wt = omega(t)
                 q_pair = husimi_q_star(omega0, wt, pair)
                 q_erk = adiabaticity_from_ermakov(
                     omega0, wt, ermakov_from_linear(omega0, pair))
-                q_mom = moment_q_star(omega0, wt, mom, initial.beta,
-                                      config.m, config.hbar)
+                q_mom = moment_q_star(wt, mom, initial, config)
                 scale = abs(q_pair)
                 worst = max(worst, abs(q_erk - q_pair) / scale,
                             abs(q_mom - q_pair) / scale)
@@ -155,8 +152,7 @@ def check_lcd_exactness(config: EngineConfig) -> CheckResult:
     worst = 0.0
     for tau in (0.05, 0.1, 0.5, 1.0, 5.0):
         for protocol, _ in stroke_pairs(config, tau):
-            q = lcd_final_adiabaticity(protocol, config.rel_tol,
-                                       config.abs_tol)
+            q = lcd_final_adiabaticity(protocol, config)
             worst = max(worst, abs(q - 1.0))
     return CheckResult("lcd_exactness", worst <= 1e-6, worst,
                        "shortcut lands on the adiabatic state")
@@ -187,8 +183,7 @@ def check_cost_scaling(config: EngineConfig) -> CheckResult:
     for tau in (0.1, 10.0):
         for (protocol, initial), ref in zip(stroke_pairs(config, tau),
                                             (const.k1, const.k3)):
-            v = (sa_cost_time_average(protocol, initial, config.quad_tol)
-                 * tau * tau)
+            v = sa_cost_time_average(protocol, initial, config) * tau * tau
             worst = max(worst, abs(v - ref) / abs(ref))
     return CheckResult("cost_scaling", worst <= 1e-8, worst,
                        "time-averaged cost ~ 1/tau^2 at fixed shape")
@@ -209,9 +204,8 @@ def check_cost_consistency(config: EngineConfig) -> CheckResult:
 
 def check_fidelity_identity(config: EngineConfig) -> CheckResult:
     worst_f, angle = 0.0, 0.0
-    for beta, omega in ((config.beta1, config.omega1),
-                        (config.beta2, config.omega2)):
-        f = gaussian_fidelity(beta, omega, omega, hbar=config.hbar)
+    for state in (config.cold, config.hot):
+        f = gaussian_fidelity(state, state.omega)
         worst_f = max(worst_f, abs(f - 1.0))
         angle = max(angle, bures_angle(min(f, 1.0)))
     # arccos near 1 cannot resolve angles below sqrt(eps) ~ 1.5e-8,
@@ -224,8 +218,9 @@ def check_fidelity_identity(config: EngineConfig) -> CheckResult:
 
 def check_fidelity_zero_t(config: EngineConfig) -> CheckResult:
     wa, wb = config.omega1, config.omega2
-    beta = 100.0 / (config.hbar * wa)
-    f = gaussian_fidelity(beta, wa, wb, hbar=config.hbar)
+    cold = ThermalOscillatorState(100.0 / (config.hbar * wa), wa,
+                                  config.hbar)
+    f = gaussian_fidelity(cold, wb)
     overlap = 2.0 * math.sqrt(wa * wb) / (wa + wb)
     worst = abs(f - overlap)
     return CheckResult("fidelity_zero_t", worst <= 1e-9, worst,

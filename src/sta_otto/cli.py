@@ -304,7 +304,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ArithmeticError as exc:
-        # an absurd but finite config overflows a float or reaches coth(0)
+        # an absurd but finite frequency overflows a float (w**4 in the
+        # cost); an absurd bath is already a config error
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

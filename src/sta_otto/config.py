@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
+from .strokes import ThermalOscillatorState
 
 # the sweep grid is built before the first solve: an absurd count must
 # fail as a config error, not as a multi-gigabyte allocation
@@ -22,6 +24,8 @@ class EngineConfig:
     m appears in the Hamiltonian but cancels from every output; it is
     kept so configurations document the full oscillator.  Field order
     is the key order of the config file and of the CSV manifest.
+    It owns what it determines: the bath states cold and hot, built
+    once, and the solver tolerances, which every solver reads from it.
     """
 
     omega1: float = 0.32
@@ -49,6 +53,14 @@ class EngineConfig:
             raise ConfigError("need beta1 > beta2 > 0 (first bath colder)")
         if self.m <= 0.0 or self.hbar <= 0.0:
             raise ConfigError("m and hbar must be positive")
+        # an absurd but finite bath (beta2 = 1e-100) fails here, not at
+        # its first occupation factor mid-solve
+        for bath, keys in (("cold", "beta1, omega1, hbar"),
+                           ("hot", "beta2, omega2, hbar")):
+            try:
+                getattr(self, bath)
+            except ValueError as exc:
+                raise ConfigError(f"{keys}: {exc}") from exc
         for name in ("rel_tol", "abs_tol", "quad_tol"):
             v = getattr(self, name)
             if not 0.0 < v <= 1e-4:
@@ -61,6 +73,18 @@ class EngineConfig:
             raise ConfigError(f"tau_count must be at most {MAX_TAU_COUNT}")
         if self.tau_spacing not in ("log", "linear"):
             raise ConfigError("tau_spacing must be 'log' or 'linear'")
+
+    # cached on the instance, outside fields(): the schema, the manifest,
+    # equality and the hash are unchanged
+    @functools.cached_property
+    def cold(self) -> ThermalOscillatorState:
+        """Thermal state of the cold bath, where the compression starts."""
+        return ThermalOscillatorState(self.beta1, self.omega1, self.hbar)
+
+    @functools.cached_property
+    def hot(self) -> ThermalOscillatorState:
+        """Thermal state of the hot bath, where the expansion starts."""
+        return ThermalOscillatorState(self.beta2, self.omega2, self.hbar)
 
 
 def linspace(start: float, stop: float, count: int) -> list[float]:

@@ -21,6 +21,7 @@ shape.
 
 from __future__ import annotations
 
+from .config import EngineConfig
 from .errors import ConfigError, QuadratureFailure
 from .protocol import FrequencyProtocol, ProtocolSample, sample_protocol
 from .strokes import ThermalOscillatorState
@@ -29,8 +30,10 @@ from .strokes import ThermalOscillatorState
 _FREQ_MATCH_RTOL = 1e-9
 
 
-def _check_start(protocol: FrequencyProtocol,
-                 initial: ThermalOscillatorState) -> None:
+def check_start_frequency(protocol: FrequencyProtocol,
+                          initial: ThermalOscillatorState) -> None:
+    """Raise ConfigError unless the thermal state sits at the frequency
+    the schedule starts from (to 1e-9 relative)."""
     w0 = protocol.omega_initial
     if abs(initial.omega - w0) > _FREQ_MATCH_RTOL * w0:
         raise ConfigError(
@@ -66,7 +69,7 @@ def q_star_lcd_instant(sample: ProtocolSample) -> float:
 def lcd_mean_energy(protocol: FrequencyProtocol,
                     initial: ThermalOscillatorState, t: float) -> float:
     """Total mean energy <H + H_sa> while driving along the shortcut."""
-    _check_start(protocol, initial)
+    check_start_frequency(protocol, initial)
     sample = sample_protocol(protocol, t)
     return (q_star_lcd_instant(sample) * sample.omega / initial.omega
             * initial.mean_energy)
@@ -74,23 +77,21 @@ def lcd_mean_energy(protocol: FrequencyProtocol,
 
 def sa_cost_time_average(protocol: FrequencyProtocol,
                          initial: ThermalOscillatorState,
-                         quad_tol: float = 1e-10) -> float:
+                         config: EngineConfig) -> float:
     """Time-averaged auxiliary energy over the stroke.
 
-    Adaptive quadrature with a purely relative tolerance; the integrand
-    is smooth for every admissible ramp, so a failure to converge is
-    raised rather than glossed over.
+    Adaptive quadrature with the config's purely relative quadrature
+    tolerance; the integrand is smooth for every admissible ramp, so a
+    failure to converge is raised rather than glossed over.
     """
-    if not 0.0 < quad_tol <= 1e-4:
-        raise ValueError("quad_tol must lie in (0, 1e-4]")
-    _check_start(protocol, initial)
+    check_start_frequency(protocol, initial)
     from scipy.integrate import quad
 
     def integrand(t: float) -> float:
         return sa_energy_instant(sample_protocol(protocol, t), initial)
 
     out = quad(integrand, 0.0, protocol.duration, epsabs=0.0,
-               epsrel=quad_tol, limit=200, full_output=True)
+               epsrel=config.quad_tol, limit=200, full_output=True)
     if len(out) > 3:
         raise QuadratureFailure(f"cost integral did not converge: {out[3]}")
     value = out[0]

@@ -101,10 +101,8 @@ def stroke_pairs(config: EngineConfig,
     the expansion from (beta2, omega2).
     """
     _check_tau(tau)
-    cold = ThermalOscillatorState(config.beta1, config.omega1, config.hbar)
-    hot = ThermalOscillatorState(config.beta2, config.omega2, config.hbar)
-    return ((polynomial_ramp(config.omega1, config.omega2, tau), cold),
-            (polynomial_ramp(config.omega2, config.omega1, tau), hot))
+    return ((polynomial_ramp(config.omega1, config.omega2, tau), config.cold),
+            (polynomial_ramp(config.omega2, config.omega1, tau), config.hot))
 
 
 def _tagged(tag: str, exc: StaOttoError) -> StaOttoError:
@@ -116,8 +114,7 @@ def _tagged(tag: str, exc: StaOttoError) -> StaOttoError:
 def _endpoint_q_star(config: EngineConfig, protocol: FrequencyProtocol,
                      tag: str) -> float:
     try:
-        state = solve_linear_pair(protocol, (protocol.duration,),
-                                  config.rel_tol, config.abs_tol)[0]
+        state = solve_linear_pair(protocol, (protocol.duration,), config)[0]
     except StaOttoError as exc:
         raise _tagged(tag, exc)
     return husimi_q_star(protocol.omega_initial, protocol.omega_final, state)
@@ -148,25 +145,21 @@ def cycle_constants(config: EngineConfig) -> CycleConstants:
     """Build (once per config) the tau-independent part of run_cycle."""
     (compression, cold), (expansion, hot) = stroke_pairs(config, 1.0)
     try:
-        k1 = sa_cost_time_average(compression, cold, config.quad_tol)
+        k1 = sa_cost_time_average(compression, cold, config)
     except StaOttoError as exc:
         raise _tagged("compression", exc)
     try:
-        k3 = sa_cost_time_average(expansion, hot, config.quad_tol)
+        k3 = sa_cost_time_average(expansion, hot, config)
     except StaOttoError as exc:
         raise _tagged("expansion", exc)
     return CycleConstants(
         k1=k1, k3=k3,
         tau_c=inversion_threshold(config.omega1, config.omega2),
-        w1_ad=stroke_work(1.0, config.omega1, config.omega2, config.beta1,
-                          config.hbar),
-        w3_ad=stroke_work(1.0, config.omega2, config.omega1, config.beta2,
-                          config.hbar),
-        q2_ad=hot_isochore_heat(1.0, config),
-        angle1=bures_angle(gaussian_fidelity(cold.beta, cold.omega,
-                                             config.omega2, cold.hbar)),
-        angle3=bures_angle(gaussian_fidelity(hot.beta, hot.omega,
-                                             config.omega1, hot.hbar)))
+        w1_ad=stroke_work(1.0, cold, config.omega2),
+        w3_ad=stroke_work(1.0, hot, config.omega1),
+        q2_ad=hot_isochore_heat(1.0, cold, hot),
+        angle1=bures_angle(gaussian_fidelity(cold, config.omega2)),
+        angle3=bures_angle(gaussian_fidelity(hot, config.omega1)))
 
 
 def run_cycle(config: EngineConfig, tau: float) -> CycleMetrics:
@@ -194,12 +187,10 @@ def run_cycle(config: EngineConfig, tau: float) -> CycleMetrics:
     q1 = _endpoint_q_star(config, compression, "compression")
     q3 = q1
 
-    w1_na = stroke_work(q1, config.omega1, config.omega2, config.beta1,
-                        config.hbar)
-    w3_na = stroke_work(q3, config.omega2, config.omega1, config.beta2,
-                        config.hbar)
+    w1_na = stroke_work(q1, config.cold, config.omega2)
+    w3_na = stroke_work(q3, config.hot, config.omega1)
     w1_ad, w3_ad, q2_ad = const.w1_ad, const.w3_ad, const.q2_ad
-    q2_na = hot_isochore_heat(q1, config)
+    q2_na = hot_isochore_heat(q1, config.cold, config.hot)
     cost1 = const.k1 / (tau * tau)
     cost3 = const.k3 / (tau * tau)
 
@@ -317,7 +308,7 @@ def find_heat_sign_threshold(config: EngineConfig,
     generic situation for smooth ramps whose Q* saturates below the
     threshold.
     """
-    level = heat_sign_threshold(config)
+    level = heat_sign_threshold(config.cold, config.hot)
 
     def gap(tau: float) -> float:
         return compression_q_star(config, tau) - level

@@ -30,8 +30,10 @@ wronskian, ermakov_from_linear, ermakov_residual,
 adiabaticity_from_ermakov, moment_q_star) are pure functions of it.
 
 Integration uses an adaptive embedded Runge-Kutta of order 8 (DOP853).
-Tight default tolerances (1e-10 relative) keep Q* - 1 resolvable down
-to ~1e-6 in the adiabatic regime.
+Every solver takes the EngineConfig, the one owner and validator of
+the ODE tolerances; the tight defaults (1e-10 relative) keep Q* - 1
+resolvable down to ~1e-6 in the adiabatic regime.  A thermal
+start is a ThermalOscillatorState, which owns its occupation factor.
 """
 
 from __future__ import annotations
@@ -39,27 +41,25 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from .config import EngineConfig
+from .cost import check_start_frequency
 from .errors import SolverFailure
-from .hyperbolic import coth
 from .protocol import FrequencyProtocol, omega_of, sample_protocol
+from .strokes import ThermalOscillatorState
 
 PairState = tuple[float, float, float, float]   # (X, X', Y, Y')
 
 
-def _check_tolerances(rel_tol: float, abs_tol: float) -> None:
-    for name, v in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
-        if not 0.0 < v <= 1e-4:
-            raise ValueError(f"{name} must lie in (0, 1e-4]")
-
-
-def _integrate(rhs, y0, duration: float, times: Sequence[float],
-               rel_tol: float, abs_tol: float) -> list[tuple[float, ...]]:
-    """Integrate over [0, duration]; the states at the increasing times,
-    each read from the interpolant of the step that contains it."""
+def _integrate(rhs, y0, protocol: FrequencyProtocol, times: Sequence[float],
+               config: EngineConfig) -> list[tuple[float, ...]]:
+    """Integrate over the stroke at the config's tolerances; the states
+    at the increasing times, each read from the interpolant of the step
+    that contains it."""
     from scipy.integrate import solve_ivp
 
+    duration = protocol.duration
     sol = solve_ivp(rhs, (0.0, duration), y0, method="DOP853",
-                    t_eval=times, rtol=rel_tol, atol=abs_tol)
+                    t_eval=times, rtol=config.rel_tol, atol=config.abs_tol)
     if not sol.success:
         raise SolverFailure(
             f"integration stalled before t = {duration!r}: {sol.message}")
@@ -67,37 +67,31 @@ def _integrate(rhs, y0, duration: float, times: Sequence[float],
 
 
 def solve_linear_pair(protocol: FrequencyProtocol, times: Sequence[float],
-                      rel_tol: float = 1e-10,
-                      abs_tol: float = 1e-12) -> list[PairState]:
+                      config: EngineConfig) -> list[PairState]:
     """(X, X', Y, Y') of the fundamental pair for the bare frequency
     omega(t), at each of the times (within [0, duration], increasing)."""
-    _check_tolerances(rel_tol, abs_tol)
     omega = omega_of(protocol)
 
     def rhs(t, y):
         w2 = omega(t) ** 2
         return (y[1], -w2 * y[0], y[3], -w2 * y[2])
 
-    return _integrate(rhs, (0.0, 1.0, 1.0, 0.0), protocol.duration, times,
-                      rel_tol, abs_tol)
+    return _integrate(rhs, (0.0, 1.0, 1.0, 0.0), protocol, times, config)
 
 
 def solve_effective_pair(protocol: FrequencyProtocol, times: Sequence[float],
-                         rel_tol: float = 1e-10,
-                         abs_tol: float = 1e-12) -> list[PairState]:
+                         config: EngineConfig) -> list[PairState]:
     """Fundamental pair for the shortcut's effective frequency Omega(t).
 
     Omega^2 may be negative mid-protocol (trap inversion); the linear
     equation integrates through it without special handling.
     """
-    _check_tolerances(rel_tol, abs_tol)
 
     def rhs(t, y):
         w2 = sample_protocol(protocol, t).omega_eff_sq
         return (y[1], -w2 * y[0], y[3], -w2 * y[2])
 
-    return _integrate(rhs, (0.0, 1.0, 1.0, 0.0), protocol.duration, times,
-                      rel_tol, abs_tol)
+    return _integrate(rhs, (0.0, 1.0, 1.0, 0.0), protocol, times, config)
 
 
 def wronskian(state: PairState) -> float:
@@ -160,13 +154,11 @@ def adiabaticity_from_ermakov(omega0: float, omega_t: float,
 
 
 def solve_ermakov_direct(protocol: FrequencyProtocol, times: Sequence[float],
-                         rel_tol: float = 1e-10,
-                         abs_tol: float = 1e-12) -> list[tuple[float, float]]:
+                         config: EngineConfig) -> list[tuple[float, float]]:
     """(b, b') from the nonlinear Ermakov equation itself, at the times.
 
     Independent of the linear pair; used to triangulate Q*.
     """
-    _check_tolerances(rel_tol, abs_tol)
     omega = omega_of(protocol)
     w0sq = protocol.omega_initial ** 2
 
@@ -174,24 +166,22 @@ def solve_ermakov_direct(protocol: FrequencyProtocol, times: Sequence[float],
         b, bd = y
         return (bd, w0sq / b**3 - omega(t) ** 2 * b)
 
-    return _integrate(rhs, (1.0, 0.0), protocol.duration, times, rel_tol,
-                      abs_tol)
+    return _integrate(rhs, (1.0, 0.0), protocol, times, config)
 
 
 def solve_second_moments(protocol: FrequencyProtocol, times: Sequence[float],
-                         beta: float, m: float = 1.0, hbar: float = 1.0,
-                         rel_tol: float = 1e-10, abs_tol: float = 1e-12
+                         initial: ThermalOscillatorState,
+                         config: EngineConfig
                          ) -> list[tuple[float, float, float]]:
-    """(<x^2>, <{x,p}>/2, <p^2>) of an initially thermal oscillator under
-    driving, at the times.
+    """(<x^2>, <{x,p}>/2, <p^2>) of an oscillator of mass config.m that
+    starts in the thermal state initial, under driving, at the times.
 
     The closed system for the second moments never references the
     fundamental pair or the scaling factor, so moment_q_star is the
     third, independent route to Q*.
     """
-    _check_tolerances(rel_tol, abs_tol)
-    if beta <= 0.0 or m <= 0.0 or hbar <= 0.0:
-        raise ValueError("beta, m and hbar must be positive")
+    check_start_frequency(protocol, initial)
+    m = config.m
     omega = omega_of(protocol)
 
     def rhs(t, y):
@@ -199,30 +189,28 @@ def solve_second_moments(protocol: FrequencyProtocol, times: Sequence[float],
         w2 = omega(t) ** 2
         return (2.0 * c / m, pp / m - m * w2 * xx, -2.0 * m * w2 * c)
 
-    w0 = protocol.omega_initial
-    nu = coth(0.5 * beta * hbar * w0)
+    w0, hbar, nu = initial.omega, initial.hbar, initial.nu
     y0 = (hbar * nu / (2.0 * m * w0), 0.0, 0.5 * m * hbar * w0 * nu)
-    return _integrate(rhs, y0, protocol.duration, times, rel_tol, abs_tol)
+    return _integrate(rhs, y0, protocol, times, config)
 
 
-def moment_q_star(omega0: float, omega_t: float,
-                  moments: tuple[float, float, float], beta: float,
-                  m: float = 1.0, hbar: float = 1.0) -> float:
+def moment_q_star(omega_t: float, moments: tuple[float, float, float],
+                  initial: ThermalOscillatorState,
+                  config: EngineConfig) -> float:
     """Q* as mean energy over its adiabatic value, from the second moments
-    of a thermal start at (beta, omega0).
+    of an oscillator of mass config.m started in the thermal state initial.
 
     Q* is a ratio of energies, so it must come out independent of beta,
     m and hbar; the tests exploit that as an extra invariant.
     """
+    m, omega0 = config.m, initial.omega
     xx, _, pp = moments
     energy = pp / (2.0 * m) + 0.5 * m * omega_t**2 * xx
-    e0 = 0.5 * hbar * omega0 * coth(0.5 * beta * hbar * omega0)
-    return energy * omega0 / (omega_t * e0)
+    return energy * omega0 / (omega_t * initial.mean_energy)
 
 
 def lcd_final_adiabaticity(protocol: FrequencyProtocol,
-                           rel_tol: float = 1e-10,
-                           abs_tol: float = 1e-12) -> float:
+                           config: EngineConfig) -> float:
     """End-of-stroke Q* when driving with the effective frequency.
 
     The local-counterdiabatic construction is designed to land the
@@ -230,6 +218,5 @@ def lcd_final_adiabaticity(protocol: FrequencyProtocol,
     any schedule with flat ends, trap inversion included.  This is the
     central verification that the shortcut works.
     """
-    state = solve_effective_pair(protocol, (protocol.duration,), rel_tol,
-                                 abs_tol)[0]
+    state = solve_effective_pair(protocol, (protocol.duration,), config)[0]
     return husimi_q_star(protocol.omega_initial, protocol.omega_final, state)

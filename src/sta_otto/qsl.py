@@ -19,7 +19,8 @@ is unitary) at omega_b.  With nu = coth(beta hbar omega_a / 2),
       = 2 (sqrt(Delta + delta) + sqrt(delta)) / Delta,
 
 where the second form avoids cancellation for hot states and the csch
-keeps cold states from underflowing.  At zero temperature
+keeps cold states from underflowing; nu and delta are read from the
+initial ThermalOscillatorState, which owns them.  At zero temperature
 F = 2 sqrt(omega_a omega_b)/(omega_a + omega_b), equal to 1 only for
 omega_b = omega_a.
 """
@@ -29,23 +30,20 @@ from __future__ import annotations
 import math
 
 from .errors import DivisionByZeroCost, DomainError, InvalidDenominator
-from .hyperbolic import coth, csch
+from .strokes import ThermalOscillatorState
 
 # fidelities this far outside [0, 1] are rounding noise, anything worse is a bug
 _DOMAIN_SLACK = -1e-12
 
 
-def gaussian_fidelity(beta: float, omega_a: float, omega_b: float,
-                      hbar: float = 1.0) -> float:
-    """Uhlmann fidelity between the stroke's initial and final states."""
-    for name, v in (("beta", beta), ("omega_a", omega_a),
-                    ("omega_b", omega_b), ("hbar", hbar)):
-        if v <= 0.0:
-            raise ValueError(f"{name} must be positive")
+def gaussian_fidelity(initial: ThermalOscillatorState,
+                      omega_b: float) -> float:
+    """Uhlmann fidelity between the thermal state initial, at omega_a,
+    and the adiabatic target of a stroke that ends at omega_b."""
+    if omega_b <= 0.0:
+        raise ValueError("omega_b must be positive")
 
-    u = 0.5 * beta * hbar * omega_a
-    nu = coth(u)
-    delta = csch(u) ** 4
+    omega_a, nu, delta = initial.omega, initial.nu, initial.csch4
     big = nu * nu * (2.0 + omega_a / omega_b + omega_b / omega_a)
     return 2.0 * (math.sqrt(big + delta) + math.sqrt(delta)) / big
 

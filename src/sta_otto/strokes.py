@@ -14,64 +14,79 @@ have closed forms:
 q_star = 1 reproduces the adiabatic cycle.  The device operates as an
 engine when the total work is negative (work extracted) and the hot
 heat is positive (heat absorbed).
+
+ThermalOscillatorState owns the occupation factors: it computes coth
+and csch of beta hbar omega / 2 once, and every module reads them from
+a state.  EngineConfig holds the two bath states (cold, hot).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
-from .config import EngineConfig
-from .hyperbolic import coth
+from .hyperbolic import coth, csch
 
 
 @dataclass(frozen=True)
 class ThermalOscillatorState:
-    """Thermal oscillator at inverse temperature beta and frequency omega."""
+    """Thermal oscillator at inverse temperature beta and frequency omega.
+
+    nu = coth(x) and the fidelity's csch4 = csch(x)^4, x = beta hbar
+    omega / 2, are computed once; non-finite factors are refused.
+    """
 
     beta: float
     omega: float
     hbar: float = 1.0
+    nu: float = field(init=False)
+    csch4: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.beta <= 0.0 or self.omega <= 0.0 or self.hbar <= 0.0:
             raise ValueError("beta, omega, hbar must be positive")
+        x = 0.5 * self.beta * self.hbar * self.omega
+        try:
+            nu, csch4 = coth(x), csch(x) ** 4
+            if math.isinf(csch4):   # a subnormal x: both factors are inf
+                raise OverflowError("csch(x) is inf")
+        except ArithmeticError as exc:
+            raise ValueError(f"occupation factors of beta hbar omega / 2 "
+                             f"= {x!r} are not finite floats") from exc
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "csch4", csch4)
 
     @property
     def mean_energy(self) -> float:
         """(hbar omega / 2) coth(beta hbar omega / 2)."""
-        x = 0.5 * self.beta * self.hbar * self.omega
-        return 0.5 * self.hbar * self.omega * coth(x)
+        return 0.5 * self.hbar * self.omega * self.nu
 
 
-def stroke_work(q_star: float, omega_start: float, omega_end: float,
-                beta: float, hbar: float = 1.0) -> float:
-    """Mean work of a driven stroke starting from thermal (beta, omega_start).
+def stroke_work(q_star: float, start: ThermalOscillatorState,
+                omega_end: float) -> float:
+    """Mean work of a driven stroke from the thermal state start to omega_end.
 
     (hbar/2) (omega_end q_star - omega_start) coth(beta hbar omega_start / 2);
     increasing in q_star, so nonadiabatic work always costs extra.
     """
-    x = 0.5 * beta * hbar * omega_start
-    return 0.5 * hbar * (omega_end * q_star - omega_start) * coth(x)
+    return 0.5 * start.hbar * (omega_end * q_star - start.omega) * start.nu
 
 
-def hot_isochore_heat(q_star_1: float, config: EngineConfig) -> float:
+def hot_isochore_heat(q_star_1: float, cold: ThermalOscillatorState,
+                      hot: ThermalOscillatorState) -> float:
     """Heat taken from the hot bath while re-thermalizing at omega2.
 
     Positive when the bath heats the medium; turns negative once
     q_star_1 exceeds coth(beta2 hbar omega2/2)/coth(beta1 hbar omega1/2),
     i.e. when compression friction overheats the medium past the bath.
     """
-    hb = config.hbar
-    ct_cold = coth(0.5 * config.beta1 * hb * config.omega1)
-    ct_hot = coth(0.5 * config.beta2 * hb * config.omega2)
-    return 0.5 * hb * config.omega2 * (ct_hot - q_star_1 * ct_cold)
+    return 0.5 * hot.hbar * hot.omega * (hot.nu - q_star_1 * cold.nu)
 
 
-def heat_sign_threshold(config: EngineConfig) -> float:
+def heat_sign_threshold(cold: ThermalOscillatorState,
+                        hot: ThermalOscillatorState) -> float:
     """Value of q_star_1 at which the hot-isochore heat changes sign."""
-    ct_cold = coth(0.5 * config.beta1 * config.hbar * config.omega1)
-    ct_hot = coth(0.5 * config.beta2 * config.hbar * config.omega2)
-    return ct_hot / ct_cold
+    return hot.nu / cold.nu
 
 
 def engine_condition(work_total: float, heat_hot: float) -> bool:

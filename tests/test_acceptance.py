@@ -116,7 +116,7 @@ def test_criterion_5_power_ordering(base_config, base_sweep,
 
 def test_criterion_6_heat_sign_root(base_config, base_sweep,
                                     record_criterion):
-    level = heat_sign_threshold(base_config)
+    level = heat_sign_threshold(base_config.cold, base_config.hot)
     level_err = abs(level - HEAT_THRESHOLD) / HEAT_THRESHOLD
     assert level_err <= 1e-5
 

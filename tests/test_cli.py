@@ -65,12 +65,31 @@ def test_non_finite_config_exit_2(tmp_path, capsys, no_solve, line):
     assert code == 2 and "must be finite" in err
 
 
-@pytest.mark.parametrize("line", ["beta2 = 1e-100", "omega2 = 1e100",
-                                  "beta2 = 5e-324"])
+@pytest.mark.parametrize("line", ["beta2 = 1e-100", "beta2 = 5e-324",
+                                  "hbar = 1e-200"])
+def test_absurd_bath_exit_2(tmp_path, capsys, no_solve, line):
+    # finite and ordered, but the bath's occupation factors are not
+    # finite floats (csch(u)**4 overflows, u reaches 0): the config is
+    # refused at construction, naming its keys, before any solve
+    cfg = tmp_path / "absurd.cfg"
+    cfg.write_text(line + "\ntau_count = 4\n")
+    keys = "beta1, omega1, hbar" if "hbar" in line else "beta2, omega2, hbar"
+    for argv in (("cycle", "--tau", "1"),
+                 ("sweep", "--out", str(tmp_path / "out.csv"))):
+        code, out, err = run_cli(capsys, *argv, str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {keys}: ") and err.count("\n") == 1
+    code, out, err = run_cli(capsys, "validate", str(cfg))
+    assert code == 1 and err == ""
+    assert out.startswith(f"FAIL config_invariants: {keys}: ")
+    assert out.endswith("1 of 1 checks failed\n")
+
+
+@pytest.mark.parametrize("line", ["omega2 = 1e100"])
 def test_absurd_finite_config_exit_3(tmp_path, capsys, line):
-    # finite, so accepted, but a float overflows (csch(u)**4 in the
-    # fidelity, w**4 in the cost) or a thermal factor reaches coth(0):
-    # a numerical failure with one error line, not a traceback
+    # the bath states stay finite, but w**4 in the cost overflows (and
+    # validate's effective frequency divides by zero): a numerical
+    # failure with one error line, not a traceback
     cfg = tmp_path / "absurd.cfg"
     cfg.write_text(line + "\ntau_count = 4\n")
     for argv in (("cycle", "--tau", "1"),

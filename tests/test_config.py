@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -36,3 +37,36 @@ _ENDS = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 def test_linspace_matches_numpy_bitwise(start, stop, count):
     assert linspace(start, stop, count) == np.linspace(
         start, stop, count).tolist()
+
+
+@pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "quad_tol"])
+@pytest.mark.parametrize("bad", [0.0, -1e-12, 1e-3])
+def test_tolerance_bounds_rejected(name, bad):
+    # the config is the one validator of the solver tolerances
+    EngineConfig(**{name: 1e-4})
+    with pytest.raises(ConfigError, match=rf"{name} must lie in \(0, 1e-4\]"):
+        EngineConfig(**{name: bad})
+
+
+@pytest.mark.parametrize("changes, keys", [
+    ({"beta2": 1e-100}, "beta2, omega2, hbar"),
+    ({"beta2": 5e-324}, "beta2, omega2, hbar"),
+    ({"hbar": 1e-200}, "beta1, omega1, hbar"),
+    ({"beta1": 1e-77, "beta2": 1e-78}, "beta1, omega1, hbar"),
+], ids=["beta2 = 1e-100", "beta2 = 5e-324", "hbar = 1e-200", "beta1 = 1e-77"])
+def test_absurd_bath_rejected(changes, keys):
+    # finite, positive and ordered, but the bath's occupation factors
+    # are not finite floats: a config error naming the keys
+    with pytest.raises(ConfigError, match=f"^{keys}: "):
+        EngineConfig(**changes)
+
+
+def test_bath_states_are_built_once_outside_the_schema():
+    config = EngineConfig()
+    assert config.cold is config.cold and config.hot is config.hot
+    assert (config.cold.beta, config.cold.omega) == (0.5, 0.32)
+    assert (config.hot.beta, config.hot.omega) == (0.05, 1.0)
+    assert "cold" not in {f.name for f in fields(EngineConfig)}
+    assert "hot" not in {f.name for f in fields(EngineConfig)}
+    # the cached states leave equality and the hash (lru_cache keys) alone
+    assert config == EngineConfig() and hash(config) == hash(EngineConfig())

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sta_otto import (ConfigError, ThermalOscillatorState, lcd_mean_energy, polynomial_ramp, q_star_lcd_instant,
+from sta_otto import (ConfigError, ThermalOscillatorState,
+                      lcd_mean_energy, polynomial_ramp, q_star_lcd_instant,
                       sa_cost_time_average, sa_energy_instant,
                       sample_protocol, shortcut_shape_factor)
 
@@ -57,27 +58,28 @@ def test_lcd_mean_energy_consistency(ramp, cold):
             adiabatic + sa_energy_instant(s, cold), rel=1e-13)
 
 
-def test_time_average_cost_frozen(ramp, cold, hot):
-    assert sa_cost_time_average(ramp, cold) == pytest.approx(COST1_TAU1,
-                                                             rel=1e-10)
+def test_time_average_cost_frozen(ramp, cold, hot, base_config):
+    assert sa_cost_time_average(ramp, cold, base_config) == pytest.approx(
+        COST1_TAU1, rel=1e-10)
     rev = polynomial_ramp(1.0, 0.32, 1.0)
-    assert sa_cost_time_average(rev, hot) == pytest.approx(COST3_TAU1,
-                                                           rel=1e-10)
+    assert sa_cost_time_average(rev, hot, base_config) == pytest.approx(
+        COST3_TAU1, rel=1e-10)
 
 
-def test_time_average_cost_closed_form(ramp, cold):
+def test_time_average_cost_closed_form(ramp, cold, base_config):
     # integrate by parts: average = (E0/omega0) * I / tau^2 with
     # I the shape integral of omega'^2/(4 omega^3) over s
     expected = cold.mean_energy / 0.32 * SHAPE_INTEGRAL
-    assert sa_cost_time_average(ramp, cold) == pytest.approx(expected,
-                                                             rel=1e-10)
+    assert sa_cost_time_average(ramp, cold, base_config) == pytest.approx(
+        expected, rel=1e-10)
 
 
-def test_cost_scales_as_inverse_tau_squared(cold):
+def test_cost_scales_as_inverse_tau_squared(cold, base_config):
     values = []
     for tau in (0.1, 1.0, 10.0):
         ramp = polynomial_ramp(0.32, 1.0, tau)
-        values.append(sa_cost_time_average(ramp, cold) * tau * tau)
+        values.append(sa_cost_time_average(ramp, cold, base_config)
+                      * tau * tau)
     assert values[0] == pytest.approx(values[1], rel=1e-10)
     assert values[2] == pytest.approx(values[1], rel=1e-10)
 
@@ -98,16 +100,11 @@ def test_direct_operator_route_differs_by_exact_term(ramp, cold):
     assert gap > 0.0
 
 
-def test_start_frequency_mismatch_rejected(ramp, hot):
+def test_start_frequency_mismatch_rejected(ramp, hot, base_config):
     with pytest.raises(ConfigError):
-        sa_cost_time_average(ramp, hot)
+        sa_cost_time_average(ramp, hot, base_config)
     with pytest.raises(ConfigError):
         lcd_mean_energy(ramp, hot, 0.5)
-
-
-def test_quad_tol_validation(ramp, cold):
-    with pytest.raises(ValueError):
-        sa_cost_time_average(ramp, cold, quad_tol=1e-3)
 
 
 def test_steep_ramp_track_shape():

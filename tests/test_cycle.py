@@ -4,13 +4,13 @@ from dataclasses import fields, replace
 
 import pytest
 
-from sta_otto import (CycleMetrics, NoSignChange, SolverFailure,
-                      TrapInversionError, check_trap_inversion,
+from sta_otto import (CycleMetrics, EngineConfig, NoSignChange,
+                      SolverFailure, TrapInversionError, check_trap_inversion,
                       compression_q_star, cycle_constants,
                       find_efficiency_crossover, find_heat_sign_threshold,
                       husimi_q_star, polynomial_ramp, rescaled, run_cycle,
                       solve_linear_pair, sweep)
-from sta_otto import cycle
+from sta_otto import cycle, strokes
 
 from conftest import (COST1_TAU1, COST3_TAU1, L1, L3, Q1_TAU001, Q1_TAU1,
                       Q2_AD, STRICT_ARGMIN_T, STRICT_MIN_OMEGA_EFF_SQ,
@@ -160,6 +160,24 @@ def test_per_tau_work_budget(base_config, monkeypatch):
                 calls["sa_cost_time_average"]) == (1, 0, 0)
 
 
+def test_occupation_factors_computed_once_per_config(monkeypatch):
+    # the bath states own coth(beta hbar omega / 2): one call per bath
+    # when the config is built, none per tau
+    calls = []
+
+    def counted(x, _coth=strokes.coth):
+        calls.append(x)
+        return _coth(x)
+
+    monkeypatch.setattr(strokes, "coth", counted)
+    counts = []
+    for n in (4, 8):
+        calls.clear()
+        sweep(EngineConfig(tau_min=1.0, tau_max=2.0, tau_count=n))
+        counts.append(len(calls))
+    assert counts == [2, 2]
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "ROADMAP item 2: at tau = 1000 the DOP853 solve gives Q* - 1 = "
     "-1.25e-9 and P_NA > P_SA; a unimodular Magnus kernel keeps Q* >= 1"))
@@ -182,8 +200,7 @@ def test_cycle_constants_match_per_tau_routes(base_config):
         # time reversal: an independent solve of the expansion stroke
         # lands on the compression's Q*
         expansion = polynomial_ramp(1.0, 0.32, tau)
-        state = solve_linear_pair(expansion, (tau,), base_config.rel_tol,
-                                  base_config.abs_tol)[0]
+        state = solve_linear_pair(expansion, (tau,), base_config)[0]
         q3 = husimi_q_star(1.0, 0.32, state)
         assert q3 == pytest.approx(m.q_star_1, rel=1e-9)
         inverted = tau <= const.tau_c

@@ -1,6 +1,7 @@
 import pytest
 
-from sta_otto import (adiabaticity_from_ermakov, ermakov_from_linear,
+from sta_otto import (ConfigError, EngineConfig, ThermalOscillatorState,
+                      adiabaticity_from_ermakov, ermakov_from_linear,
                       ermakov_residual, husimi_q_star,
                       lcd_final_adiabaticity, moment_q_star,
                       polynomial_ramp, solve_effective_pair,
@@ -12,6 +13,8 @@ from sta_otto.protocol import omega_of
 from conftest import Q1_TAU1, Q1_TAU001, SUDDEN_CAP
 
 TIMES = linspace(0.0, 1.0, 101)
+# the default tolerances, which every solver reads from the config
+CONFIG = EngineConfig()
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +24,7 @@ def ramp():
 
 @pytest.fixture(scope="module")
 def states(ramp):
-    return solve_linear_pair(ramp, TIMES)
+    return solve_linear_pair(ramp, TIMES, CONFIG)
 
 
 def test_initial_conditions(states):
@@ -51,20 +54,21 @@ def test_endpoint_solve_matches_dense_bitwise(ends, tau):
     # the production solve samples t = tau alone; its state must be
     # exactly the last state of a solve sampled densely across the stroke
     ramp = polynomial_ramp(*ends, tau)
-    sampled = solve_linear_pair(ramp, linspace(0.0, tau, 101))
-    assert solve_linear_pair(ramp, (tau,)) == [sampled[-1]]
+    sampled = solve_linear_pair(ramp, linspace(0.0, tau, 101), CONFIG)
+    assert solve_linear_pair(ramp, (tau,), CONFIG) == [sampled[-1]]
 
 
 def test_fast_drive_approaches_sudden_cap():
     ramp = polynomial_ramp(0.32, 1.0, 0.01)
-    q = husimi_q_star(0.32, 1.0, solve_linear_pair(ramp, (0.01,))[0])
+    q = husimi_q_star(0.32, 1.0, solve_linear_pair(ramp, (0.01,), CONFIG)[0])
     assert q == pytest.approx(Q1_TAU001, rel=1e-9)
     assert q < SUDDEN_CAP + 1e-9
 
 
 def test_slow_drive_is_adiabatic():
     ramp = polynomial_ramp(0.32, 1.0, 100.0)
-    q = husimi_q_star(0.32, 1.0, solve_linear_pair(ramp, (100.0,))[0])
+    q = husimi_q_star(0.32, 1.0,
+                      solve_linear_pair(ramp, (100.0,), CONFIG)[0])
     assert abs(q - 1.0) < 1e-3
 
 
@@ -89,31 +93,34 @@ def test_ermakov_route_matches_pair(states, ramp):
 
 def test_moment_route_matches_pair(ramp):
     times = linspace(0.0, 1.0, 51)
-    pairs = solve_linear_pair(ramp, times)
-    moments = solve_second_moments(ramp, times, beta=0.5)
+    pairs = solve_linear_pair(ramp, times, CONFIG)
+    initial = ThermalOscillatorState(0.5, 0.32)
+    moments = solve_second_moments(ramp, times, initial, CONFIG)
     omega = omega_of(ramp)
     for t, pair, mom in zip(times, pairs, moments):
         wt = omega(t)
         q_pair = husimi_q_star(0.32, wt, pair)
-        assert moment_q_star(0.32, wt, mom, beta=0.5) == pytest.approx(
+        assert moment_q_star(wt, mom, initial, CONFIG) == pytest.approx(
             q_pair, rel=1e-9)
 
 
 def test_moment_route_beta_independent(ramp):
     # Q* is an energy ratio; the initial temperature must drop out
     times = (0.25, 0.6, 1.0)
-    cold = solve_second_moments(ramp, times, beta=7.0)
-    hot = solve_second_moments(ramp, times, beta=0.01)
-    for t, c, h in zip(times, cold, hot):
+    cold = ThermalOscillatorState(7.0, 0.32)
+    hot = ThermalOscillatorState(0.01, 0.32)
+    cold_moments = solve_second_moments(ramp, times, cold, CONFIG)
+    hot_moments = solve_second_moments(ramp, times, hot, CONFIG)
+    for t, c, h in zip(times, cold_moments, hot_moments):
         wt = omega_of(ramp)(t)
-        assert moment_q_star(0.32, wt, c, beta=7.0) == pytest.approx(
-            moment_q_star(0.32, wt, h, beta=0.01), rel=1e-9)
+        assert moment_q_star(wt, c, cold, CONFIG) == pytest.approx(
+            moment_q_star(wt, h, hot, CONFIG), rel=1e-9)
 
 
 def test_direct_ermakov_integration_agrees(ramp):
     times = linspace(0.0, 1.0, 21)
-    pairs = solve_linear_pair(ramp, times)
-    direct = solve_ermakov_direct(ramp, times)
+    pairs = solve_linear_pair(ramp, times, CONFIG)
+    direct = solve_ermakov_direct(ramp, times, CONFIG)
     for pair, (b, b_dot) in zip(pairs, direct):
         b_pair, b_dot_pair = ermakov_from_linear(0.32, pair)
         assert b == pytest.approx(b_pair, rel=1e-9)
@@ -131,20 +138,18 @@ def test_lcd_lands_on_adiabatic_state():
     for tau in (0.1, 1.0):
         for wi, wf in ((0.32, 1.0), (1.0, 0.32)):
             ramp = polynomial_ramp(wi, wf, tau)
-            assert abs(lcd_final_adiabaticity(ramp) - 1.0) < 1e-6
+            assert abs(lcd_final_adiabaticity(ramp, CONFIG) - 1.0) < 1e-6
 
 
 def test_effective_pair_through_inversion():
     # tau = 0.1 inverts the trap mid-stroke; the linear equation just runs
     ramp = polynomial_ramp(0.32, 1.0, 0.1)
-    states = solve_effective_pair(ramp, linspace(0.0, 0.1, 51))
+    states = solve_effective_pair(ramp, linspace(0.0, 0.1, 51), CONFIG)
     assert max(abs(wronskian(s) - 1.0) for s in states) < 1e-9
 
 
-def test_tolerance_validation(ramp):
-    with pytest.raises(ValueError):
-        solve_linear_pair(ramp, (1.0,), rel_tol=1e-3)
-    with pytest.raises(ValueError):
-        solve_linear_pair(ramp, (1.0,), abs_tol=0.0)
-    with pytest.raises(ValueError):
-        solve_second_moments(ramp, (1.0,), beta=-1.0)
+def test_second_moments_start_mismatch_rejected(ramp):
+    # the thermal start must sit where the schedule starts (0.32, not 1)
+    hot = ThermalOscillatorState(0.05, 1.0)
+    with pytest.raises(ConfigError, match="does not match protocol start"):
+        solve_second_moments(ramp, (1.0,), hot, CONFIG)

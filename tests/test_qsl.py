@@ -3,29 +3,37 @@ import math
 import pytest
 
 from sta_otto import (DivisionByZeroCost, DomainError, InvalidDenominator,
-                      bures_angle, cycle_constants, efficiency_bound,
-                      gaussian_fidelity, power_bound, qsl_time)
+                      ThermalOscillatorState, bures_angle, cycle_constants,
+                      efficiency_bound, gaussian_fidelity, power_bound,
+                      qsl_time)
 
 from conftest import F1, F3, L1, L3, OVERLAP_ZERO_T, Q2_AD, W1_AD, W3_AD
 
 W_AD = W1_AD + W3_AD
 
 
+def thermal(beta, omega):
+    return ThermalOscillatorState(beta, omega)
+
+
 def test_stroke_fidelities_frozen():
-    assert gaussian_fidelity(0.5, 0.32, 1.0) == pytest.approx(F1, rel=1e-12)
-    assert gaussian_fidelity(0.05, 1.0, 0.32) == pytest.approx(F3, rel=1e-12)
+    assert gaussian_fidelity(thermal(0.5, 0.32), 1.0) == pytest.approx(
+        F1, rel=1e-12)
+    assert gaussian_fidelity(thermal(0.05, 1.0), 0.32) == pytest.approx(
+        F3, rel=1e-12)
 
 
 def test_stroke_angles_frozen(base_config):
     const = cycle_constants(base_config)
-    assert gaussian_fidelity(0.5, 0.32, 1.0) == pytest.approx(F1, rel=1e-12)
+    assert gaussian_fidelity(base_config.cold, 1.0) == pytest.approx(
+        F1, rel=1e-12)
     assert const.angle1 == pytest.approx(L1, rel=1e-12)
     assert const.angle3 == pytest.approx(L3, rel=1e-12)
 
 
 def test_zero_temperature_limit():
     beta = 100.0 / 0.32
-    f = gaussian_fidelity(beta, 0.32, 1.0)
+    f = gaussian_fidelity(thermal(beta, 0.32), 1.0)
     assert f == pytest.approx(OVERLAP_ZERO_T, abs=1e-9)
     closed = 2.0 * math.sqrt(0.32 * 1.0) / (0.32 + 1.0)
     assert OVERLAP_ZERO_T == pytest.approx(closed, rel=1e-12)
@@ -33,7 +41,7 @@ def test_zero_temperature_limit():
 
 def test_identity_fidelity():
     for beta in (0.05, 0.5, 20.0):
-        f = gaussian_fidelity(beta, 0.7, 0.7)
+        f = gaussian_fidelity(thermal(beta, 0.7), 0.7)
         assert abs(f - 1.0) <= 1e-12
         # arccos near 1 has a sqrt(eps) floor, so the angle tolerance
         # cannot be tightened past ~1e-8
@@ -41,18 +49,18 @@ def test_identity_fidelity():
 
 
 def test_fidelity_argument_validation():
-    with pytest.raises(ValueError):
-        gaussian_fidelity(-0.5, 0.32, 1.0)
-    with pytest.raises(ValueError):
-        gaussian_fidelity(0.5, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        gaussian_fidelity(0.5, 0.32, -1.0)
+    # a bad beta or omega_a cannot reach the fidelity: the state refuses
+    # it (test_thermal_state_validation)
+    with pytest.raises(ValueError, match="omega_b"):
+        gaussian_fidelity(thermal(0.5, 0.32), -1.0)
+    with pytest.raises(ValueError, match="omega_b"):
+        gaussian_fidelity(thermal(0.5, 0.32), 0.0)
 
 
 def test_fidelity_stays_physical_at_extremes():
     for beta in (1e-6, 1e4):
         for wb in (0.01, 100.0):
-            f = gaussian_fidelity(beta, 0.32, wb)
+            f = gaussian_fidelity(thermal(beta, 0.32), wb)
             assert 0.0 < f <= 1.0 + 1e-12
 
 

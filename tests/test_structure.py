@@ -38,7 +38,9 @@ import sta_otto
 from sta_otto import cli
 cli.load_config(None)
 codes = [cli.main(["protocol-dump", "--tau", "1", "--out", sys.argv[1]]),
-         cli.main(["sweep", sys.argv[2], "--out", sys.argv[3]])]
+         cli.main(["sweep", sys.argv[2], "--out", sys.argv[3]]),
+         cli.main(["cycle", sys.argv[4], "--tau", "1"]),
+         cli.main(["sweep", sys.argv[4], "--out", sys.argv[1]])]
 print(json.dumps([codes, sorted(m for m in sys.modules
                                 if m.split(".")[0] in ("numpy", "scipy"))]))
 """
@@ -46,20 +48,23 @@ print(json.dumps([codes, sorted(m for m in sys.modules
 
 def test_no_numpy_or_scipy_on_import_path(tmp_path):
     # numpy and scipy cost most of the start-up time; the import, the
-    # config and every command path that solves nothing must load neither
+    # config and every command path that solves nothing must load neither,
+    # an absurd bath (refused when the config is built) included
     cfg = tmp_path / "small.cfg"
     cfg.write_text("tau_count = 2\n")
+    absurd = tmp_path / "absurd.cfg"
+    absurd.write_text("beta2 = 1e-100\n")
     env = {k: v for k, v in os.environ.items() if k != "STA_OTTO_CONFIG"}
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PATH_SCRIPT,
          str(tmp_path / "dump.csv"), str(cfg),
-         str(tmp_path / "no" / "such" / "dir.csv")],
+         str(tmp_path / "no" / "such" / "dir.csv"), str(absurd)],
         env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     codes, loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert codes == [0, 2], proc.stderr
+    assert codes == [0, 2, 2, 2], proc.stderr
     assert loaded == []
 
 
@@ -79,3 +84,21 @@ def test_version_has_one_owner():
     pyproject = PACKAGE.parent.parent / "pyproject.toml"
     project = read_configuration(str(pyproject), expand=True)["project"]
     assert project["version"] == sta_otto.__version__
+
+
+def test_occupation_factors_have_one_owner():
+    # coth and csch of beta hbar omega / 2 are computed by the thermal
+    # state (strokes) alone; every other module reads them from a state
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in ("strokes.py", "hyperbolic.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            fn = node.func
+            name = fn.id if isinstance(fn, ast.Name) else getattr(
+                fn, "attr", None)
+            if name in ("coth", "csch"):
+                found.append(f"{path.name}:{node.lineno}: {name}()")
+    assert not found, found
