@@ -35,8 +35,7 @@ from .errors import (ConfigError, DivisionByZeroCost, DomainError,
                      QuadratureFailure, SolverFailure, StaOttoError,
                      TrapInversionError)
 from .hyperbolic import coth, csch
-from .protocol import (FrequencyProtocol, InversionReport, ProtocolSample,
-                       boundary_residuals, check_trap_inversion,
+from .protocol import (FrequencyProtocol, ProtocolSample, boundary_residuals,
                        effective_frequency_sq, inversion_threshold,
                        omega_of, polynomial_ramp, sample_protocol)
 from .qsl import (bures_angle, efficiency_bound, gaussian_fidelity,

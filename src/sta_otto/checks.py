@@ -177,7 +177,9 @@ def check_cost_boundary(config: EngineConfig) -> CheckResult:
 
 def check_cost_scaling(config: EngineConfig) -> CheckResult:
     # cost * tau^2 of (compression, expansion), each from its own bath,
-    # against the tau = 1 constants every cycle scales
+    # against the tau = 1 constants every cycle scales; the expansion
+    # quadrature here is the only one, so it also checks k3 = k1 nu_hot
+    # / nu_cold, which cycle_constants takes from time reversal
     const = cycle_constants(config)
     worst = 0.0
     for tau in (0.1, 10.0):

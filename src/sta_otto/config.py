@@ -61,6 +61,12 @@ class EngineConfig:
                 getattr(self, bath)
             except ValueError as exc:
                 raise ConfigError(f"{keys}: {exc}") from exc
+        # colder in beta is not enough: the hot bath must also hold the
+        # larger occupation, or the adiabatic hot heat q2_ad is <= 0
+        if not self.hot.nu > self.cold.nu:
+            raise ConfigError("beta1, omega1, beta2, omega2: need "
+                              "beta1 omega1 > beta2 omega2 (hot bath "
+                              "occupation above the cold one)")
         for name in ("rel_tol", "abs_tol", "quad_tol"):
             v = getattr(self, name)
             if not 0.0 < v <= 1e-4:

@@ -12,8 +12,9 @@ effective squared frequency
 
     Omega^2(t) = omega^2 - 3 omega_dot^2/(4 omega^2) + omega_ddot/(2 omega),
 
-which can go negative for fast driving (trap inversion); that condition
-is reported, and whether it is fatal is the caller's decision.
+which can go negative for fast driving (trap inversion).  Whether it
+does depends on the duration only through tau <= tau_c, with tau_c from
+inversion_threshold; whether it is fatal is the caller's decision.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable
 from .config import linspace
 from .errors import ConfigError, OutOfRangeTime
 
-# uniform samples of Omega^2 before the bounded refinement around the minimum
+# uniform samples of the ramp shape before the bounded refinement of tau_c
 _INVERSION_GRID = 256
 
 
@@ -39,13 +40,6 @@ class ProtocolSample:
     omega_dot: float
     omega_ddot: float
     omega_eff_sq: float
-
-
-@dataclass(frozen=True)
-class InversionReport:
-    min_omega_eff_sq: float
-    argmin_t: float
-    inverted: bool
 
 
 @dataclass(frozen=True)
@@ -138,47 +132,17 @@ def boundary_residuals(protocol: FrequencyProtocol) -> dict[str, float]:
     }
 
 
-def _scan_min(fn: Callable[[float], float], lo: float, hi: float,
-              xatol: float) -> tuple[float, float]:
-    """(x, fn(x)) at the minimum of fn over [lo, hi]: a uniform scan,
-    then a bounded refinement between the neighbours of the smallest
-    sample."""
-    xs = linspace(lo, hi, _INVERSION_GRID)
-    vals = [fn(x) for x in xs]
-    i = vals.index(min(vals))
-    best_x, best_v = xs[i], vals[i]
-    left, right = xs[max(i - 1, 0)], xs[min(i + 1, _INVERSION_GRID - 1)]
-    if right > left:
-        from scipy.optimize import minimize_scalar
-
-        res = minimize_scalar(fn, bounds=(left, right), method="bounded",
-                              options={"xatol": xatol})
-        if res.fun < best_v:
-            best_x, best_v = res.x, res.fun
-    return float(best_x), float(best_v)
-
-
-def check_trap_inversion(protocol: FrequencyProtocol) -> InversionReport:
-    """Scan Omega^2(t) on a uniform grid and refine around the minimum.
-
-    Reporting only; strict-mode callers turn a positive finding into
-    TrapInversionError themselves.
-    """
-    tau = protocol.duration
-    t, v = _scan_min(lambda t: sample_protocol(protocol, t).omega_eff_sq,
-                     0.0, tau, 1e-12 * max(tau, 1.0))
-    return InversionReport(v, t, v <= 0.0)
-
-
 def inversion_threshold(omega_initial: float, omega_final: float) -> float:
     """Longest stroke duration tau_c at which the ramp inverts the trap.
 
     In s = t/tau, Omega^2 = w^2 - h(s)/tau^2 with
     h = 3/4 w_s^2/w^2 - 1/2 w_ss/w, so Omega^2 reaches zero somewhere
-    exactly when tau <= tau_c = sqrt(max_s h/w^2): the same scan and
-    refinement as check_trap_inversion, applied to -h/w^2.  Swapping
-    the end frequencies mirrors the ratio about s = 1/2, so both
-    strokes of a cycle share tau_c.
+    exactly when tau <= tau_c = sqrt(max_s h/w^2).  The maximum comes
+    from a uniform scan of -h/w^2 and a bounded refinement between the
+    neighbours of its smallest sample.  Swapping the end frequencies
+    mirrors the ratio about s = 1/2, so both strokes of a cycle share
+    tau_c, and whether a stroke of duration tau inverts is decided by
+    tau <= tau_c alone.
     """
     wi = float(omega_initial)
     d = float(omega_final) - wi
@@ -189,5 +153,12 @@ def inversion_threshold(omega_initial: float, omega_final: float) -> float:
         w = wi + d * v
         return effective_frequency_sq(w, d * d1, d * d2) / (w * w) - 1.0
 
-    _, v = _scan_min(neg_ratio, 0.0, 1.0, 1e-12)
-    return math.sqrt(max(-v, 0.0))
+    ss = linspace(0.0, 1.0, _INVERSION_GRID)
+    vals = [neg_ratio(s) for s in ss]
+    i = vals.index(min(vals))
+    from scipy.optimize import minimize_scalar
+
+    res = minimize_scalar(
+        neg_ratio, method="bounded", options={"xatol": 1e-12},
+        bounds=(ss[max(i - 1, 0)], ss[min(i + 1, _INVERSION_GRID - 1)]))
+    return math.sqrt(max(-min(vals[i], res.fun), 0.0))

@@ -10,6 +10,7 @@ terminal-summary hook below.
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
 from sta_otto import EngineConfig, sweep
 
@@ -35,8 +36,15 @@ TAU_STAR = 0.253077777781             # Brent root of eta_sa - eta_na, rtol 1e-6
 Q1_TAU1 = 1.68265052943513            # compression Q* at tau = 1
 Q1_TAU001 = 1.72249589529961          # compression Q* at tau = 0.01
 TAU_HEAT_DEATH_B02 = 4.19044578965    # heat-sign root for the beta1 = 0.2 config
-STRICT_MIN_OMEGA_EFF_SQ = -294.29466636445744  # strict-mode message, tau = 0.1
-STRICT_ARGMIN_T = 0.05719488692578404          # ... and the t it names
+
+# accepted configs in a box around the default (beta2 omega2 < beta1
+# omega1 throughout), shared by the property tests over configs
+CONFIG_BOX = st.builds(EngineConfig,
+                       omega1=st.floats(0.25, 0.4),
+                       omega2=st.floats(0.8, 1.25),
+                       beta1=st.floats(0.4, 0.625),
+                       beta2=st.floats(0.04, 0.0625),
+                       hbar=st.floats(0.5, 2.0))
 
 
 @pytest.fixture(scope="session")

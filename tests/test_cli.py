@@ -85,16 +85,38 @@ def test_absurd_bath_exit_2(tmp_path, capsys, no_solve, line):
     assert out.endswith("1 of 1 checks failed\n")
 
 
-@pytest.mark.parametrize("line", ["omega2 = 1e100"])
-def test_absurd_finite_config_exit_3(tmp_path, capsys, line):
-    # the bath states stay finite, but w**4 in the cost overflows (and
-    # validate's effective frequency divides by zero): a numerical
-    # failure with one error line, not a traceback
-    cfg = tmp_path / "absurd.cfg"
-    cfg.write_text(line + "\ntau_count = 4\n")
+@pytest.mark.parametrize("text", [
+    "omega2 = 1e100\n",
+    "omega1 = 0.125\nbeta1 = 1\nbeta2 = 0.125\n",
+], ids=["omega2 = 1e100", "equal occupation"])
+def test_bath_occupation_order_exit_2(tmp_path, capsys, no_solve, text):
+    # the first bath is colder in beta but not in occupation, so the
+    # adiabatic hot heat is not positive: refused when the config is
+    # built, naming its keys, before any solve
+    cfg = tmp_path / "order.cfg"
+    cfg.write_text(text + "tau_count = 4\n")
+    keys = "beta1, omega1, beta2, omega2"
     for argv in (("cycle", "--tau", "1"),
-                 ("sweep", "--out", str(tmp_path / "out.csv")),
-                 ("validate",)):
+                 ("sweep", "--out", str(tmp_path / "out.csv"))):
+        code, out, err = run_cli(capsys, *argv, str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {keys}: ") and err.count("\n") == 1
+    code, out, err = run_cli(capsys, "validate", str(cfg))
+    assert code == 1 and err == ""
+    assert out.startswith(f"FAIL config_invariants: {keys}: ")
+    assert out.endswith("1 of 1 checks failed\n")
+
+
+def test_absurd_finite_config_exit_3(tmp_path, capsys):
+    # every config check passes (finite bath states, hot occupation
+    # above cold), but w**4 in the cost overflows: a numerical failure
+    # with one error line, not a traceback.  validate is left out: its
+    # DOP853 solves crawl at these frequencies.
+    cfg = tmp_path / "absurd.cfg"
+    cfg.write_text("omega1 = 1e78\nomega2 = 1e79\nbeta1 = 1e-77\n"
+                   "beta2 = 1e-80\ntau_count = 4\n")
+    for argv in (("cycle", "--tau", "1"),
+                 ("sweep", "--out", str(tmp_path / "out.csv"))):
         code, out, err = run_cli(capsys, *argv, str(cfg))
         assert code == 3
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -61,6 +61,21 @@ def test_absurd_bath_rejected(changes, keys):
         EngineConfig(**changes)
 
 
+@pytest.mark.parametrize("changes", [
+    {"omega1": 0.125, "beta1": 1.0, "beta2": 0.125},
+    {"beta1": 0.06},
+    {"omega2": 1e100},
+], ids=["equal occupation", "beta1 = 0.06", "omega2 = 1e100"])
+def test_bath_occupation_order_rejected(changes):
+    # first bath colder in beta, but not in occupation: q2_ad would be
+    # 0 (equal occupation) or negative, so the config is refused
+    with pytest.raises(ConfigError, match=r"^beta1, omega1, beta2, omega2: "
+                                          r"need beta1 omega1 > beta2 omega2"):
+        EngineConfig(**changes)
+    with pytest.raises(ConfigError, match=r"\(first bath colder\)$"):
+        EngineConfig(beta1=0.01)
+
+
 def test_bath_states_are_built_once_outside_the_schema():
     config = EngineConfig()
     assert config.cold is config.cold and config.hot is config.hot

@@ -1,13 +1,12 @@
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sta_otto import (EngineConfig, ThermalOscillatorState, engine_condition,
                       gaussian_fidelity, heat_sign_threshold,
                       hot_isochore_heat, stroke_work)
 
-from conftest import (COTH_008, COTH_0025, HEAT_THRESHOLD, Q2_AD, W1_AD,
-                      W3_AD)
+from conftest import (CONFIG_BOX, COTH_008, COTH_0025, HEAT_THRESHOLD, Q2_AD,
+                      W1_AD, W3_AD)
 
 
 def test_thermal_mean_energy_frozen():
@@ -86,18 +85,8 @@ def test_engine_condition_branches():
     assert not engine_condition(-1.0, 0.0)
 
 
-# accepted configs in a box around the default; throughout it the hot
-# bath is the hotter one in occupation too (beta2 omega2 < beta1
-# omega1), so the adiabatic hot heat is positive
-_CONFIGS = st.builds(EngineConfig,
-                     omega1=st.floats(0.25, 0.4), omega2=st.floats(0.8, 1.25),
-                     beta1=st.floats(0.4, 0.625),
-                     beta2=st.floats(0.04, 0.0625),
-                     hbar=st.floats(0.5, 2.0))
-
-
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(config=_CONFIGS)
+@given(config=CONFIG_BOX)
 def test_bath_state_invariants(config):
     cold, hot = config.cold, config.hot
     for f in (gaussian_fidelity(cold, config.omega2),
