@@ -187,7 +187,7 @@ def check_cost_scaling(config: EngineConfig) -> CheckResult:
                                             (const.k1, const.k3)):
             v = sa_cost_time_average(protocol, initial, config) * tau * tau
             worst = max(worst, abs(v - ref) / abs(ref))
-    return CheckResult("cost_scaling", worst <= 1e-8, worst,
+    return CheckResult("cost_scaling", worst <= 1e-12, worst,
                        "time-averaged cost ~ 1/tau^2 at fixed shape")
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -152,6 +153,14 @@ def cycle_constants(config: EngineConfig) -> CycleConstants:
         angle3=bures_angle(gaussian_fidelity(hot, config.omega1)))
 
 
+def _refuse_inversion(config: EngineConfig, tau: float, tau_c: float) -> None:
+    """Strict mode refuses a stroke at or below the inversion threshold."""
+    if config.strict and tau <= tau_c:
+        raise TrapInversionError(
+            f"inversion_1: tau = {tau!r} is at or below the "
+            f"trap-inversion threshold tau_c = {tau_c!r}")
+
+
 def run_cycle(config: EngineConfig, tau: float) -> CycleMetrics:
     """Evaluate all three cycle variants plus speed-limit bounds at tau.
 
@@ -165,13 +174,8 @@ def run_cycle(config: EngineConfig, tau: float) -> CycleMetrics:
     const = cycle_constants(config)
     compression = polynomial_ramp(config.omega1, config.omega2, tau)
 
-    flags: list[str] = []
-    if tau <= const.tau_c:
-        if config.strict:
-            raise TrapInversionError(
-                f"inversion_1: tau = {tau!r} is at or below the "
-                f"trap-inversion threshold tau_c = {const.tau_c!r}")
-        flags += ["inversion_1", "inversion_3"]
+    _refuse_inversion(config, tau, const.tau_c)
+    flags = ["inversion_1", "inversion_3"] if tau <= const.tau_c else []
 
     q1 = _endpoint_q_star(config, compression)
     q3 = q1
@@ -244,14 +248,23 @@ def sweep(config: EngineConfig) -> list[CycleMetrics]:
     return rows
 
 
-def _bracket_root(fn, bracket: Sequence[float], what: str) -> float:
+def _check_bracket(bracket: Sequence[float]) -> tuple[float, float]:
     lo, hi = float(bracket[0]), float(bracket[1])
     if not 0.0 < lo < hi < math.inf:
         raise ValueError("bracket must satisfy 0 < lo < hi < inf")
+    return lo, hi
+
+
+def _root_in_ln_tau(fn, lo: float, hi: float, what: str) -> float:
+    """Brent's root of fn(tau) with s = ln tau as the search variable.
+
+    xtol 1e-6 in ln tau is a relative tolerance of 1e-6 in tau.
+    """
     from scipy.optimize import brentq
 
     try:
-        return float(brentq(fn, lo, hi, rtol=1e-6))
+        s = brentq(lambda s: fn(math.exp(s)), math.log(lo), math.log(hi),
+                   xtol=1e-6)
     except ValueError as exc:
         raise NoSignChange(
             f"{what} does not change sign on ({lo!r}, {hi!r})") from exc
@@ -259,11 +272,12 @@ def _bracket_root(fn, bracket: Sequence[float], what: str) -> float:
         raise SolverFailure(
             f"{what}: root search on ({lo!r}, {hi!r}) did not converge: "
             f"{exc}") from exc
+    return math.exp(s)
 
 
 def find_efficiency_crossover(config: EngineConfig,
                               bracket: Sequence[float]) -> float:
-    """tau* where eta_sa - eta_na changes sign inside the bracket.
+    """tau* where eta_sa = eta_na inside the bracket.
 
     For smooth ramps the auxiliary cost scales as 1/tau^2, so at short
     times it crushes the shortcut efficiency while the bare drive, whose
@@ -272,12 +286,43 @@ def find_efficiency_crossover(config: EngineConfig,
     times the bare deficit (decaying much faster than 1/tau^2) undercuts
     the cost penalty again, so a second, far-out root may exist; widen
     the bracket to look for it.
-    """
-    def gap(tau: float) -> float:
-        metrics = run_cycle(config, tau)
-        return metrics.eta_sa - metrics.eta_na
 
-    return _bracket_root(gap, bracket, "eta_sa - eta_na")
+    The root is a level crossing of the compression Q*.  eta_na is a
+    Mobius function of Q*1, strictly decreasing on the engine branch
+    1 <= Q*1 < nu_hot/nu_cold, and equals eta_sa(tau) where Q*1 = Q_sa:
+
+        Q_sa - 1 = (nu_hot - nu_cold) omega2 (eta_ad - eta_sa)
+                   / (omega2 nu_cold (1 - eta_sa) + omega1 nu_hot),
+
+    with eta_ad - eta_sa = eta_ad / (1 + y) and y = q2_ad tau^2 /
+    (k1 + k3), the adiabatic heat over the driving cost.  Brent runs on
+    ln(Q*1 - 1) - ln(Q_sa - 1), nearly linear in ln tau (Q*1 - 1 decays
+    like tau^-6, Q_sa - 1 like tau^-2), at one Q* solve per step.  Past
+    the heat-sign pole Q*1 = nu_hot/nu_cold the bare cycle is no engine
+    and eta_na > 1 > eta_sa, so eta_sa - eta_na changes sign at the
+    pole without a crossing; the level form does not see the pole.  A
+    Q*1 - 1 that rounds to 0 or below is taken as the smallest normal
+    float: the bare drive wins there.  Strict mode refuses a bracket
+    that starts at or below the inversion threshold.
+    """
+    lo, hi = _check_bracket(bracket)
+    const = cycle_constants(config)
+    _refuse_inversion(config, lo, const.tau_c)
+    cold, hot = config.cold, config.hot
+    cost_tau2 = const.k1 + const.k3
+    eta_ad = -(const.w1_ad + const.w3_ad) / const.q2_ad
+    # ln of (nu_hot - nu_cold) omega2 eta_ad, the numerator at y = 0
+    ln_scale = math.log((hot.nu - cold.nu) * (config.omega2 - config.omega1))
+
+    def gap(tau: float) -> float:
+        y = const.q2_ad * tau * tau / cost_tau2
+        eta_sa = eta_ad * y / (1.0 + y)
+        ln_level = ln_scale - math.log1p(y) - math.log(
+            config.omega2 * cold.nu * (1.0 - eta_sa) + config.omega1 * hot.nu)
+        q1 = compression_q_star(config, tau)
+        return math.log(max(q1 - 1.0, sys.float_info.min)) - ln_level
+
+    return _root_in_ln_tau(gap, lo, hi, "eta_sa - eta_na (engine branch)")
 
 
 def compression_q_star(config: EngineConfig, tau: float) -> float:
@@ -302,7 +347,8 @@ def find_heat_sign_threshold(config: EngineConfig,
     def gap(tau: float) -> float:
         return compression_q_star(config, tau) - level
 
-    return _bracket_root(gap, bracket, "q_star_1 - heat-sign threshold")
+    return _root_in_ln_tau(gap, *_check_bracket(bracket),
+                           "q_star_1 - heat-sign threshold")
 
 
 def rescaled(config: EngineConfig, lam: float) -> EngineConfig:

@@ -32,10 +32,15 @@ OVERLAP_ZERO_T = 0.857099128710966696 # 2 sqrt(0.32 * 1)/(0.32 + 1)
 SUDDEN_CAP = 1.7225                   # (0.32^2 + 1)/(2 * 0.32): sudden-quench Q*
 
 # regression constants (first computation with this implementation, frozen)
-TAU_STAR = 0.253077777781             # Brent root of eta_sa - eta_na, rtol 1e-6
+TAU_STAR = 0.253077778554             # Brent root of eta_sa = eta_na, rtol 1e-6
+TAU_STAR_FAR = 18.2192069808          # second root (run_cycle gap, xtol 1e-15)
 Q1_TAU1 = 1.68265052943513            # compression Q* at tau = 1
 Q1_TAU001 = 1.72249589529961          # compression Q* at tau = 0.01
 TAU_HEAT_DEATH_B02 = 4.19044578965    # heat-sign root for the beta1 = 0.2 config
+
+# its bare cycle's heat changes sign at tau = 4.98136 inside (0.01, 10),
+# where eta_sa - eta_na flips sign without a crossing
+POLE_CONFIG = EngineConfig(omega1=0.32, omega2=1.0, beta1=0.5, beta2=0.1333)
 
 # accepted configs in a box around the default (beta2 omega2 < beta1
 # omega1 throughout), shared by the property tests over configs

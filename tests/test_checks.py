@@ -63,3 +63,12 @@ def test_validate_work_budget(base_config, monkeypatch):
     run_all_checks(replace(base_config, tau_count=4))
     assert calls["pair_grid_solves"] == 6
     assert calls["cost_scaling_quads"] == 4
+
+
+def test_cost_scaling_catches_k3_off_by_1e9(base_config, monkeypatch):
+    # the expansion quadrature is the one check on k3 = k1 nu_hot/nu_cold
+    assert checks.check_cost_scaling(base_config).passed
+    const = cycle.cycle_constants(base_config)
+    off = replace(const, k3=const.k3 * (1.0 + 1e-9))
+    monkeypatch.setattr(checks, "cycle_constants", lambda config: off)
+    assert not checks.check_cost_scaling(base_config).passed

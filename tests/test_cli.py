@@ -226,6 +226,16 @@ def test_crossover_no_sign_change(capsys):
     assert "does not change sign" in err
 
 
+def test_crossover_no_root_at_heat_sign_pole(tmp_path, capsys):
+    # the bare heat changes sign at tau = 4.98136, which is no crossing
+    cfg = tmp_path / "pole.cfg"
+    cfg.write_text("beta2 = 0.1333\n")
+    code, out, err = run_cli(capsys, "crossover", str(cfg), "--bracket",
+                             "0.01", "10")
+    assert code == 3 and out == ""
+    assert "does not change sign" in err
+
+
 def test_validate_default_config(capsys):
     code, out, _ = run_cli(capsys, "validate")
     assert code == 0

@@ -14,9 +14,10 @@ from sta_otto import (CycleMetrics, EngineConfig, NoSignChange,
 from sta_otto import cycle, strokes
 from sta_otto.checks import check_rescaling_invariance
 
-from conftest import (CONFIG_BOX, COST1_TAU1, COST3_TAU1, L1, L3, Q1_TAU001,
-                      Q1_TAU1, Q2_AD, SUDDEN_CAP, TAU_HEAT_DEATH_B02,
-                      TAU_STAR, W1_AD, W3_AD)
+from conftest import (CONFIG_BOX, COST1_TAU1, COST3_TAU1, L1, L3,
+                      POLE_CONFIG, Q1_TAU001, Q1_TAU1, Q2_AD, SUDDEN_CAP,
+                      TAU_HEAT_DEATH_B02, TAU_STAR, TAU_STAR_FAR, W1_AD,
+                      W3_AD)
 
 _FLOAT_FIELDS = [f.name for f in fields(CycleMetrics)
                  if f.name not in ("is_engine_na", "flags")]
@@ -134,11 +135,15 @@ def test_strict_message(base_config):
     strict = replace(base_config, strict=True)
     tau_c = inversion_threshold(0.32, 1.0)
     for tau in (0.1, 2.5):
+        message = (f"inversion_1: tau = {tau!r} is at or below the "
+                   f"trap-inversion threshold tau_c = {tau_c!r}")
         with pytest.raises(TrapInversionError) as info:
             run_cycle(strict, tau)
-        assert str(info.value) == (
-            f"inversion_1: tau = {tau!r} is at or below the trap-inversion "
-            f"threshold tau_c = {tau_c!r}")
+        assert str(info.value) == message
+        # a root search refuses a bracket that starts there
+        with pytest.raises(TrapInversionError) as info:
+            find_efficiency_crossover(strict, (tau, 40.0))
+        assert str(info.value) == message
 
 
 def test_per_tau_work_budget(base_config, monkeypatch):
@@ -248,6 +253,66 @@ def test_crossover_requires_sign_change(base_config):
         find_efficiency_crossover(base_config, (5.0, 10.0))
     with pytest.raises(ValueError, match="bracket"):
         find_efficiency_crossover(base_config, (0.0, 10.0))
+
+
+def _cycles_either_side(config, tau):
+    """Cycles at tau (1 -/+ 1e-4), between which eta_sa - eta_na must
+    change sign."""
+    sides = [run_cycle(config, tau * f) for f in (1 - 1e-4, 1 + 1e-4)]
+    below, above = (m.eta_sa - m.eta_na for m in sides)
+    assert below * above < 0.0
+    return sides
+
+
+def test_no_crossover_at_heat_sign_pole():
+    # eta_sa - eta_na changes sign across the heat-sign root, but the
+    # bare cycle is no engine on either side, so no crossing exists
+    pole = find_heat_sign_threshold(POLE_CONFIG, (0.01, 10.0))
+    sides = _cycles_either_side(POLE_CONFIG, pole)
+    assert not any(m.is_engine_na for m in sides)
+    with pytest.raises(NoSignChange):
+        find_efficiency_crossover(POLE_CONFIG, (0.01, 10.0))
+
+
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@given(config=CONFIG_BOX)
+def test_crossover_is_a_real_crossing(config):
+    try:
+        tau_star = find_efficiency_crossover(config, (0.01, 10.0))
+    except NoSignChange:
+        return
+    sides = _cycles_either_side(config, tau_star)
+    assert all(m.is_engine_na for m in sides)
+
+
+def test_far_crossover_past_long_stroke_defect(base_config):
+    # at tau = 2000 the DOP853 solve gives Q*1 - 1 < 0 (ROADMAP item 2);
+    # the search reads that as "bare wins" and lands on the second root
+    tau_star = find_efficiency_crossover(base_config, (10.0, 2000.0))
+    assert tau_star == pytest.approx(TAU_STAR_FAR, rel=1e-6)
+
+
+def test_root_search_work_budget(base_config, monkeypatch):
+    # one Q* solve per Brent step in ln tau, where both level gaps are
+    # nearly linear
+    import scipy.integrate
+
+    calls = Counter()
+    solve_ivp = scipy.integrate.solve_ivp
+
+    def counted(*args, **kwargs):
+        calls["solve_ivp"] += 1
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", counted)
+    colder = replace(base_config, beta1=0.2)
+    for search, config, bracket, budget in (
+            (find_efficiency_crossover, base_config, (0.01, 10.0), 12),
+            (find_efficiency_crossover, base_config, (10.0, 40.0), 9),
+            (find_heat_sign_threshold, colder, (0.01, 10.0), 10)):
+        calls.clear()
+        search(config, bracket)
+        assert calls["solve_ivp"] <= budget, (bracket, calls)
 
 
 def test_root_search_non_convergence(base_config, monkeypatch):
