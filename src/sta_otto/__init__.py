@@ -18,18 +18,16 @@ from types import ModuleType as _ModuleType
 __version__ = "0.1.0"
 
 from .config import EngineConfig, tau_grid
-from .cost import (lcd_mean_energy, q_star_lcd_instant,
-                   sa_cost_time_average, sa_energy_instant,
-                   shortcut_shape_factor)
+from .cost import (q_star_lcd_instant, sa_cost_time_average,
+                   sa_energy_instant, shortcut_shape_factor)
 from .cycle import (CycleConstants, CycleMetrics, compression_q_star,
                     cycle_constants, find_efficiency_crossover,
                     find_heat_sign_threshold, rescaled, run_cycle,
                     stroke_pairs, sweep)
 from .dynamics import (adiabaticity_from_ermakov, ermakov_from_linear,
-                       ermakov_residual, husimi_q_star,
-                       lcd_final_adiabaticity, moment_q_star,
-                       solve_effective_pair, solve_ermakov_direct,
-                       solve_linear_pair, solve_second_moments, wronskian)
+                       ermakov_residual, husimi_q_star, moment_q_star,
+                       solve_effective_pair, solve_linear_pair,
+                       solve_second_moments, wronskian)
 from .errors import (ConfigError, DivisionByZeroCost, DomainError,
                      InvalidDenominator, NoSignChange, OutOfRangeTime,
                      QuadratureFailure, SolverFailure, StaOttoError,

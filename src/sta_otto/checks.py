@@ -2,8 +2,8 @@
 
 Every check is a named function returning a CheckResult with a measured
 residual, so a failure report says not only what broke but by how much.
-Data that several checks read (pair_samples, the sweep rows) is
-computed once by run_all_checks and passed to each of them.
+Data that several checks read (pair_samples, effective_samples, the
+sweep rows) is computed once by run_all_checks and passed to each.
 Checks marked as warnings (trap inversion on the configured grid, speed
 bound premise violations) inform without failing the suite; strict mode
 is handled upstream by run_cycle, which turns inversion into errors.
@@ -15,13 +15,13 @@ import math
 from dataclasses import dataclass, replace
 
 from .config import EngineConfig, linspace, tau_grid
-from .cost import lcd_mean_energy, sa_cost_time_average, sa_energy_instant
+from .cost import sa_cost_time_average, sa_energy_instant
 from .cycle import (compression_q_star, cycle_constants, rescaled,
                     run_cycle, stroke_pairs, sweep)
 from .dynamics import (adiabaticity_from_ermakov, ermakov_from_linear,
-                       ermakov_residual, husimi_q_star,
-                       lcd_final_adiabaticity, moment_q_star,
-                       solve_linear_pair, solve_second_moments, wronskian)
+                       ermakov_residual, husimi_q_star, moment_q_star,
+                       solve_effective_pair, solve_linear_pair,
+                       solve_second_moments, wronskian)
 from .errors import ConfigError
 from .protocol import (boundary_residuals, omega_of, polynomial_ramp,
                        sample_protocol)
@@ -84,19 +84,30 @@ def check_protocol_scaling(config: EngineConfig) -> CheckResult:
                        "omega_dot ~ 1/tau, omega_ddot ~ 1/tau^2")
 
 
+def _stroke_samples(config: EngineConfig, solve, taus, count: int) -> dict:
+    # each stroke from stroke_pairs solved once on linspace(0, tau, count)
+    samples = {}
+    for tau in taus:
+        times = linspace(0.0, tau, count)
+        samples[tau] = [(protocol, initial, times,
+                         solve(protocol, times, config))
+                        for protocol, initial in stroke_pairs(config, tau)]
+    return samples
+
+
 def pair_samples(config: EngineConfig) -> dict:
     """{tau: [(protocol, initial, times, states) per stroke]} for tau in
-    (0.1, 1, 10): the linear pair of each stroke from stroke_pairs,
-    solved once on linspace(0, tau, 101) for every check that reads it.
-    """
-    samples = {}
-    for tau in (0.1, 1.0, 10.0):
-        times = linspace(0.0, tau, 101)
-        samples[tau] = [
-            (protocol, initial, times,
-             solve_linear_pair(protocol, times, config))
-            for protocol, initial in stroke_pairs(config, tau)]
-    return samples
+    (0.1, 1, 10): the linear pair of each stroke, solved once on
+    linspace(0, tau, 101) for every check that reads it."""
+    return _stroke_samples(config, solve_linear_pair, (0.1, 1.0, 10.0), 101)
+
+
+def effective_samples(config: EngineConfig) -> dict:
+    """pair_samples' sibling for the shortcut: the effective pair of each
+    stroke for tau in (0.05, 0.1, 0.5, 1, 5), solved once on
+    linspace(0, tau, 41) for lcd_exactness and cost_consistency."""
+    return _stroke_samples(config, solve_effective_pair,
+                           (0.05, 0.1, 0.5, 1.0, 5.0), 41)
 
 
 def check_wronskian(config: EngineConfig, samples) -> CheckResult:
@@ -121,9 +132,11 @@ def check_ermakov_residual(config: EngineConfig, samples) -> CheckResult:
 
 
 def check_q_star_routes(config: EngineConfig, samples) -> CheckResult:
-    worst = 0.0
+    # also holds Q*3 = Q*1 at t = tau, which run_cycle relies on
+    worst = asymmetry = 0.0
     floor = math.inf
     for strokes in samples.values():
+        ends = []
         for protocol, initial, times, pairs in strokes:
             omega, omega0 = omega_of(protocol), protocol.omega_initial
             moments = solve_second_moments(protocol, times, initial, config)
@@ -137,9 +150,14 @@ def check_q_star_routes(config: EngineConfig, samples) -> CheckResult:
                 worst = max(worst, abs(q_erk - q_pair) / scale,
                             abs(q_mom - q_pair) / scale)
                 floor = min(floor, q_pair)
-    passed = worst <= 1e-8 and floor >= 1.0 - 1e-9
-    return CheckResult("q_star_routes", passed, worst,
-                       f"pair/Ermakov/moment routes agree; min Q* = {floor:.12g}")
+            ends.append(q_pair)   # the last time is t = tau
+        q1, q3 = ends
+        asymmetry = max(asymmetry, abs(q3 - q1) / q1)
+    residual = max(worst, asymmetry)
+    passed = residual <= 1e-8 and floor >= 1.0 - 1e-9
+    return CheckResult("q_star_routes", passed, residual,
+                       f"pair/Ermakov/moment spread = {worst:.3g}, |Q*3 - "
+                       f"Q*1|/Q*1 = {asymmetry:.3g}; min Q* = {floor:.12g}")
 
 
 def check_adiabatic_limit(config: EngineConfig) -> CheckResult:
@@ -148,11 +166,12 @@ def check_adiabatic_limit(config: EngineConfig) -> CheckResult:
                        "slow drive approaches Q* = 1")
 
 
-def check_lcd_exactness(config: EngineConfig) -> CheckResult:
+def check_lcd_exactness(config: EngineConfig, effective) -> CheckResult:
     worst = 0.0
-    for tau in (0.05, 0.1, 0.5, 1.0, 5.0):
-        for protocol, _ in stroke_pairs(config, tau):
-            q = lcd_final_adiabaticity(protocol, config)
+    for strokes in effective.values():
+        for protocol, _, _, states in strokes:
+            q = husimi_q_star(protocol.omega_initial, protocol.omega_final,
+                              states[-1])
             worst = max(worst, abs(q - 1.0))
     return CheckResult("lcd_exactness", worst <= 1e-6, worst,
                        "shortcut lands on the adiabatic state")
@@ -191,17 +210,30 @@ def check_cost_scaling(config: EngineConfig) -> CheckResult:
                        "time-averaged cost ~ 1/tau^2 at fixed shape")
 
 
-def check_cost_consistency(config: EngineConfig) -> CheckResult:
-    (protocol, cold), _ = stroke_pairs(config, 1.0)
+def check_cost_consistency(config: EngineConfig, effective) -> CheckResult:
+    # driven at Omega(t), <p^2>/2m + m Omega^2 <x^2>/2 exceeds the
+    # adiabatic energy by sa_energy_instant; the moments of the thermal
+    # start (no x-p correlation) follow from the effective pair
+    m = config.m
     worst = 0.0
-    for t in linspace(0.0, 1.0, 21):
-        sample = sample_protocol(protocol, t)
-        adiabatic = sample.omega / config.omega1 * cold.mean_energy
-        total = lcd_mean_energy(protocol, cold, t)
-        aux = sa_energy_instant(sample, cold)
-        worst = max(worst, abs(total - adiabatic - aux) / cold.mean_energy)
-    return CheckResult("cost_consistency", worst <= 1e-12, worst,
-                       "<H + H_sa> = adiabatic energy + auxiliary energy")
+    for strokes in effective.values():
+        for protocol, initial, times, states in strokes:
+            e0 = initial.mean_energy
+            xx0, pp0 = e0 / (m * initial.omega ** 2), m * e0
+            gap = scale = 0.0
+            for t, (x, xd, y, yd) in zip(times, states):
+                sample = sample_protocol(protocol, t)
+                xx = xx0 * y * y + pp0 * x * x / (m * m)
+                pp = m * m * xx0 * yd * yd + pp0 * xd * xd
+                energy = pp / (2.0 * m) + 0.5 * m * sample.omega_eff_sq * xx
+                adiabatic = sample.omega / initial.omega * e0
+                aux = sa_energy_instant(sample, initial)
+                gap = max(gap, abs(energy - adiabatic - aux))
+                scale = max(scale, adiabatic + abs(aux))
+            worst = max(worst, gap / scale)
+    return CheckResult("cost_consistency", worst <= 1e-8, worst,
+                       "<H_eff> on the effective pair = adiabatic energy "
+                       "+ auxiliary energy")
 
 
 def check_fidelity_identity(config: EngineConfig) -> CheckResult:
@@ -229,16 +261,7 @@ def check_fidelity_zero_t(config: EngineConfig) -> CheckResult:
                        "cold limit matches ground-state overlap")
 
 
-def _sweep_rows(config: EngineConfig):
-    return [r for r in sweep(config) if not r.failed]
-
-
-def _no_rows(name: str) -> CheckResult:
-    # every grid point errored (e.g. strict mode below tau_c): nothing
-    # to check is a failure, not a vacuous pass
-    return CheckResult(name, False, math.inf, "no valid rows")
-
-
+# the five checks of the sweep rows are run on at least one valid row
 def check_bound_ordering(config: EngineConfig, rows) -> CheckResult:
     """On the rows where the speed-limit premise holds, the bounds
     bracket the shortcut engine and are tighter than the second law:
@@ -246,8 +269,6 @@ def check_bound_ordering(config: EngineConfig, rows) -> CheckResult:
     eta_qsl <= eta_Carnot = 1 - beta2/beta1 (the efficiency form of the
     abstract's claim, arXiv:1611.09045).
     """
-    if not rows:
-        return _no_rows("bound_ordering")
     eta_carnot = 1.0 - config.beta2 / config.beta1
     premise = [r for r in rows
                if "qsl_premise_1" not in r.flags
@@ -263,8 +284,6 @@ def check_bound_ordering(config: EngineConfig, rows) -> CheckResult:
 
 
 def check_eta_sa_monotone(config: EngineConfig, rows) -> CheckResult:
-    if not rows:
-        return _no_rows("eta_sa_monotone")
     worst = 0.0
     for a, b in zip(rows, rows[1:]):
         worst = max(worst, a.eta_sa - b.eta_sa)
@@ -273,16 +292,12 @@ def check_eta_sa_monotone(config: EngineConfig, rows) -> CheckResult:
 
 
 def check_power_ordering(config: EngineConfig, rows) -> CheckResult:
-    if not rows:
-        return _no_rows("power_ordering")
     worst = max(r.p_na - r.p_sa for r in rows)
     return CheckResult("power_ordering", worst <= 1e-12, max(worst, 0.0),
                        "P_SA >= P_NA on the grid")
 
 
 def check_p_sa_scaling(config: EngineConfig, rows) -> CheckResult:
-    if not rows:
-        return _no_rows("p_sa_scaling")
     products = [r.p_sa * r.tau for r in rows]
     ref = products[len(products) // 2]
     worst = max(abs(p - ref) / abs(ref) for p in products)
@@ -291,8 +306,6 @@ def check_p_sa_scaling(config: EngineConfig, rows) -> CheckResult:
 
 
 def check_eta_ordering(config: EngineConfig, rows) -> CheckResult:
-    if not rows:
-        return _no_rows("eta_ordering")
     worst = max(r.eta_sa - r.eta_ad for r in rows)
     return CheckResult("eta_ordering", worst <= 1e-12, max(worst, 0.0),
                        "eta_SA <= eta_AD on the grid")
@@ -342,27 +355,28 @@ def run_all_checks(config: EngineConfig) -> list[CheckResult]:
     ]
     # after the protocol checks: they fail fast where a solve would crawl
     samples = pair_samples(config)
+    effective = effective_samples(config)
     results += [
         check_wronskian(config, samples),
         check_ermakov_residual(config, samples),
         check_q_star_routes(config, samples),
         check_adiabatic_limit(config),
-        check_lcd_exactness(config),
+        check_lcd_exactness(config, effective),
         check_adiabatic_efficiency(config),
         check_cost_boundary(config),
         check_cost_scaling(config),
-        check_cost_consistency(config),
+        check_cost_consistency(config, effective),
         check_fidelity_identity(config),
         check_fidelity_zero_t(config),
     ]
-    rows = _sweep_rows(config)
-    results += [
-        check_bound_ordering(config, rows),
-        check_eta_sa_monotone(config, rows),
-        check_power_ordering(config, rows),
-        check_p_sa_scaling(config, rows),
-        check_eta_ordering(config, rows),
-        check_rescaling_invariance(config),
-        check_trap_inversion_scan(config),
-    ]
-    return results
+    rows = [r for r in sweep(config) if not r.failed]
+    for check in (check_bound_ordering, check_eta_sa_monotone,
+                  check_power_ordering, check_p_sa_scaling,
+                  check_eta_ordering):
+        # every grid point errored (e.g. strict mode below tau_c): nothing
+        # to check is a failure, not a vacuous pass
+        results.append(check(config, rows) if rows else CheckResult(
+            check.__name__.removeprefix("check_"), False, math.inf,
+            "no valid rows"))
+    return results + [check_rescaling_invariance(config),
+                      check_trap_inversion_scan(config)]

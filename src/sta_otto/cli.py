@@ -77,8 +77,9 @@ def _coerce(key: str, raw: str, where: str):
 
 
 def parse_config_text(text: str, source: str = "<config>") -> EngineConfig:
-    """Flat key = value format; '#' comments and blank lines ignored."""
-    updates = {}
+    """Flat key = value format; '#' comments and blank lines ignored;
+    a repeated key is an error, not a silent override."""
+    updates, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -90,6 +91,10 @@ def parse_config_text(text: str, source: str = "<config>") -> EngineConfig:
                               f"got {raw.strip()!r}")
         if key not in _CONFIG_TYPES:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}, "
+                              f"first set on line {first_line[key]}")
+        first_line[key] = lineno
         updates[key] = _coerce(key, value, f"{source}:{lineno}")
     return EngineConfig(**updates)
 

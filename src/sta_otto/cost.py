@@ -17,6 +17,10 @@ strictly positive for the polynomial ramp (integration by parts turns
 it into (E0/omega0) / tau^2 times \\int omega'(s)^2/(4 omega^3) ds > 0)
 and scaling exactly as 1/tau^2 under reparametrization of the same
 shape.
+
+Driven at the effective frequency Omega(t), the oscillator's energy
+<p^2>/2m + m Omega^2 <x^2>/2 is (omega_t / omega0) E0 + <H_sa>(t);
+validate's cost_consistency checks this on the effective pair.
 """
 
 from __future__ import annotations
@@ -64,15 +68,6 @@ def q_star_lcd_instant(sample: ProtocolSample) -> float:
     never drops below 1.
     """
     return 1.0 + shortcut_shape_factor(sample)
-
-
-def lcd_mean_energy(protocol: FrequencyProtocol,
-                    initial: ThermalOscillatorState, t: float) -> float:
-    """Total mean energy <H + H_sa> while driving along the shortcut."""
-    check_start_frequency(protocol, initial)
-    sample = sample_protocol(protocol, t)
-    return (q_star_lcd_instant(sample) * sample.omega / initial.omega
-            * initial.mean_energy)
 
 
 def sa_cost_time_average(protocol: FrequencyProtocol,

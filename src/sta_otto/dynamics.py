@@ -18,9 +18,8 @@ mean energy of an initially thermal oscillator) is
 
 Three routes to Q* are exposed: the linear pair directly, the
 closed-form Ermakov transform of the pair, and an independent
-integration of the second moments (plus a direct integration of the
-nonlinear Ermakov equation).  They must agree; the test suite holds
-them to 1e-8 of each other.
+integration of the second moments.  They must agree; validate's
+q_star_routes holds them to 1e-8 of each other.
 
 Each solver integrates the whole stroke and returns its state only at
 the requested times, as a list of plain tuples; every caller knows
@@ -32,8 +31,10 @@ adiabaticity_from_ermakov, moment_q_star) are pure functions of it.
 Integration uses an adaptive embedded Runge-Kutta of order 8 (DOP853).
 Every solver takes the EngineConfig, the one owner and validator of
 the ODE tolerances; the tight defaults (1e-10 relative) keep Q* - 1
-resolvable down to ~1e-6 in the adiabatic regime.  A thermal
-start is a ThermalOscillatorState, which owns its occupation factor.
+resolvable down to ~1e-6 in the adiabatic regime.  A stroke of
+MAX_STROKE_PHASE rad or more is refused before any step is taken.  A
+thermal start is a ThermalOscillatorState, which owns its occupation
+factor.
 """
 
 from __future__ import annotations
@@ -49,15 +50,24 @@ from .strokes import ThermalOscillatorState
 
 PairState = tuple[float, float, float, float]   # (X, X', Y, Y')
 
+# phase max(omega) tau at which a solve is refused: DOP853's work grows
+# with it (2 s for 1e4 rad on a 2-vCPU host), so tau = 1e8 takes hours
+MAX_STROKE_PHASE = 1e5
+
 
 def _integrate(rhs, y0, protocol: FrequencyProtocol, times: Sequence[float],
                config: EngineConfig) -> list[tuple[float, ...]]:
     """Integrate over the stroke at the config's tolerances; the states
     at the increasing times, each read from the interpolant of the step
     that contains it."""
+    duration = protocol.duration
+    phase = max(protocol.omega_initial, protocol.omega_final) * duration
+    if phase >= MAX_STROKE_PHASE:
+        raise SolverFailure(
+            f"stroke phase max(omega) tau = {phase:.6g} rad reaches the "
+            f"solver budget of {MAX_STROKE_PHASE:g} rad")
     from scipy.integrate import solve_ivp
 
-    duration = protocol.duration
     sol = solve_ivp(rhs, (0.0, duration), y0, method="DOP853",
                     t_eval=times, rtol=config.rel_tol, atol=config.abs_tol)
     if not sol.success:
@@ -153,22 +163,6 @@ def adiabaticity_from_ermakov(omega0: float, omega_t: float,
              + omega_t * omega_t * bv * bv) / (2.0 * omega0 * omega_t))
 
 
-def solve_ermakov_direct(protocol: FrequencyProtocol, times: Sequence[float],
-                         config: EngineConfig) -> list[tuple[float, float]]:
-    """(b, b') from the nonlinear Ermakov equation itself, at the times.
-
-    Independent of the linear pair; used to triangulate Q*.
-    """
-    omega = omega_of(protocol)
-    w0sq = protocol.omega_initial ** 2
-
-    def rhs(t, y):
-        b, bd = y
-        return (bd, w0sq / b**3 - omega(t) ** 2 * b)
-
-    return _integrate(rhs, (1.0, 0.0), protocol, times, config)
-
-
 def solve_second_moments(protocol: FrequencyProtocol, times: Sequence[float],
                          initial: ThermalOscillatorState,
                          config: EngineConfig
@@ -208,15 +202,3 @@ def moment_q_star(omega_t: float, moments: tuple[float, float, float],
     energy = pp / (2.0 * m) + 0.5 * m * omega_t**2 * xx
     return energy * omega0 / (omega_t * initial.mean_energy)
 
-
-def lcd_final_adiabaticity(protocol: FrequencyProtocol,
-                           config: EngineConfig) -> float:
-    """End-of-stroke Q* when driving with the effective frequency.
-
-    The local-counterdiabatic construction is designed to land the
-    oscillator on the adiabatic target state, so this must return 1 for
-    any schedule with flat ends, trap inversion included.  This is the
-    central verification that the shortcut works.
-    """
-    state = solve_effective_pair(protocol, (protocol.duration,), config)[0]
-    return husimi_q_star(protocol.omega_initial, protocol.omega_final, state)

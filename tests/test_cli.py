@@ -110,13 +110,14 @@ def test_bath_occupation_order_exit_2(tmp_path, capsys, no_solve, text):
 def test_absurd_finite_config_exit_3(tmp_path, capsys):
     # every config check passes (finite bath states, hot occupation
     # above cold), but w**4 in the cost overflows: a numerical failure
-    # with one error line, not a traceback.  validate is left out: its
-    # DOP853 solves crawl at these frequencies.
+    # with one error line, not a traceback.  validate's first solve,
+    # 1e78 rad of phase, is refused by the solver budget.
     cfg = tmp_path / "absurd.cfg"
     cfg.write_text("omega1 = 1e78\nomega2 = 1e79\nbeta1 = 1e-77\n"
                    "beta2 = 1e-80\ntau_count = 4\n")
     for argv in (("cycle", "--tau", "1"),
-                 ("sweep", "--out", str(tmp_path / "out.csv"))):
+                 ("sweep", "--out", str(tmp_path / "out.csv")),
+                 ("validate",)):
         code, out, err = run_cli(capsys, *argv, str(cfg))
         assert code == 3
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -142,6 +143,51 @@ def test_config_parsing_errors(tmp_path, capsys):
     bad.write_text("omega1\n")
     code, _, err = run_cli(capsys, "cycle", "--tau", "1", str(bad))
     assert code == 2 and "expected key = value" in err
+
+
+def test_duplicate_config_key_exit_2(tmp_path, capsys, no_solve):
+    # the last value used to win without a word
+    text = "omega1 = 0.3\nbeta1 = 0.5\n# retuned\nomega1 = 0.32\n"
+    with pytest.raises(ConfigError, match=r"engine\.cfg:4: duplicate key "
+                                          r"'omega1', first set on line 1"):
+        parse_config_text(text, "engine.cfg")
+    cfg = tmp_path / "dup.cfg"
+    cfg.write_text(text)
+    code, _, err = run_cli(capsys, "cycle", "--tau", "1", str(cfg))
+    assert code == 2 and "duplicate key 'omega1'" in err
+
+
+# the default config at tau = 1e8, and the default in MHz units, whose
+# validate solves at fixed taus from 0.1 upwards, i.e. 1e5 rad and more
+_PHASE_CASES = [
+    ("", ("cycle", "--tau", "1e8"), 1.0),
+    ("omega1 = 0.32e6\nomega2 = 1e6\nbeta1 = 0.5e-6\nbeta2 = 0.05e-6\n"
+     "tau_min = 1e-8\ntau_max = 1e-5\n", ("validate",), 1e6),
+]
+
+
+@pytest.mark.parametrize("text, argv, omega_max", _PHASE_CASES,
+                         ids=["cycle_tau_1e8", "validate_mhz_units"])
+def test_solver_phase_budget_exit_3(tmp_path, capsys, monkeypatch,
+                                    text, argv, omega_max):
+    # a stroke of 1e5 rad or more would keep DOP853 busy for tens of
+    # seconds to hours; it exits 3 at once instead of reaching the solver
+    import scipy.integrate
+
+    solve_ivp = scipy.integrate.solve_ivp
+
+    def bounded(fun, t_span, *args, **kwargs):
+        if omega_max * t_span[1] >= 1e5:
+            raise AssertionError(f"a {omega_max * t_span[1]:g} rad stroke "
+                                 f"reached solve_ivp")
+        return solve_ivp(fun, t_span, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", bounded)
+    cfg = tmp_path / "engine.cfg"
+    cfg.write_text(text)
+    code, _, err = run_cli(capsys, *argv, str(cfg))
+    assert code == 3
+    assert err.startswith("error: stroke phase") and "solver budget" in err
 
 
 def test_parse_config_text_roundtrip():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sta_otto import (ConfigError, ThermalOscillatorState,
-                      lcd_mean_energy, polynomial_ramp, q_star_lcd_instant,
+                      polynomial_ramp, q_star_lcd_instant,
                       sa_cost_time_average, sa_energy_instant,
                       sample_protocol, shortcut_shape_factor)
 
@@ -50,14 +50,6 @@ def test_q_star_lcd_instant(ramp):
     assert abs(q_star_lcd_instant(s_mid) - wrong) > 0.1
 
 
-def test_lcd_mean_energy_consistency(ramp, cold):
-    for t in np.linspace(0.0, 1.0, 11):
-        s = sample_protocol(ramp, float(t))
-        adiabatic = s.omega / 0.32 * cold.mean_energy
-        assert lcd_mean_energy(ramp, cold, float(t)) == pytest.approx(
-            adiabatic + sa_energy_instant(s, cold), rel=1e-13)
-
-
 def test_time_average_cost_frozen(ramp, cold, hot, base_config):
     assert sa_cost_time_average(ramp, cold, base_config) == pytest.approx(
         COST1_TAU1, rel=1e-10)
@@ -103,8 +95,6 @@ def test_direct_operator_route_differs_by_exact_term(ramp, cold):
 def test_start_frequency_mismatch_rejected(ramp, hot, base_config):
     with pytest.raises(ConfigError):
         sa_cost_time_average(ramp, hot, base_config)
-    with pytest.raises(ConfigError):
-        lcd_mean_energy(ramp, hot, 0.5)
 
 
 def test_steep_ramp_track_shape():
