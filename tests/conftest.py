@@ -9,10 +9,12 @@ terminal-summary hook below.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import strategies as st
 
-from sta_otto import EngineConfig, sweep
+from sta_otto import EngineConfig, cycle, sweep
 
 # closed-form oracles (40-digit arithmetic, frozen)
 COTH_008 = 12.526655295819479794      # coth(0.08)
@@ -32,7 +34,7 @@ OVERLAP_ZERO_T = 0.857099128710966696 # 2 sqrt(0.32 * 1)/(0.32 + 1)
 SUDDEN_CAP = 1.7225                   # (0.32^2 + 1)/(2 * 0.32): sudden-quench Q*
 
 # regression constants (first computation with this implementation, frozen)
-TAU_STAR = 0.253077778554             # Brent root of eta_sa = eta_na, rtol 1e-6
+TAU_STAR = 0.253077777638             # root of eta_sa = eta_na, converged (xtol 1e-14 in ln tau)
 TAU_STAR_FAR = 18.2192069808          # second root (run_cycle gap, xtol 1e-15)
 Q1_TAU1 = 1.68265052943513            # compression Q* at tau = 1
 Q1_TAU001 = 1.72249589529961          # compression Q* at tau = 0.01
@@ -68,6 +70,18 @@ def no_solve(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("input reached the ODE solver")
     monkeypatch.setattr("sta_otto.cycle.solve_linear_pair", refuse)
+
+
+@pytest.fixture
+def nan_q_star_inside(monkeypatch):
+    """compression_q_star returns NaN for 0.05 < tau < 5, inside the
+    (0.01, 10) bracket but not at its ends."""
+    solve = cycle.compression_q_star
+
+    def nan_inside(config, tau):
+        return math.nan if 0.05 < tau < 5.0 else solve(config, tau)
+
+    monkeypatch.setattr(cycle, "compression_q_star", nan_inside)
 
 
 def pytest_configure(config):

@@ -272,6 +272,13 @@ def test_crossover_no_sign_change(capsys):
     assert "does not change sign" in err
 
 
+def test_crossover_non_finite_q_star_exits_3(capsys, nan_q_star_inside):
+    # a NaN Q* inside the bracket fails the search: exit 3, no root printed
+    code, out, err = run_cli(capsys, "crossover", "--bracket", "0.01", "10")
+    assert code == 3 and out == ""
+    assert "did not converge" in err
+
+
 def test_crossover_no_root_at_heat_sign_pole(tmp_path, capsys):
     # the bare heat changes sign at tau = 4.98136, which is no crossing
     cfg = tmp_path / "pole.cfg"

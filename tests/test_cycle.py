@@ -1,9 +1,13 @@
 import math
+import random
+import sys
 from collections import Counter
 from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from sta_otto import (CycleMetrics, EngineConfig, NoSignChange,
                       SolverFailure, TrapInversionError, compression_q_star,
@@ -255,10 +259,10 @@ def test_crossover_requires_sign_change(base_config):
         find_efficiency_crossover(base_config, (0.0, 10.0))
 
 
-def _cycles_either_side(config, tau):
-    """Cycles at tau (1 -/+ 1e-4), between which eta_sa - eta_na must
+def _cycles_either_side(config, tau, rel=1e-4):
+    """Cycles at tau (1 -/+ rel), between which eta_sa - eta_na must
     change sign."""
-    sides = [run_cycle(config, tau * f) for f in (1 - 1e-4, 1 + 1e-4)]
+    sides = [run_cycle(config, tau * f) for f in (1 - rel, 1 + rel)]
     below, above = (m.eta_sa - m.eta_na for m in sides)
     assert below * above < 0.0
     return sides
@@ -274,14 +278,36 @@ def test_no_crossover_at_heat_sign_pole():
         find_efficiency_crossover(POLE_CONFIG, (0.01, 10.0))
 
 
-@settings(max_examples=15, derandomize=True, database=None, deadline=None)
-@given(config=CONFIG_BOX)
-def test_crossover_is_a_real_crossing(config):
+def _reference_crossover(config, bracket):
+    """scipy's Brent root, xtol 1e-12 in ln tau, of the same level gap
+    ln(Q*1 - 1) - ln(Q_sa - 1); None where the gap keeps its sign."""
+    level = cycle._crossover_level(config)
+
+    def gap(s):
+        q1 = compression_q_star(config, math.exp(s))
+        return math.log(max(q1 - 1.0, sys.float_info.min)) - level(s)
+
     try:
-        tau_star = find_efficiency_crossover(config, (0.01, 10.0))
+        return brentq(gap, *map(math.log, bracket), xtol=1e-12)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@given(config=CONFIG_BOX,
+       bracket=st.sampled_from([(0.01, 10.0), (10.0, 40.0)]))
+def test_crossover_is_a_real_crossing(config, bracket):
+    # the search agrees with a converged Brent root of the same gap on
+    # whether a root exists and where, and the root is a real crossing
+    reference = _reference_crossover(config, bracket)
+    try:
+        tau_star = find_efficiency_crossover(config, bracket)
     except NoSignChange:
+        assert reference is None
         return
-    sides = _cycles_either_side(config, tau_star)
+    assert reference is not None
+    assert abs(math.log(tau_star) - reference) <= 1e-6
+    sides = _cycles_either_side(config, tau_star, rel=1e-5)
     assert all(m.is_engine_na for m in sides)
 
 
@@ -293,8 +319,8 @@ def test_far_crossover_past_long_stroke_defect(base_config):
 
 
 def test_root_search_work_budget(base_config, monkeypatch):
-    # one Q* solve per Brent step in ln tau, where both level gaps are
-    # nearly linear
+    # one Q* solve at each bracket end and one per step of the model of
+    # ln(Q*1 - 1) against the closed-form level, in ln tau
     import scipy.integrate
 
     calls = Counter()
@@ -307,20 +333,50 @@ def test_root_search_work_budget(base_config, monkeypatch):
     monkeypatch.setattr(scipy.integrate, "solve_ivp", counted)
     colder = replace(base_config, beta1=0.2)
     for search, config, bracket, budget in (
-            (find_efficiency_crossover, base_config, (0.01, 10.0), 12),
-            (find_efficiency_crossover, base_config, (10.0, 40.0), 9),
-            (find_heat_sign_threshold, colder, (0.01, 10.0), 10)):
+            (find_efficiency_crossover, base_config, (0.01, 10.0), 6),
+            (find_efficiency_crossover, base_config, (10.0, 40.0), 7),
+            (find_heat_sign_threshold, colder, (0.01, 10.0), 8)):
         calls.clear()
         search(config, bracket)
         assert calls["solve_ivp"] <= budget, (bracket, calls)
 
 
+def test_crossover_solves_per_root_on_study_region(monkeypatch):
+    # the benchmark's crossover study draws its configs from this region;
+    # a Brent search on the whole gap takes 9.8 solves per root there
+    calls = Counter()
+
+    def counted(*args, _fn=cycle.solve_linear_pair, **kwargs):
+        calls["solve"] += 1
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(cycle, "solve_linear_pair", counted)
+    rng = random.Random(2016)
+    for _ in range(20):
+        config = EngineConfig(omega1=rng.uniform(0.35, 0.5),
+                              beta1=rng.uniform(0.5, 0.95),
+                              beta2=rng.uniform(0.02, 0.05))
+        find_efficiency_crossover(config, (0.01, 10.0))
+    assert calls["solve"] / 20 <= 6.5, calls
+
+
 def test_root_search_non_convergence(base_config, monkeypatch):
-    def stall(*args, **kwargs):
-        raise RuntimeError("Failed to converge after 100 iterations.")
-    monkeypatch.setattr("scipy.optimize.brentq", stall)
+    # the default crossover takes four steps past the bracket ends: a cap
+    # of three raises instead of returning the last iterate
+    monkeypatch.setattr(cycle, "_ROOT_ITERATIONS", 3)
     with pytest.raises(SolverFailure, match="did not converge"):
         find_efficiency_crossover(base_config, (0.01, 10.0))
+
+
+def test_root_search_refuses_non_finite_q_star(base_config,
+                                               nan_q_star_inside):
+    # a NaN Q* inside the bracket fails the search; it is never taken as
+    # a side of the sign change
+    with pytest.raises(SolverFailure, match="did not converge"):
+        find_efficiency_crossover(base_config, (0.01, 10.0))
+    with pytest.raises(SolverFailure, match="did not converge"):
+        find_heat_sign_threshold(replace(base_config, beta1=0.2),
+                                 (0.01, 10.0))
 
 
 def test_heat_sign_threshold_unreachable_for_quintic(base_config):

@@ -33,23 +33,29 @@ def test_no_private_imports_between_modules():
 
 
 _IMPORT_PATH_SCRIPT = """
-import json, sys
-import sta_otto
+import sys
+bare = set(sys.modules)
 from sta_otto import cli
+cli.load_config(sys.argv[2])
+setup = sorted(set(sys.modules) - bare)
+import json
 cli.load_config(None)
 codes = [cli.main(["protocol-dump", "--tau", "1", "--out", sys.argv[1]]),
          cli.main(["sweep", sys.argv[2], "--out", sys.argv[3]]),
          cli.main(["cycle", sys.argv[4], "--tau", "1"]),
          cli.main(["sweep", sys.argv[4], "--out", sys.argv[1]])]
-print(json.dumps([codes, sorted(m for m in sys.modules
-                                if m.split(".")[0] in ("numpy", "scipy"))]))
+print(json.dumps([codes, setup, sorted(m for m in sys.modules
+                                       if m.split(".")[0] in ("numpy",
+                                                              "scipy"))]))
 """
 
 
 def test_no_numpy_or_scipy_on_import_path(tmp_path):
     # numpy and scipy cost most of the start-up time; the import, the
     # config and every command path that solves nothing must load neither,
-    # an absurd bath (refused when the config is built) included
+    # an absurd bath (refused when the config is built) included.  The
+    # set-up path, importing the CLI and loading a config file, loads
+    # nothing beyond the standard library and the package itself
     cfg = tmp_path / "small.cfg"
     cfg.write_text("tau_count = 2\n")
     absurd = tmp_path / "absurd.cfg"
@@ -63,9 +69,12 @@ def test_no_numpy_or_scipy_on_import_path(tmp_path):
          str(tmp_path / "no" / "such" / "dir.csv"), str(absurd)],
         env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    codes, setup, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0, 2, 2, 2], proc.stderr
     assert loaded == []
+    assert "sta_otto.cli" in setup
+    assert [m for m in setup if m.split(".")[0] != "sta_otto"
+            and m.split(".")[0] not in sys.stdlib_module_names] == []
 
 
 def test_star_import_binds_no_modules():
