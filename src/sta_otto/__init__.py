@@ -7,15 +7,16 @@ shortcut drive that reaches the adiabatic target in finite time at an
 explicit energetic cost, together with the geometric speed-limit bounds
 the cost implies.
 
-Neither numpy nor scipy is imported at module level: each is imported
-inside the functions that call it, so importing the package, reading a
-config, --help, protocol-dump and every command path that solves
-nothing load only the standard library.
+scipy is imported inside the functions that call it, and numpy only
+through scipy: no module imports numpy itself.  So importing the
+package, reading a config, building the tau grid, --help,
+protocol-dump and every command path that solves nothing load only the
+standard library.
 """
 
 from types import ModuleType as _ModuleType
 
-__version__ = "0.1.0"
+__version__ = "0.1.1"
 
 from .config import EngineConfig, tau_grid
 from .cost import (q_star_lcd_instant, sa_cost_time_average,

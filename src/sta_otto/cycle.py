@@ -106,12 +106,6 @@ def stroke_pairs(config: EngineConfig,
             (polynomial_ramp(config.omega2, config.omega1, tau), config.hot))
 
 
-def _endpoint_q_star(config: EngineConfig,
-                     protocol: FrequencyProtocol) -> float:
-    state = solve_linear_pair(protocol, (protocol.duration,), config)[0]
-    return husimi_q_star(protocol.omega_initial, protocol.omega_final, state)
-
-
 @dataclass(frozen=True)
 class CycleConstants:
     """The parts of a cycle that depend on the config but not on tau.
@@ -172,12 +166,11 @@ def run_cycle(config: EngineConfig, tau: float) -> CycleMetrics:
     """
     _check_tau(tau)
     const = cycle_constants(config)
-    compression = polynomial_ramp(config.omega1, config.omega2, tau)
 
     _refuse_inversion(config, tau, const.tau_c)
     flags = ["inversion_1", "inversion_3"] if tau <= const.tau_c else []
 
-    q1 = _endpoint_q_star(config, compression)
+    q1 = compression_q_star(config, tau)
     q3 = q1
 
     w1_na = stroke_work(q1, config.cold, config.omega2)
@@ -366,11 +359,12 @@ def find_efficiency_crossover(config: EngineConfig,
     Mobius function of Q*1, strictly decreasing on the engine branch
     1 <= Q*1 < nu_hot/nu_cold, and equals eta_sa(tau) where Q*1 = Q_sa:
 
-        Q_sa - 1 = (nu_hot - nu_cold) omega2 (eta_ad - eta_sa)
-                   / (omega2 nu_cold (1 - eta_sa) + omega1 nu_hot),
+        Q_sa - 1 = (nu_hot - nu_cold) (omega2 - omega1)
+                   / (omega2 nu_cold + omega1 nu_hot
+                      + omega1 (nu_cold + nu_hot) y),
 
-    with eta_ad - eta_sa = eta_ad / (1 + y) and y = q2_ad tau^2 /
-    (k1 + k3), the adiabatic heat over the driving cost.  The search
+    with y = q2_ad tau^2 / (k1 + k3), the adiabatic heat over the
+    driving cost (eta_sa = eta_ad y / (1 + y)).  The search
     (_root_in_ln_tau) solves ln(Q*1 - 1) = ln(Q_sa - 1) in ln tau: only
     the left side costs a Q* solve, the level is closed form, and about
     6 solves find a root.  Past the heat-sign pole Q*1 = nu_hot/nu_cold
@@ -388,31 +382,36 @@ def find_efficiency_crossover(config: EngineConfig,
 
 def _crossover_level(config: EngineConfig) -> Callable[[float], float]:
     """s -> ln(Q_sa - 1) at tau = e^s, the closed-form side of the
-    crossover search."""
+    crossover search.
+
+    Q_sa - 1 = num / (a + c tau^2), with num = (nu_hot - nu_cold)
+    (omega2 - omega1), a = omega2 nu_cold + omega1 nu_hot and
+    c = omega1 (nu_cold + nu_hot) q2_ad / (k1 + k3).  A tau whose
+    square overflows gives a level of -inf, not an OverflowError.
+    """
     const = cycle_constants(config)
-    cold, hot = config.cold, config.hot
-    cost_tau2 = const.k1 + const.k3
-    eta_ad = -(const.w1_ad + const.w3_ad) / const.q2_ad
-    # ln of (nu_hot - nu_cold) omega2 eta_ad, the numerator at y = 0
-    ln_scale = math.log((hot.nu - cold.nu) * (config.omega2 - config.omega1))
+    nu_cold, nu_hot = config.cold.nu, config.hot.nu
+    w1, w2 = config.omega1, config.omega2
+    ln_num = math.log((nu_hot - nu_cold) * (w2 - w1))
+    a = w2 * nu_cold + w1 * nu_hot
+    c = w1 * (nu_cold + nu_hot) * const.q2_ad / (const.k1 + const.k3)
 
     def level(s: float) -> float:
         tau = math.exp(s)
-        y = const.q2_ad * tau * tau / cost_tau2
-        eta_sa = eta_ad * y / (1.0 + y)
-        return ln_scale - math.log1p(y) - math.log(
-            config.omega2 * cold.nu * (1.0 - eta_sa) + config.omega1 * hot.nu)
+        return ln_num - math.log(a + c * tau * tau)
 
     return level
 
 
 def compression_q_star(config: EngineConfig, tau: float) -> float:
-    """Endpoint Q* of the compression stroke alone: one ODE solve, the
-    unit of work of both root searches and of validate's adiabatic
-    limit."""
+    """Endpoint Q* of the compression stroke: one ODE solve, the unit of
+    work of run_cycle, of both root searches and of validate's adiabatic
+    limit.  Its solve_linear_pair call is the program's one production
+    Q* solve."""
     _check_tau(tau)
-    return _endpoint_q_star(
-        config, polynomial_ramp(config.omega1, config.omega2, tau))
+    ramp = polynomial_ramp(config.omega1, config.omega2, tau)
+    state = solve_linear_pair(ramp, (tau,), config)[0]
+    return husimi_q_star(config.omega1, config.omega2, state)
 
 
 def find_heat_sign_threshold(config: EngineConfig,
@@ -426,7 +425,10 @@ def find_heat_sign_threshold(config: EngineConfig,
     (the config makes nu_hot > nu_cold).  Raises NoSignChange when the
     bare drive never gets bad enough inside the bracket, which is the
     generic situation for smooth ramps whose Q* saturates below the
-    threshold.
+    threshold.  The root is a property of the bare ramp, whose
+    omega(t) stays positive: its trap never inverts, so strict mode,
+    which refuses the shortcut's inverted trap, does not restrict this
+    search.
     """
     ln_level = math.log(heat_sign_threshold(config.cold, config.hot) - 1.0)
     return _root_in_ln_tau(functools.partial(compression_q_star, config),

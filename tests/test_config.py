@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sta_otto import ConfigError, EngineConfig
+from sta_otto import ConfigError, EngineConfig, tau_grid
 from sta_otto.config import MAX_TAU_COUNT, linspace
 
 
@@ -37,6 +37,38 @@ _ENDS = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 def test_linspace_matches_numpy_bitwise(start, stop, count):
     assert linspace(start, stop, count) == np.linspace(
         start, stop, count).tolist()
+
+
+def _numpy_logspace(config):
+    return np.logspace(np.log10(config.tau_min), np.log10(config.tau_max),
+                       config.tau_count).tolist()
+
+
+# 10 ** x inherits the rounding of x scaled by ln(10) |x|, so the bound
+# holds for grids inside a few decades of 1, the physical range of tau
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(start=st.floats(-3.0, 2.0), decades=st.floats(0.01, 5.0),
+       count=st.integers(2, 500))
+def test_log_grid_matches_numpy_logspace(start, decades, count):
+    config = EngineConfig(tau_min=10.0 ** start,
+                          tau_max=10.0 ** (start + decades), tau_count=count)
+    grid = tau_grid(config)
+    reference = _numpy_logspace(config)
+    assert len(grid) == count
+    for tau, ref in zip(grid, reference):
+        assert abs(tau - ref) <= 1e-14 * ref
+
+
+def test_log_grid_on_default_config_within_one_ulp():
+    config = EngineConfig()
+    grid = tau_grid(config)
+    reference = _numpy_logspace(config)
+    assert all(abs(tau - ref) <= math.ulp(ref)
+               for tau, ref in zip(grid, reference))
+    # the sweep prints 12 significant digits: that column is unchanged
+    assert ([f"{tau:#.12g}" for tau in grid]
+            == [f"{ref:#.12g}" for ref in reference])
+    assert (grid[0], grid[-1]) == (config.tau_min, config.tau_max)
 
 
 @pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "quad_tol"])

@@ -397,6 +397,30 @@ def test_heat_sign_threshold_colder_bath(base_config):
     assert not below.is_engine_na and not above.is_engine_na
 
 
+def test_strict_mode_leaves_heat_sign_search_alone():
+    # the heat-sign root belongs to the bare ramp, whose omega(t) > 0
+    # never inverts the trap; strict mode refuses only the shortcut's
+    strict = EngineConfig(beta1=0.2, strict=True)
+    tau_death = find_heat_sign_threshold(strict, (0.01, 10.0))
+    assert tau_death == pytest.approx(TAU_HEAT_DEATH_B02, rel=1e-6)
+    assert tau_death == find_heat_sign_threshold(
+        replace(strict, strict=False), (0.01, 10.0))
+    with pytest.raises(TrapInversionError):
+        find_efficiency_crossover(strict, (0.01, 10.0))
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(config=CONFIG_BOX, tau=st.floats(0.01, 40.0))
+def test_crossover_level_is_the_cycles_crossing(config, tau):
+    # a bare cycle whose Q* sits on the closed-form level runs at the
+    # shortcut's efficiency eta_sa, built by run_cycle from the costs
+    q = 1.0 + math.exp(cycle._crossover_level(config)(math.log(tau)))
+    w_na = (strokes.stroke_work(q, config.cold, config.omega2)
+            + strokes.stroke_work(q, config.hot, config.omega1))
+    eta_na = -w_na / strokes.hot_isochore_heat(q, config.cold, config.hot)
+    assert eta_na == pytest.approx(run_cycle(config, tau).eta_sa, rel=1e-10)
+
+
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
 @given(config=CONFIG_BOX)
 def test_rescaling_invariance(config):

@@ -39,7 +39,9 @@ from sta_otto import cli
 cli.load_config(sys.argv[2])
 setup = sorted(set(sys.modules) - bare)
 import json
+import sta_otto
 cli.load_config(None)
+assert len(sta_otto.tau_grid(cli.load_config(sys.argv[2]))) == 2
 codes = [cli.main(["protocol-dump", "--tau", "1", "--out", sys.argv[1]]),
          cli.main(["sweep", sys.argv[2], "--out", sys.argv[3]]),
          cli.main(["cycle", sys.argv[4], "--tau", "1"]),
@@ -52,10 +54,11 @@ print(json.dumps([codes, setup, sorted(m for m in sys.modules
 
 def test_no_numpy_or_scipy_on_import_path(tmp_path):
     # numpy and scipy cost most of the start-up time; the import, the
-    # config and every command path that solves nothing must load neither,
-    # an absurd bath (refused when the config is built) included.  The
-    # set-up path, importing the CLI and loading a config file, loads
-    # nothing beyond the standard library and the package itself
+    # config, the log tau grid and every command path that solves nothing
+    # must load neither, an absurd bath (refused when the config is
+    # built) included.  The set-up path, importing the CLI and loading a
+    # config file, loads nothing beyond the standard library and the
+    # package itself
     cfg = tmp_path / "small.cfg"
     cfg.write_text("tau_count = 2\n")
     absurd = tmp_path / "absurd.cfg"
@@ -75,6 +78,23 @@ def test_no_numpy_or_scipy_on_import_path(tmp_path):
     assert "sta_otto.cli" in setup
     assert [m for m in setup if m.split(".")[0] != "sta_otto"
             and m.split(".")[0] not in sys.stdlib_module_names] == []
+
+
+def test_no_module_imports_numpy():
+    # numpy arrives only with scipy, at a routine that calls scipy; no
+    # module of the package imports it itself, at any level
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.split(".")[0] == "numpy"]
+    assert not found, found
 
 
 def test_star_import_binds_no_modules():
