@@ -7,16 +7,17 @@ shortcut drive that reaches the adiabatic target in finite time at an
 explicit energetic cost, together with the geometric speed-limit bounds
 the cost implies.
 
-scipy is imported inside the functions that call it, and numpy only
-through scipy: no module imports numpy itself.  So importing the
-package, reading a config, building the tau grid, --help,
-protocol-dump and every command path that solves nothing load only the
-standard library.
+scipy is used only to integrate (solve_ivp for the ODEs, quad for the
+shortcut cost) and is imported inside the two functions that call it;
+numpy arrives only through scipy, and no module imports it itself.  So
+importing the package, reading a config, building the tau grid, the
+inversion threshold, --help, protocol-dump and every command path that
+solves nothing load only the standard library.
 """
 
 from types import ModuleType as _ModuleType
 
-__version__ = "0.1.1"
+__version__ = "0.1.2"
 
 from .config import EngineConfig, tau_grid
 from .cost import (q_star_lcd_instant, sa_cost_time_average,

@@ -7,6 +7,9 @@ sweep rows) is computed once by run_all_checks and passed to each.
 Checks marked as warnings (trap inversion on the configured grid, speed
 bound premise violations) inform without failing the suite; strict mode
 is handled upstream by run_cycle, which turns inversion into errors.
+Every fixed duration a check solves at is given in units of the default
+omega1 (times 0.32/omega1), so a config in other units of time asks
+the solvers for the same phase omega tau and reads the same residuals.
 """
 
 from __future__ import annotations
@@ -49,10 +52,15 @@ def check_config_invariants(config: EngineConfig) -> CheckResult:
                        "enforced at construction")
 
 
+def _time_unit(config: EngineConfig) -> float:
+    # the default omega1's unit of time; exactly 1.0 at the default
+    return 0.32 / config.omega1
+
+
 def check_protocol_boundary(config: EngineConfig) -> CheckResult:
     worst = 0.0
     for tau in (0.35, 1.0):
-        for protocol, _ in stroke_pairs(config, tau):
+        for protocol, _ in stroke_pairs(config, tau * _time_unit(config)):
             worst = max(worst, *boundary_residuals(protocol).values())
     return CheckResult("protocol_boundary", worst <= 1e-12, worst,
                        "flat ends: omega at targets, derivatives zero")
@@ -85,9 +93,11 @@ def check_protocol_scaling(config: EngineConfig) -> CheckResult:
 
 
 def _stroke_samples(config: EngineConfig, solve, taus, count: int) -> dict:
-    # each stroke from stroke_pairs solved once on linspace(0, tau, count)
+    # each stroke from stroke_pairs solved once on linspace(0, tau, count),
+    # for each of the taus in the default omega1's unit of time
     samples = {}
     for tau in taus:
+        tau *= _time_unit(config)
         times = linspace(0.0, tau, count)
         samples[tau] = [(protocol, initial, times,
                          solve(protocol, times, config))
@@ -97,15 +107,15 @@ def _stroke_samples(config: EngineConfig, solve, taus, count: int) -> dict:
 
 def pair_samples(config: EngineConfig) -> dict:
     """{tau: [(protocol, initial, times, states) per stroke]} for tau in
-    (0.1, 1, 10): the linear pair of each stroke, solved once on
-    linspace(0, tau, 101) for every check that reads it."""
+    (0.1, 1, 10) times 0.32/omega1: the linear pair of each stroke,
+    solved once on linspace(0, tau, 101) for every check that reads it."""
     return _stroke_samples(config, solve_linear_pair, (0.1, 1.0, 10.0), 101)
 
 
 def effective_samples(config: EngineConfig) -> dict:
     """pair_samples' sibling for the shortcut: the effective pair of each
-    stroke for tau in (0.05, 0.1, 0.5, 1, 5), solved once on
-    linspace(0, tau, 41) for lcd_exactness and cost_consistency."""
+    stroke for tau in (0.05, 0.1, 0.5, 1, 5) times 0.32/omega1, solved
+    once on linspace(0, tau, 41) for lcd_exactness and cost_consistency."""
     return _stroke_samples(config, solve_effective_pair,
                            (0.05, 0.1, 0.5, 1.0, 5.0), 41)
 
@@ -120,13 +130,15 @@ def check_wronskian(config: EngineConfig, samples) -> CheckResult:
 
 
 def check_ermakov_residual(config: EngineConfig, samples) -> CheckResult:
-    # the Wronskian invariant in Ermakov form: the residual reduces to
-    # omega0^2 |W^2 - 1| / b^3 (see ermakov_residual)
+    # the Wronskian invariant in Ermakov form, omega0^2 |W^2 - 1| / b^3
+    # (see ermakov_residual): a squared frequency, read in the unit of time
+    # of the durations, so that it is the same in any unit
+    unit = _time_unit(config)
     worst = 0.0
-    for protocol, _, times, states in samples[1.0]:
-        omega, omega0 = omega_of(protocol), protocol.omega_initial
-        for t, state in zip(times, states):
-            worst = max(worst, ermakov_residual(omega0, omega(t), state))
+    for protocol, _, _, states in samples[1.0 * unit]:
+        worst = max(worst, *(ermakov_residual(protocol.omega_initial, state)
+                             for state in states))
+    worst *= unit * unit
     return CheckResult("ermakov_residual", worst <= 1e-8, worst,
                        "b'' + omega^2 b = omega0^2/b^3 from the pair")
 
@@ -161,7 +173,7 @@ def check_q_star_routes(config: EngineConfig, samples) -> CheckResult:
 
 
 def check_adiabatic_limit(config: EngineConfig) -> CheckResult:
-    q = compression_q_star(config, 100.0)
+    q = compression_q_star(config, 100.0 * _time_unit(config))
     return CheckResult("adiabatic_limit", abs(q - 1.0) <= 1e-3, abs(q - 1.0),
                        "slow drive approaches Q* = 1")
 
@@ -200,8 +212,9 @@ def check_cost_scaling(config: EngineConfig) -> CheckResult:
     # quadrature here is the only one, so it also checks k3 = k1 nu_hot
     # / nu_cold, which cycle_constants takes from time reversal
     const = cycle_constants(config)
+    unit = _time_unit(config)
     worst = 0.0
-    for tau in (0.1, 10.0):
+    for tau in (0.1 * unit, 10.0 * unit):
         for (protocol, initial), ref in zip(stroke_pairs(config, tau),
                                             (const.k1, const.k3)):
             v = sa_cost_time_average(protocol, initial, config) * tau * tau
@@ -317,8 +330,9 @@ def check_rescaling_invariance(config: EngineConfig) -> CheckResult:
     config = replace(config, strict=False)
     lam = 2.0
     other = rescaled(config, lam)
+    unit = _time_unit(config)
     worst = 0.0
-    for tau in (0.1, 1.0):
+    for tau in (0.1 * unit, 1.0 * unit):
         a = run_cycle(config, tau)
         b = run_cycle(other, tau)
         for name in ("q_star_1", "q_star_3", "eta_sa", "eta_na", "eta_ad",

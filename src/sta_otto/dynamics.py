@@ -134,24 +134,18 @@ def ermakov_from_linear(omega0: float,
     return b, (y * yd + w0sq * x * xd) / b
 
 
-def ermakov_residual(omega0: float, omega_t: float,
-                     state: PairState) -> float:
+def ermakov_residual(omega0: float, state: PairState) -> float:
     """|b'' + omega^2 b - omega0^2/b^3| for the pair-derived scaling factor.
 
-    b'' is assembled from the pair via d/dt(b b') = (Y'^2 + omega0^2 X'^2)
-    - omega^2 b^2, so the returned value reduces algebraically to
-    omega0^2 |W^2 - 1| / b^3: a direct, dimensionful measure of how well
-    the integrated pair satisfies the Ermakov equation.
+    With b b' = Y Y' + omega0^2 X X' from the pair, the pair's own
+    equations give b'' b^3 = omega0^2 W^2 - omega^2 b^4, so the residual
+    is omega0^2 |W^2 - 1| / b^3 at any omega(t): a dimensionful
+    (frequency squared) measure of how well the integrated pair
+    satisfies the Ermakov equation.
     """
-    w0sq = omega0 ** 2
-    w2 = omega_t ** 2
-    x, xd, y, yd = state
-    bsq = y * y + w0sq * x * x
-    bv = math.sqrt(bsq)
-    bd = (y * yd + w0sq * x * xd) / bv
-    kinetic = yd * yd + w0sq * xd * xd
-    bdd = (kinetic - w2 * bsq - bd * bd) / bv
-    return abs(bdd + w2 * bv - w0sq / bv**3)
+    w = wronskian(state)
+    b, _ = ermakov_from_linear(omega0, state)
+    return omega0**2 * abs(w * w - 1.0) / b**3
 
 
 def adiabaticity_from_ermakov(omega0: float, omega_t: float,

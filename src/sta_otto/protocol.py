@@ -26,8 +26,9 @@ from typing import Callable
 from .config import linspace
 from .errors import ConfigError, OutOfRangeTime
 
-# uniform samples of the ramp shape before the bounded refinement of tau_c
-_INVERSION_GRID = 256
+# the scans behind tau_c: a uniform scan of the ramp shape, then six
+# rescans between the neighbours of the smallest sample, each 8x narrower
+_INVERSION_SCANS = (256,) + (17,) * 6
 
 
 @dataclass(frozen=True)
@@ -138,14 +139,16 @@ def inversion_threshold(omega_initial: float, omega_final: float) -> float:
     In s = t/tau, Omega^2 = w^2 - h(s)/tau^2 with
     h = 3/4 w_s^2/w^2 - 1/2 w_ss/w, so Omega^2 reaches zero somewhere
     exactly when tau <= tau_c = sqrt(max_s h/w^2).  The maximum comes
-    from a uniform scan of -h/w^2 and a bounded refinement between the
-    neighbours of its smallest sample.  Swapping the end frequencies
-    mirrors the ratio about s = 1/2, so both strokes of a cycle share
-    tau_c, and whether a stroke of duration tau inverts is decided by
-    tau <= tau_c alone.
+    from a uniform scan of -h/w^2, refined by rescanning the interval
+    between the neighbours of the smallest sample: 358 evaluations in
+    all, ending on a bracket about 3e-8 wide in s.  Swapping the end
+    frequencies mirrors the ratio about s = 1/2, so the frequencies are
+    sorted first: both strokes of a cycle evaluate the same samples and
+    share tau_c bitwise, and whether a stroke of duration tau inverts is
+    decided by tau <= tau_c alone.
     """
-    wi = float(omega_initial)
-    d = float(omega_final) - wi
+    wi, wf = sorted((float(omega_initial), float(omega_final)))
+    d = wf - wi
 
     def neg_ratio(s):
         # -h/w^2 = Omega^2/w^2 - 1 evaluated at tau = 1
@@ -153,12 +156,10 @@ def inversion_threshold(omega_initial: float, omega_final: float) -> float:
         w = wi + d * v
         return effective_frequency_sq(w, d * d1, d * d2) / (w * w) - 1.0
 
-    ss = linspace(0.0, 1.0, _INVERSION_GRID)
-    vals = [neg_ratio(s) for s in ss]
-    i = vals.index(min(vals))
-    from scipy.optimize import minimize_scalar
-
-    res = minimize_scalar(
-        neg_ratio, method="bounded", options={"xatol": 1e-12},
-        bounds=(ss[max(i - 1, 0)], ss[min(i + 1, _INVERSION_GRID - 1)]))
-    return math.sqrt(max(-min(vals[i], res.fun), 0.0))
+    lo, hi = 0.0, 1.0
+    for count in _INVERSION_SCANS:
+        ss = linspace(lo, hi, count)
+        vals = [neg_ratio(s) for s in ss]
+        i = vals.index(min(vals))
+        lo, hi = ss[max(i - 1, 0)], ss[min(i + 1, count - 1)]
+    return math.sqrt(max(-vals[i], 0.0))

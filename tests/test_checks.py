@@ -6,8 +6,8 @@ from hypothesis import given, settings
 
 from sta_otto import checks, cost, cycle
 from sta_otto.checks import (check_bound_ordering, check_cost_consistency,
-                             check_q_star_routes, effective_samples,
-                             pair_samples, run_all_checks)
+                             check_ermakov_residual, check_q_star_routes,
+                             effective_samples, pair_samples, run_all_checks)
 
 from conftest import CONFIG_BOX
 
@@ -143,6 +143,22 @@ def test_q_star_routes_catches_q3_off_by_1e7(base_config, monkeypatch):
     assert r.residual == pytest.approx(1e-7, rel=1e-2)
     # the route spread is unchanged; only the symmetry part moved
     assert r.detail.partition(",")[0] == clean.detail.partition(",")[0]
+
+
+def test_ermakov_residual_catches_wronskian_off_by_1e7(base_config):
+    # X and X' of every sample scaled by 1 + 1e-7 put W - 1 at 1e-7: the
+    # reduced residual omega0^2 |W^2 - 1| / b^3 is then about 2e-7 at
+    # t = 0 of the expansion stroke (omega0 = 1, b = 1)
+    samples = pair_samples(base_config)
+    assert check_ermakov_residual(base_config, samples).passed
+    k = 1.0 + 1e-7
+    planted = {tau: [(protocol, initial, times,
+                      [(x * k, xd * k, y, yd) for x, xd, y, yd in states])
+                     for protocol, initial, times, states in strokes]
+               for tau, strokes in samples.items()}
+    r = check_ermakov_residual(base_config, planted)
+    assert not r.passed
+    assert r.residual > 1e-7
 
 
 @settings(max_examples=20, derandomize=True, database=None, deadline=None)

@@ -3,7 +3,8 @@ from dataclasses import fields
 
 import pytest
 
-from sta_otto import ConfigError, EngineConfig
+from sta_otto import ConfigError, EngineConfig, cli
+from sta_otto.checks import run_all_checks
 from sta_otto.cli import (MAX_DUMP_POINTS, main, parse_config_text,
                           read_manifest, write_manifest)
 from sta_otto.config import MAX_TAU_COUNT
@@ -110,8 +111,9 @@ def test_bath_occupation_order_exit_2(tmp_path, capsys, no_solve, text):
 def test_absurd_finite_config_exit_3(tmp_path, capsys):
     # every config check passes (finite bath states, hot occupation
     # above cold), but w**4 in the cost overflows: a numerical failure
-    # with one error line, not a traceback.  validate's first solve,
-    # 1e78 rad of phase, is refused by the solver budget.
+    # with one error line, not a traceback.  validate's durations follow
+    # the config's unit of time, so its solves stall rather than exceed
+    # the solver budget; that too exits 3.
     cfg = tmp_path / "absurd.cfg"
     cfg.write_text("omega1 = 1e78\nomega2 = 1e79\nbeta1 = 1e-77\n"
                    "beta2 = 1e-80\ntau_count = 4\n")
@@ -157,21 +159,9 @@ def test_duplicate_config_key_exit_2(tmp_path, capsys, no_solve):
     assert code == 2 and "duplicate key 'omega1'" in err
 
 
-# the default config at tau = 1e8, and the default in MHz units, whose
-# validate solves at fixed taus from 0.1 upwards, i.e. 1e5 rad and more
-_PHASE_CASES = [
-    ("", ("cycle", "--tau", "1e8"), 1.0),
-    ("omega1 = 0.32e6\nomega2 = 1e6\nbeta1 = 0.5e-6\nbeta2 = 0.05e-6\n"
-     "tau_min = 1e-8\ntau_max = 1e-5\n", ("validate",), 1e6),
-]
-
-
-@pytest.mark.parametrize("text, argv, omega_max", _PHASE_CASES,
-                         ids=["cycle_tau_1e8", "validate_mhz_units"])
-def test_solver_phase_budget_exit_3(tmp_path, capsys, monkeypatch,
-                                    text, argv, omega_max):
+def _refuse_long_solves(monkeypatch, omega_max):
     # a stroke of 1e5 rad or more would keep DOP853 busy for tens of
-    # seconds to hours; it exits 3 at once instead of reaching the solver
+    # seconds to hours: fail the test if one reaches solve_ivp
     import scipy.integrate
 
     solve_ivp = scipy.integrate.solve_ivp
@@ -183,11 +173,47 @@ def test_solver_phase_budget_exit_3(tmp_path, capsys, monkeypatch,
         return solve_ivp(fun, t_span, *args, **kwargs)
 
     monkeypatch.setattr(scipy.integrate, "solve_ivp", bounded)
+
+
+# the default config at tau = 1e8
+_PHASE_CASES = [("", ("cycle", "--tau", "1e8"), 1.0)]
+
+
+@pytest.mark.parametrize("text, argv, omega_max", _PHASE_CASES,
+                         ids=["cycle_tau_1e8"])
+def test_solver_phase_budget_exit_3(tmp_path, capsys, monkeypatch,
+                                    text, argv, omega_max):
+    # such a stroke exits 3 at once instead of reaching the solver
+    _refuse_long_solves(monkeypatch, omega_max)
     cfg = tmp_path / "engine.cfg"
     cfg.write_text(text)
     code, _, err = run_cli(capsys, *argv, str(cfg))
     assert code == 3
     assert err.startswith("error: stroke phase") and "solver budget" in err
+
+
+def test_validate_in_mhz_units_matches_default(tmp_path, capsys,
+                                               monkeypatch):
+    # the default engine in MHz units: validate's durations follow the
+    # config's unit of time, so its solves stay far below 1e5 rad and
+    # every check reads the default config's residual
+    default = run_all_checks(EngineConfig())
+    _refuse_long_solves(monkeypatch, 1e6)
+    results = []
+
+    def recorded(config):
+        results.extend(run_all_checks(config))
+        return results
+
+    monkeypatch.setattr(cli, "run_all_checks", recorded)
+    cfg = tmp_path / "engine.cfg"
+    cfg.write_text("omega1 = 0.32e6\nomega2 = 1e6\nbeta1 = 0.5e-6\n"
+                   "beta2 = 0.05e-6\ntau_min = 1e-8\ntau_max = 1e-5\n")
+    code, out, _ = run_cli(capsys, "validate", str(cfg))
+    assert code == 0, out
+    assert [r.name for r in results] == [r.name for r in default]
+    for mhz, ref in zip(results, default):
+        assert abs(mhz.residual - ref.residual) <= 1e-9, (mhz, ref)
 
 
 def test_parse_config_text_roundtrip():
@@ -328,7 +354,7 @@ def test_protocol_dump_stdout(capsys):
     code, out, err = run_cli(capsys, "protocol-dump", "--points", "11")
     assert code == 0 and err == ""
     lines = out.splitlines()
-    assert lines[0] == "# sta-otto protocol-dump v0.1.1"
+    assert lines[0] == "# sta-otto protocol-dump v0.1.2"
     data = [l for l in lines if not l.startswith("#")]
     header = data[0].split(",")
     assert header == ["t", "omega", "omega_dot", "omega_ddot",

@@ -166,23 +166,22 @@ def test_per_tau_work_budget(base_config, monkeypatch):
 
 
 def test_per_config_work_budget(monkeypatch):
-    # the scipy calls a config costs, pinned so that a port of these
-    # routines keeps them: one cost quadrature and one bounded minimiser
-    # per config, one ODE solve per tau, nothing for a strict refusal
+    # the calls a config costs, pinned so that a port of these routines
+    # keeps them: one cost quadrature and one inversion threshold per
+    # config, one ODE solve per tau, nothing for a strict refusal
     import scipy.integrate
-    import scipy.optimize
 
     calls = Counter()
     for module, name in ((scipy.integrate, "quad"),
                          (scipy.integrate, "solve_ivp"),
-                         (scipy.optimize, "minimize_scalar")):
+                         (cycle, "inversion_threshold")):
         def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
     config = EngineConfig(omega1=0.31, beta2=0.049)   # not cached yet
     cycle_constants(config)
-    assert calls == {"quad": 1, "minimize_scalar": 1}
+    assert calls == {"quad": 1, "inversion_threshold": 1}
     for tau in (0.5, 5.0):
         calls.clear()
         run_cycle(config, tau)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sta_otto import (ConfigError, OutOfRangeTime, boundary_residuals,
                       effective_frequency_sq, inversion_threshold, omega_of,
@@ -99,8 +101,32 @@ def test_inversion_threshold_brackets_the_scan(omega1, omega2):
     for wi, wf in ((omega1, omega2), (omega2, omega1)):
         assert _min_omega_eff_sq(wi, wf, tau_c * (1.0 - 1e-6)) < 0.0
         assert _min_omega_eff_sq(wi, wf, tau_c * (1.0 + 1e-6)) > 0.0
-    assert inversion_threshold(omega2, omega1) == pytest.approx(tau_c,
-                                                                rel=1e-14)
+    # the end frequencies are sorted first: both strokes share tau_c bitwise
+    assert inversion_threshold(omega2, omega1) == tau_c
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(omega1=st.floats(0.05, 0.5), omega2=st.floats(0.6, 3.0))
+def test_inversion_threshold_matches_a_bounded_minimiser(omega1, omega2):
+    # the refined scan against scipy's bounded minimiser on the bracket
+    # of the same 256-point scan, both of -h/w^2 = Omega^2/w^2 - 1 at tau = 1
+    from scipy.optimize import minimize_scalar
+
+    ramp = polynomial_ramp(omega1, omega2, 1.0)
+
+    def neg_ratio(s):
+        sample = sample_protocol(ramp, s)
+        return sample.omega_eff_sq / sample.omega**2 - 1.0
+
+    ss = linspace(0.0, 1.0, 256)
+    vals = [neg_ratio(s) for s in ss]
+    i = vals.index(min(vals))
+    res = minimize_scalar(neg_ratio, method="bounded",
+                          bounds=(ss[max(i - 1, 0)], ss[min(i + 1, 255)]),
+                          options={"xatol": 1e-12})
+    reference = math.sqrt(max(-min(vals[i], res.fun), 0.0))
+    assert inversion_threshold(omega1, omega2) == pytest.approx(
+        reference, rel=1e-12)
 
 
 def test_reversed_protocol():

@@ -97,6 +97,32 @@ def test_no_module_imports_numpy():
     assert not found, found
 
 
+def test_scipy_only_integrates():
+    # scipy is imported where it integrates and nowhere else: solve_ivp
+    # for every ODE and quad for the shortcut cost, each inside the one
+    # function that calls it
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scope = {}
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                scope[child] = (node.name if isinstance(node, ast.FunctionDef)
+                                else scope.get(node, "<module>"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            found += [f"{path.stem}.{scope[node]}: {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert sorted(found) == [
+        "cost.sa_cost_time_average: scipy.integrate.quad",
+        "dynamics._integrate: scipy.integrate.solve_ivp"]
+
+
 def test_star_import_binds_no_modules():
     # __all__ lists the public API; the submodules that the package's own
     # imports bind are reached as sta_otto.<name>, not star-imported
