@@ -10,6 +10,10 @@ is handled upstream by run_cycle, which turns inversion into errors.
 Every fixed duration a check solves at is given in units of the default
 omega1 (times 0.32/omega1), so a config in other units of time asks
 the solvers for the same phase omega tau and reads the same residuals.
+Each check tests an invariant of its own: wronskian_constancy is the
+one statement of W = 1 for the bare pair, and ermakov_residual holds
+the shortcut's effective pair to its closed-form Ermakov scaling
+b = sqrt(omega0/omega(t)).
 """
 
 from __future__ import annotations
@@ -22,9 +26,8 @@ from .cost import sa_cost_time_average, sa_energy_instant
 from .cycle import (compression_q_star, cycle_constants, rescaled,
                     run_cycle, stroke_pairs, sweep)
 from .dynamics import (adiabaticity_from_ermakov, ermakov_from_linear,
-                       ermakov_residual, husimi_q_star, moment_q_star,
-                       solve_effective_pair, solve_linear_pair,
-                       solve_second_moments, wronskian)
+                       husimi_q_star, moment_q_star, solve_effective_pair,
+                       solve_linear_pair, solve_second_moments, wronskian)
 from .errors import ConfigError
 from .protocol import (boundary_residuals, omega_of, polynomial_ramp,
                        sample_protocol)
@@ -115,7 +118,8 @@ def pair_samples(config: EngineConfig) -> dict:
 def effective_samples(config: EngineConfig) -> dict:
     """pair_samples' sibling for the shortcut: the effective pair of each
     stroke for tau in (0.05, 0.1, 0.5, 1, 5) times 0.32/omega1, solved
-    once on linspace(0, tau, 41) for lcd_exactness and cost_consistency."""
+    once on linspace(0, tau, 41) for ermakov_residual, lcd_exactness and
+    cost_consistency."""
     return _stroke_samples(config, solve_effective_pair,
                            (0.05, 0.1, 0.5, 1.0, 5.0), 41)
 
@@ -129,18 +133,20 @@ def check_wronskian(config: EngineConfig, samples) -> CheckResult:
                        "unit Wronskian of the fundamental pair")
 
 
-def check_ermakov_residual(config: EngineConfig, samples) -> CheckResult:
-    # the Wronskian invariant in Ermakov form, omega0^2 |W^2 - 1| / b^3
-    # (see ermakov_residual): a squared frequency, read in the unit of time
-    # of the durations, so that it is the same in any unit
-    unit = _time_unit(config)
+def check_ermakov_residual(config: EngineConfig, effective) -> CheckResult:
+    # Omega^2 is built so that sqrt(omega0/omega) solves b'' + Omega^2 b =
+    # omega0^2/b^3; the flat ends start it at b = 1, b' = 0, as the
+    # effective pair's b starts, so the two agree at every t
     worst = 0.0
-    for protocol, _, _, states in samples[1.0 * unit]:
-        worst = max(worst, *(ermakov_residual(protocol.omega_initial, state)
-                             for state in states))
-    worst *= unit * unit
+    for strokes in effective.values():
+        for protocol, _, times, states in strokes:
+            omega, omega0 = omega_of(protocol), protocol.omega_initial
+            for t, state in zip(times, states):
+                b, _ = ermakov_from_linear(omega0, state)
+                worst = max(worst, abs(b * math.sqrt(omega(t) / omega0) - 1.0))
     return CheckResult("ermakov_residual", worst <= 1e-8, worst,
-                       "b'' + omega^2 b = omega0^2/b^3 from the pair")
+                       "shortcut follows the Ermakov scaling "
+                       "b = sqrt(omega0/omega(t))")
 
 
 def check_q_star_routes(config: EngineConfig, samples) -> CheckResult:
@@ -325,26 +331,42 @@ def check_eta_ordering(config: EngineConfig, rows) -> CheckResult:
 
 
 def check_rescaling_invariance(config: EngineConfig) -> CheckResult:
-    # a property of the physics, not of the inversion policy: strict
-    # mode would refuse both taus whenever they lie below tau_c
+    # the model's two exact symmetries, each with lam = 2 and beta ->
+    # beta/lam: hbar -> lam hbar, and omega -> lam omega at tau/lam.  Both
+    # scale energies by lam and times by their factor on tau, so powers by
+    # lam over that factor.  A property of the physics, not of the
+    # inversion policy: strict mode would refuse both taus whenever they
+    # lie below tau_c
     config = replace(config, strict=False)
     lam = 2.0
-    other = rescaled(config, lam)
+    symmetries = ((rescaled(config, lam), 1.0),   # (config, factor on tau)
+                  (replace(config, omega1=lam * config.omega1,
+                           omega2=lam * config.omega2,
+                           beta1=config.beta1 / lam,
+                           beta2=config.beta2 / lam), 1.0 / lam))
     unit = _time_unit(config)
-    worst = 0.0
+    worst = [0.0, 0.0]
     for tau in (0.1 * unit, 1.0 * unit):
         a = run_cycle(config, tau)
-        b = run_cycle(other, tau)
-        for name in ("q_star_1", "q_star_3", "eta_sa", "eta_na", "eta_ad",
-                     "eta_qsl", "bures1", "bures3", "tqsl1", "tqsl3"):
-            x, y = getattr(a, name), getattr(b, name)
-            worst = max(worst, abs(x - y) / max(abs(x), 1.0))
-        for name in ("w1_na", "w3_na", "w1_ad", "w3_ad", "q2_na", "q2_ad",
-                     "cost1", "cost3", "p_sa", "p_na", "p_qsl"):
-            x, y = getattr(a, name), getattr(b, name)
-            worst = max(worst, abs(lam * x - y) / max(abs(x), 1.0))
-    return CheckResult("rescaling_invariance", worst <= 1e-12, worst,
-                       "hbar -> 2 hbar, beta -> beta/2 leaves physics alone")
+        for k, (other, stretch) in enumerate(symmetries):
+            b = run_cycle(other, stretch * tau)
+            for names, scale in (
+                    (("q_star_1", "q_star_3", "eta_sa", "eta_na", "eta_ad",
+                      "eta_qsl", "bures1", "bures3"), 1.0),
+                    (("w1_na", "w3_na", "w1_ad", "w3_ad", "q2_na", "q2_ad",
+                      "cost1", "cost3"), lam),
+                    (("p_sa", "p_na", "p_qsl"), lam / stretch),
+                    (("tqsl1", "tqsl3"), stretch)):
+                for name in names:
+                    want, got = scale * getattr(a, name), getattr(b, name)
+                    worst[k] = max(worst[k],
+                                   abs(want - got) / max(abs(want), 1.0))
+    hbar, time = worst
+    return CheckResult("rescaling_invariance",
+                       hbar <= 1e-12 and time <= 1e-9, max(worst),
+                       f"hbar -> 2 hbar, beta -> beta/2: {hbar:.3g}; "
+                       f"omega -> 2 omega, beta -> beta/2, tau -> tau/2: "
+                       f"{time:.3g}")
 
 
 def check_trap_inversion_scan(config: EngineConfig) -> CheckResult:
@@ -372,7 +394,7 @@ def run_all_checks(config: EngineConfig) -> list[CheckResult]:
     effective = effective_samples(config)
     results += [
         check_wronskian(config, samples),
-        check_ermakov_residual(config, samples),
+        check_ermakov_residual(config, effective),
         check_q_star_routes(config, samples),
         check_adiabatic_limit(config),
         check_lcd_exactness(config, effective),

@@ -19,27 +19,32 @@ mean energy of an initially thermal oscillator) is
 Three routes to Q* are exposed: the linear pair directly, the
 closed-form Ermakov transform of the pair, and an independent
 integration of the second moments.  They must agree; validate's
-q_star_routes holds them to 1e-8 of each other.
+q_star_routes holds them to 1e-8 of each other.  The Ermakov route is
+not independent of the pair: Q*_erk - Q*_pair = omega0 (1 - W^2) /
+(2 omega_t b^2), so it restates W = 1; the second moments are the
+independent route.
 
 Each solver integrates the whole stroke and returns its state only at
 the requested times, as a list of plain tuples; every caller knows
 those times before the solve, and the production cycle asks for
 t = tau alone.  The formulas that read a state (husimi_q_star,
-wronskian, ermakov_from_linear, ermakov_residual,
-adiabaticity_from_ermakov, moment_q_star) are pure functions of it.
+wronskian, ermakov_from_linear, adiabaticity_from_ermakov,
+moment_q_star) are pure functions of it.
 
 Integration uses an adaptive embedded Runge-Kutta of order 8 (DOP853).
 Every solver takes the EngineConfig, the one owner and validator of
 the ODE tolerances; the tight defaults (1e-10 relative) keep Q* - 1
 resolvable down to ~1e-6 in the adiabatic regime.  A stroke of
-MAX_STROKE_PHASE rad or more is refused before any step is taken.  A
-thermal start is a ThermalOscillatorState, which owns its occupation
-factor.
+MAX_STROKE_PHASE rad or more is refused before any step is taken, and
+a floating-point overflow or invalid value inside a solve raises
+SolverFailure instead of a RuntimeWarning.  A thermal start is a
+ThermalOscillatorState, which owns its occupation factor.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from typing import Sequence
 
 from .config import EngineConfig
@@ -68,8 +73,13 @@ def _integrate(rhs, y0, protocol: FrequencyProtocol, times: Sequence[float],
             f"solver budget of {MAX_STROKE_PHASE:g} rad")
     from scipy.integrate import solve_ivp
 
-    sol = solve_ivp(rhs, (0.0, duration), y0, method="DOP853",
-                    t_eval=times, rtol=config.rel_tol, atol=config.abs_tol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            sol = solve_ivp(rhs, (0.0, duration), y0, "DOP853", t_eval=times,
+                            rtol=config.rel_tol, atol=config.abs_tol)
+        except RuntimeWarning as exc:
+            raise SolverFailure(f"floating-point failure: {exc}") from exc
     if not sol.success:
         raise SolverFailure(
             f"integration stalled before t = {duration!r}: {sol.message}")
@@ -114,38 +124,22 @@ def husimi_q_star(omega0: float, omega_t: float, state: PairState) -> float:
     """Q* from a pair state (X, X', Y, Y') started at omega0, read at the
     instantaneous frequency omega_t.  Always >= 1 for a thermal start."""
     x, xd, y, yd = state
-    num = (omega0 * omega0 * (omega_t * omega_t * x * x + xd * xd)
-           + omega_t * omega_t * y * y + yd * yd)
-    return num / (2.0 * omega0 * omega_t)
+    return (omega0 * omega0 * (omega_t * omega_t * x * x + xd * xd)
+            + omega_t * omega_t * y * y + yd * yd) / (2.0 * omega0 * omega_t)
 
 
 def ermakov_from_linear(omega0: float,
                         state: PairState) -> tuple[float, float]:
     """Closed-form Ermakov solution (b, b') with b = sqrt(Y^2 + omega0^2 X^2).
 
-    Exact as long as the pair's Wronskian is 1: the identity
-    b''(b^3) = omega0^2 W^2 - omega^2 b^4 makes the Ermakov residual
-    proportional to |W^2 - 1|, so it measures solver error only.
-    b cannot vanish, since Y and X share no zero while W = 1.
+    Exact as long as the pair's Wronskian is 1: the pair's equations
+    give b'' b^3 = omega0^2 W^2 - omega^2 b^4, so b solves the Ermakov
+    equation up to omega0^2 (W^2 - 1) / b^3, which wronskian_constancy
+    gates.  b cannot vanish, since Y and X share no zero while W = 1.
     """
-    w0sq = omega0 * omega0
     x, xd, y, yd = state
-    b = math.sqrt(y * y + w0sq * x * x)
-    return b, (y * yd + w0sq * x * xd) / b
-
-
-def ermakov_residual(omega0: float, state: PairState) -> float:
-    """|b'' + omega^2 b - omega0^2/b^3| for the pair-derived scaling factor.
-
-    With b b' = Y Y' + omega0^2 X X' from the pair, the pair's own
-    equations give b'' b^3 = omega0^2 W^2 - omega^2 b^4, so the residual
-    is omega0^2 |W^2 - 1| / b^3 at any omega(t): a dimensionful
-    (frequency squared) measure of how well the integrated pair
-    satisfies the Ermakov equation.
-    """
-    w = wronskian(state)
-    b, _ = ermakov_from_linear(omega0, state)
-    return omega0**2 * abs(w * w - 1.0) / b**3
+    b = math.sqrt(y * y + omega0 * omega0 * x * x)
+    return b, (y * yd + omega0 * omega0 * x * xd) / b
 
 
 def adiabaticity_from_ermakov(omega0: float, omega_t: float,
@@ -169,8 +163,7 @@ def solve_second_moments(protocol: FrequencyProtocol, times: Sequence[float],
     third, independent route to Q*.
     """
     check_start_frequency(protocol, initial)
-    m = config.m
-    omega = omega_of(protocol)
+    m, omega = config.m, omega_of(protocol)
 
     def rhs(t, y):
         xx, c, pp = y

@@ -4,10 +4,11 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 
-from sta_otto import checks, cost, cycle
+from sta_otto import checks, cost, cycle, protocol
 from sta_otto.checks import (check_bound_ordering, check_cost_consistency,
                              check_ermakov_residual, check_q_star_routes,
-                             effective_samples, pair_samples, run_all_checks)
+                             check_wronskian, effective_samples, pair_samples,
+                             run_all_checks)
 
 from conftest import CONFIG_BOX
 
@@ -145,27 +146,85 @@ def test_q_star_routes_catches_q3_off_by_1e7(base_config, monkeypatch):
     assert r.detail.partition(",")[0] == clean.detail.partition(",")[0]
 
 
-def test_ermakov_residual_catches_wronskian_off_by_1e7(base_config):
-    # X and X' of every sample scaled by 1 + 1e-7 put W - 1 at 1e-7: the
-    # reduced residual omega0^2 |W^2 - 1| / b^3 is then about 2e-7 at
-    # t = 0 of the expansion stroke (omega0 = 1, b = 1)
+def _scaled(samples, kx, ky):
+    # every state with X, X' scaled by kx and Y, Y' by ky
+    return {tau: [(ramp, initial, times,
+                   [(x * kx, xd * kx, y * ky, yd * ky)
+                    for x, xd, y, yd in states])
+                  for ramp, initial, times, states in strokes]
+            for tau, strokes in samples.items()}
+
+
+def test_wronskian_catches_off_by_1e7(base_config):
+    # X and X' of every pair sample scaled by 1 + 1e-7 put W - 1 at 1e-7
     samples = pair_samples(base_config)
-    assert check_ermakov_residual(base_config, samples).passed
-    k = 1.0 + 1e-7
-    planted = {tau: [(protocol, initial, times,
-                      [(x * k, xd * k, y, yd) for x, xd, y, yd in states])
-                     for protocol, initial, times, states in strokes]
-               for tau, strokes in samples.items()}
-    r = check_ermakov_residual(base_config, planted)
+    assert check_wronskian(base_config, samples).passed
+    r = check_wronskian(base_config, _scaled(samples, 1.0 + 1e-7, 1.0))
     assert not r.passed
-    assert r.residual > 1e-7
+    assert r.residual == pytest.approx(1e-7, rel=1e-2)
+
+
+def test_ermakov_residual_catches_wronskian_off_by_1e7(base_config):
+    # Y and Y' of every effective sample scaled by 1 + 1e-7: W and b(0)
+    # are then 1 + 1e-7, so b is off the Ermakov scaling from t = 0
+    effective = effective_samples(base_config)
+    assert check_ermakov_residual(base_config, effective).passed
+    r = check_ermakov_residual(base_config,
+                               _scaled(effective, 1.0, 1.0 + 1e-7))
+    assert not r.passed
+    assert r.residual == pytest.approx(1e-7, rel=1e-2)
+
+
+def test_ermakov_residual_catches_wrong_omega_dot_term(base_config,
+                                                        monkeypatch):
+    # 0.7499 for the 3/4 of Omega^2's omega'^2 term: the effective pair
+    # leaves the Ermakov scaling by about 1.8e-4
+    def wrong(omega, omega_dot, omega_ddot):
+        return (omega * omega - 0.7499 * omega_dot * omega_dot
+                / (omega * omega) + 0.5 * omega_ddot / omega)
+
+    monkeypatch.setattr(protocol, "effective_frequency_sq", wrong)
+    r = check_ermakov_residual(base_config, effective_samples(base_config))
+    assert not r.passed
+    assert r.residual > 1e-5
+
+
+def test_ermakov_residual_passes_at_ratio_100(base_config):
+    # omega2/omega1 = 100: the scaling factor b falls to 0.1, and the
+    # dimensionless residual still reads about 7e-10
+    config = replace(base_config, omega1=0.01, beta1=50.0)
+    r = check_ermakov_residual(config, effective_samples(config))
+    assert r.passed and r.residual < 1e-9, r
+
+
+def test_rescaling_invariance_catches_q_star_off_by_1e8(base_config,
+                                                         monkeypatch):
+    # only the time-rescaled config (omega -> 2 omega) is off, so only
+    # the time-rescaling half of the check can fail
+    assert checks.check_rescaling_invariance(base_config).passed
+    faster = 2.0 * base_config.omega1
+    run_cycle = checks.run_cycle
+
+    def planted(config, tau):
+        row = run_cycle(config, tau)
+        if config.omega1 != faster:
+            return row
+        return replace(row, q_star_1=row.q_star_1 * (1.0 + 1e-8))
+
+    monkeypatch.setattr(checks, "run_cycle", planted)
+    r = checks.check_rescaling_invariance(base_config)
+    assert not r.passed
+    assert r.detail.startswith("hbar -> 2 hbar, beta -> beta/2: 0;")
 
 
 @settings(max_examples=20, derandomize=True, database=None, deadline=None)
 @given(config=CONFIG_BOX)
 def test_dynamical_checks_hold_across_configs(config):
     # the 1e-8 gates are not tuned to the default config
-    cost_check = check_cost_consistency(config, effective_samples(config))
+    effective = effective_samples(config)
+    cost_check = check_cost_consistency(config, effective)
+    ermakov = check_ermakov_residual(config, effective)
     routes = check_q_star_routes(config, pair_samples(config))
     assert cost_check.passed and cost_check.residual < 1e-8, cost_check
+    assert ermakov.passed and ermakov.residual < 1e-8, ermakov
     assert routes.passed and routes.residual < 1e-8, routes

@@ -1,4 +1,5 @@
 import csv
+import warnings
 from dataclasses import fields
 
 import pytest
@@ -108,15 +109,20 @@ def test_bath_occupation_order_exit_2(tmp_path, capsys, no_solve, text):
     assert out.endswith("1 of 1 checks failed\n")
 
 
+# finite and accepted, yet w**4 and omega_dot**2 overflow
+ABSURD_CONFIG = ("omega1 = 1e78\nomega2 = 1e79\nbeta1 = 1e-77\n"
+                 "beta2 = 1e-80\ntau_count = 4\n")
+
+
 def test_absurd_finite_config_exit_3(tmp_path, capsys):
     # every config check passes (finite bath states, hot occupation
     # above cold), but w**4 in the cost overflows: a numerical failure
     # with one error line, not a traceback.  validate's durations follow
-    # the config's unit of time, so its solves stall rather than exceed
-    # the solver budget; that too exits 3.
+    # the config's unit of time, so its solves stay within the solver
+    # budget and overflow Omega^2 instead: a floating-point failure, which
+    # also exits 3.
     cfg = tmp_path / "absurd.cfg"
-    cfg.write_text("omega1 = 1e78\nomega2 = 1e79\nbeta1 = 1e-77\n"
-                   "beta2 = 1e-80\ntau_count = 4\n")
+    cfg.write_text(ABSURD_CONFIG)
     for argv in (("cycle", "--tau", "1"),
                  ("sweep", "--out", str(tmp_path / "out.csv")),
                  ("validate",)):
@@ -124,6 +130,20 @@ def test_absurd_finite_config_exit_3(tmp_path, capsys):
         assert code == 3
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in out + err
+
+
+def test_floating_point_failure_is_one_error_line(tmp_path, capsys):
+    # an overflow inside a solve is a SolverFailure, not a RuntimeWarning:
+    # even with every warning an error, validate on the absurd config
+    # exits 3 with one error line
+    cfg = tmp_path / "absurd.cfg"
+    cfg.write_text(ABSURD_CONFIG)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(capsys, "validate", str(cfg))
+    assert code == 3
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
 
 
 def test_missing_config_file(capsys):
@@ -354,7 +374,7 @@ def test_protocol_dump_stdout(capsys):
     code, out, err = run_cli(capsys, "protocol-dump", "--points", "11")
     assert code == 0 and err == ""
     lines = out.splitlines()
-    assert lines[0] == "# sta-otto protocol-dump v0.1.2"
+    assert lines[0] == "# sta-otto protocol-dump v0.1.3"
     data = [l for l in lines if not l.startswith("#")]
     header = data[0].split(",")
     assert header == ["t", "omega", "omega_dot", "omega_ddot",
