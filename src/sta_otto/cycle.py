@@ -28,7 +28,9 @@ from typing import Callable, Sequence
 
 from .config import EngineConfig, tau_grid
 from .cost import sa_cost_time_average
-from .dynamics import husimi_q_star, solve_linear_pair
+from .dynamics import (SERIES_PHASE, husimi_q_star, q_star_excess,
+                       series_pair_state, solve_linear_pair,
+                       sudden_pair_series)
 from .errors import (NoSignChange, SolverFailure, StaOttoError,
                      TrapInversionError)
 from .protocol import (FrequencyProtocol, inversion_threshold,
@@ -256,25 +258,38 @@ _ROOT_XTOL = 1e-6
 
 
 def _root_in_ln_tau(q_star: Callable[[float], float],
+                    shape: Callable[[float], float],
                     level: Callable[[float], float],
                     lo: float, hi: float, what: str) -> float:
     """Root of q(s) = level(s) on (ln lo, ln hi), s = ln tau, where
-    q(s) = ln(Q*1(e^s) - 1) costs one Q* solve and level is closed form.
+    q(s) = ln(Q*1(e^s) - 1) costs one Q* solve and shape and level are
+    closed form.
 
-    After a solve at each bracket end, only q is modelled: first as the
-    constant q(ln lo) (the sudden side), then as the line through the two
-    latest solves.  The next iterate is the root of model = level inside
-    the sign-change bracket, found by a capped bisection that needs no
+    After a solve at each bracket end, q is modelled as shape(s) plus the
+    residual r = q - shape: first the constant r(ln lo), anchored on the
+    sudden side, then the line through the residuals of the two latest
+    solves.  The next iterate is the root of model = level inside the
+    sign-change bracket, found by a capped bisection that needs no
     solve.  The search bisects the bracket instead when that root leaves
     it, or when two steps in a row halved neither the bracket nor the
     step.  It stops once the iterate moves less than 1e-6 in ln tau, a
-    relative tolerance of 1e-6 in tau.  Near a root q varies several
-    times more slowly than the level (7x at the default config's short
-    root), so the model settles in about 6 solves, where Brent's method
-    on the whole gap as a black box takes 9.8 (Brent, Algorithms for
-    Minimization without Derivatives, 1973, ch. 4).  A Q*1 - 1 that
-    rounds to 0 or below is taken as the smallest normal float; a
-    non-finite q or the iteration cap raises SolverFailure.
+    relative tolerance of 1e-6 in tau.
+
+    shape is _sudden_shape: q of the sudden-side series of the pair,
+    flat past the series' trust region.  Where a root lies inside that
+    region the first model root already sits within 1e-6 of it, so the
+    search ends after one solve past the bracket ends: 3 solves per root
+    on the benchmark's study region.  With a flat shape the model is the
+    line through the latest solves: near a root q varies several times
+    more slowly than the level (7x at the default config's short root),
+    so it settles in about 6 solves, where Brent's method on the whole
+    gap as a black box takes 9.8 (Brent, Algorithms for Minimization
+    without Derivatives, 1973, ch. 4).  Every q the search compares
+    with the level is a solve, and the bracket keeps the sign change,
+    so a wrong shape costs solves but never moves a root past the
+    tolerance.  A Q*1 - 1 that rounds to 0 or below is taken as the
+    smallest normal float; a non-finite q or the iteration cap raises
+    SolverFailure.
     """
     def failure(reason: str) -> SolverFailure:
         return SolverFailure(f"{what}: root search on ({lo!r}, {hi!r}) "
@@ -287,11 +302,12 @@ def _root_in_ln_tau(q_star: Callable[[float], float],
             raise failure(f"ln(Q*1 - 1) = {q!r} at tau = {tau!r}")
         return q
 
-    def model_root(s0: float, q0: float, slope: float,
+    def model_root(s0: float, r0: float, slope: float,
                    a: float, b: float) -> float | None:
-        """Root of q0 + slope (s - s0) = level(s) inside (a, b), or None."""
+        """Root of shape(s) + r0 + slope (s - s0) = level(s) inside
+        (a, b), or None."""
         def h(s: float) -> float:
-            return q0 + slope * (s - s0) - level(s)
+            return shape(s) + r0 + slope * (s - s0) - level(s)
         ha, hb = h(a), h(b)
         if not (ha < 0.0 < hb or hb < 0.0 < ha):
             return None
@@ -315,10 +331,10 @@ def _root_in_ln_tau(q_star: Callable[[float], float],
     if (ga > 0.0) == (gb > 0.0):
         raise NoSignChange(f"{what} does not change sign on ({lo!r}, {hi!r})")
     # the bracket (a, b) keeps ga and gb of opposite signs
-    s_last, q_last, slope = a, qa, 0.0
+    s_last, r_last, slope = a, qa - shape(a), 0.0
     step_last, stalls = b - a, 0
     for _ in range(_ROOT_ITERATIONS):
-        s = model_root(s_last, q_last, slope, a, b) if stalls < 2 else None
+        s = model_root(s_last, r_last, slope, a, b) if stalls < 2 else None
         if s is None:
             s = 0.5 * (a + b)
         step = abs(s - s_last)
@@ -338,9 +354,35 @@ def _root_in_ln_tau(q_star: Callable[[float], float],
             stalls = 0
         else:
             stalls += 1
-        slope = (q - q_last) / (s - s_last)
-        s_last, q_last, step_last = s, q, step
+        r = q - shape(s)
+        slope = (r - r_last) / (s - s_last)
+        s_last, r_last, step_last = s, r, step
     raise failure(f"no convergence in {_ROOT_ITERATIONS} iterations")
+
+
+def _sudden_shape(config: EngineConfig) -> Callable[[float], float]:
+    """s -> ln(Q*1 - 1) at tau = e^s from the sudden-side series of the
+    compression pair, held at its value at the series' trust limit
+    (phase max(omega) tau = SERIES_PHASE) for longer strokes: the shape
+    of the root searches' model, built in about 0.2 ms per config.
+
+    It reads Q*1 - 1 as q_star_excess, the sum of squares that is Q* - 1
+    at W = 1, so it stays positive and accurate near omega2/omega1 = 1.
+    The series is a model and an oracle, not a production Q*: it meets
+    DOP853's 1e-8 only on short strokes, and a faster production Q*
+    waits for the benchmark to stop counting every kept sweep CSV as
+    peak memory (ROADMAP items 1 and 2).
+    """
+    w1, w2 = config.omega1, config.omega2
+    series = sudden_pair_series(w1, w2)
+    s_trust = math.log(SERIES_PHASE / w2)
+
+    def shape(s: float) -> float:
+        state = series_pair_state(series, math.exp(min(s, s_trust)))
+        return math.log(max(q_star_excess(w1, w2, state),
+                            sys.float_info.min))
+
+    return shape
 
 
 def find_efficiency_crossover(config: EngineConfig,
@@ -366,18 +408,20 @@ def find_efficiency_crossover(config: EngineConfig,
     with y = q2_ad tau^2 / (k1 + k3), the adiabatic heat over the
     driving cost (eta_sa = eta_ad y / (1 + y)).  The search
     (_root_in_ln_tau) solves ln(Q*1 - 1) = ln(Q_sa - 1) in ln tau: only
-    the left side costs a Q* solve, the level is closed form, and about
-    6 solves find a root.  Past the heat-sign pole Q*1 = nu_hot/nu_cold
-    the bare cycle is no engine and eta_na > 1 > eta_sa, so eta_sa -
-    eta_na changes sign at the pole without a crossing; the level form
-    does not see the pole.  Strict mode refuses a bracket that starts at
-    or below the inversion threshold.
+    the left side costs a Q* solve, the level is closed form, and the
+    left side is modelled on the sudden-side series of the pair, so a
+    root below max(omega) tau = 2 takes 3 solves (6 with the line model
+    alone, 7 for the default's far root).  Past the heat-sign pole
+    Q*1 = nu_hot/nu_cold the bare cycle is no engine and eta_na > 1 >
+    eta_sa, so eta_sa - eta_na changes sign at the pole without a
+    crossing; the level form does not see the pole.  Strict mode
+    refuses a bracket that starts at or below the inversion threshold.
     """
     lo, hi = _check_bracket(bracket)
     _refuse_inversion(config, lo, cycle_constants(config).tau_c)
     return _root_in_ln_tau(functools.partial(compression_q_star, config),
-                           _crossover_level(config), lo, hi,
-                           "eta_sa - eta_na (engine branch)")
+                           _sudden_shape(config), _crossover_level(config),
+                           lo, hi, "eta_sa - eta_na (engine branch)")
 
 
 def _crossover_level(config: EngineConfig) -> Callable[[float], float]:
@@ -421,8 +465,9 @@ def find_heat_sign_threshold(config: EngineConfig,
     Solves Q*1(tau) = nu_hot/nu_cold, with nu = coth(beta hbar omega / 2)
     of each bath; beyond it the bare machine pushes heat back into the
     hot bath and stops being an engine.  The search is the crossover's,
-    ln(Q*1 - 1) = ln(nu_hot/nu_cold - 1) in ln tau, with a constant level
-    (the config makes nu_hot > nu_cold).  Raises NoSignChange when the
+    ln(Q*1 - 1) = ln(nu_hot/nu_cold - 1) in ln tau with the same series
+    shape, but with a constant level (the config makes nu_hot >
+    nu_cold).  Raises NoSignChange when the
     bare drive never gets bad enough inside the bracket, which is the
     generic situation for smooth ramps whose Q* saturates below the
     threshold.  The root is a property of the bare ramp, whose
@@ -432,7 +477,8 @@ def find_heat_sign_threshold(config: EngineConfig,
     """
     ln_level = math.log(heat_sign_threshold(config.cold, config.hot) - 1.0)
     return _root_in_ln_tau(functools.partial(compression_q_star, config),
-                           lambda s: ln_level, *_check_bracket(bracket),
+                           _sudden_shape(config), lambda s: ln_level,
+                           *_check_bracket(bracket),
                            "q_star_1 - heat-sign threshold")
 
 

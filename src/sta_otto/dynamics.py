@@ -24,12 +24,22 @@ not independent of the pair: Q*_erk - Q*_pair = omega0 (1 - W^2) /
 (2 omega_t b^2), so it restates W = 1; the second moments are the
 independent route.
 
+For the quintic ramp the pair at t = tau is also an entire function of
+tau^2, and sudden_pair_series gives its power series, SERIES_TERMS
+Picard terms past the sudden quench.  Within the trust phase
+max(omega) tau <= SERIES_PHASE it matches DOP853 to 5e-7 relative in
+Q* - 1 at omega2/omega1 from 2 to 100, and to 6e-6 at 1.001.  It is
+the root searches' model of Q*1 and the sudden-side oracle of
+validate's adiabatic_limit, not a production Q*: it covers only short
+strokes, and a faster production Q* waits for the benchmark to stop
+counting every kept sweep CSV as peak memory.
+
 Each solver integrates the whole stroke and returns its state only at
 the requested times, as a list of plain tuples; every caller knows
 those times before the solve, and the production cycle asks for
 t = tau alone.  The formulas that read a state (husimi_q_star,
-wronskian, ermakov_from_linear, adiabaticity_from_ermakov,
-moment_q_star) are pure functions of it.
+q_star_excess, wronskian, ermakov_from_linear,
+adiabaticity_from_ermakov, moment_q_star) are pure functions of it.
 
 Integration uses an adaptive embedded Runge-Kutta of order 8 (DOP853).
 Every solver takes the EngineConfig, the one owner and validator of
@@ -58,6 +68,14 @@ PairState = tuple[float, float, float, float]   # (X, X', Y, Y')
 # phase max(omega) tau at which a solve is refused: DOP853's work grows
 # with it (2 s for 1e4 rad on a 2-vCPU host), so tau = 1e8 takes hours
 MAX_STROKE_PHASE = 1e5
+
+# Picard terms of sudden_pair_series past the sudden quench, and the
+# phase max(omega) tau up to which the series is trusted.  Relative to
+# DOP853, the series' q_star_excess is off by 2.9e-10 at phase 1 and
+# 3.0e-7 at phase 2 at omega2/omega1 = 3.125, by 2.4e-10 and 2.1e-7 at
+# 100, and by 5.4e-8 and 5.2e-6 at 1.001
+SERIES_TERMS = 4
+SERIES_PHASE = 2.0
 
 
 def _integrate(rhs, y0, protocol: FrequencyProtocol, times: Sequence[float],
@@ -114,6 +132,68 @@ def solve_effective_pair(protocol: FrequencyProtocol, times: Sequence[float],
     return _integrate(rhs, (0.0, 1.0, 1.0, 0.0), protocol, times, config)
 
 
+def sudden_pair_series(omega_initial: float, omega_final: float
+                       ) -> tuple[tuple[float, ...], ...]:
+    """Coefficients of the quintic ramp's pair at t = tau as power
+    series in tau^2: the lists for (X/tau, X', Y, Y'/tau), each of
+    SERIES_TERMS + 1 coefficients, lowest power first.
+
+    In s = t/tau the pair solves f_ss = -tau^2 omega(s)^2 f, so X/tau
+    and Y are power series in tau^2 whose terms are polynomials in s.
+    They come by Picard iteration, x_(n+1) = -int_0^s int_0^s'
+    omega^2 x_n, from x_0 = s and y_0 = 1; each term's value and slope
+    at s = 1 is a coefficient.  The tau^2 term of Husimi's Q* is then
+    the closed form c2 of the sudden-side Dyson expansion.  The
+    coefficients depend on the ramp alone, and series_pair_state reads
+    a state off them at any tau.
+    """
+    d = omega_final - omega_initial
+    omega = (omega_initial, 0.0, 0.0, 10.0 * d, -15.0 * d, 6.0 * d)
+    omega_sq = [0.0] * 11
+    for i, a in enumerate(omega):
+        for j, b in enumerate(omega):
+            omega_sq[i + j] += a * b
+
+    def terms(p: list[float],
+              count: int) -> tuple[list[float], list[float]]:
+        # values and slopes at s = 1 of p and its next count - 1 terms
+        values, slopes = [], []
+        for k in range(count):
+            values.append(sum(p))
+            slopes.append(sum(j * c for j, c in enumerate(p)))
+            if k + 1 == count:
+                break
+            product = [0.0] * (len(p) + 10)
+            for i, a in enumerate(p):
+                if a:
+                    for j, b in enumerate(omega_sq):
+                        product[i + j] += a * b
+            p = [0.0, 0.0] + [-c / ((j + 1) * (j + 2))
+                              for j, c in enumerate(product)]
+        return values, slopes
+
+    n = SERIES_TERMS + 1
+    x, xd = terms([0.0, 1.0], n)
+    y, yd = terms([1.0], n + 1)
+    # Y'/tau = Y_s/tau^2 starts at y_1's slope: y_0 = 1 has none
+    return tuple(x), tuple(xd), tuple(y[:n]), tuple(yd[1:])
+
+
+def series_pair_state(series: tuple[tuple[float, ...], ...],
+                      tau: float) -> PairState:
+    """(X, X', Y, Y') at t = tau from sudden_pair_series' coefficients."""
+    e = tau * tau
+
+    def horner(coefficients: tuple[float, ...]) -> float:
+        total = 0.0
+        for c in reversed(coefficients):
+            total = total * e + c
+        return total
+
+    x, xd, y, yd = series
+    return tau * horner(x), horner(xd), horner(y), tau * horner(yd)
+
+
 def wronskian(state: PairState) -> float:
     """Y X' - Y' X; exactly 1 for the true fundamental pair."""
     x, xd, y, yd = state
@@ -126,6 +206,19 @@ def husimi_q_star(omega0: float, omega_t: float, state: PairState) -> float:
     x, xd, y, yd = state
     return (omega0 * omega0 * (omega_t * omega_t * x * x + xd * xd)
             + omega_t * omega_t * y * y + yd * yd) / (2.0 * omega0 * omega_t)
+
+
+def q_star_excess(omega0: float, omega_t: float, state: PairState) -> float:
+    """Husimi's Q* less the Wronskian, as a sum of squares:
+    [(omega0 omega_t X + Y')^2 + (omega0 X' - omega_t Y)^2]
+    / (2 omega0 omega_t).  It is Q* - 1 of the true pair (W = 1), never
+    negative, and keeps its relative accuracy near omega_t = omega0,
+    where Q* - 1 of a state whose W is off by roundoff or truncation
+    does not."""
+    x, xd, y, yd = state
+    u = omega0 * omega_t * x + yd
+    v = omega0 * xd - omega_t * y
+    return (u * u + v * v) / (2.0 * omega0 * omega_t)
 
 
 def ermakov_from_linear(omega0: float,

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 
-from sta_otto import checks, cost, cycle, protocol
+from sta_otto import EngineConfig, checks, cost, cycle, protocol
 from sta_otto.checks import (check_bound_ordering, check_cost_consistency,
                              check_ermakov_residual, check_q_star_routes,
                              check_wronskian, effective_samples, pair_samples,
@@ -228,3 +228,45 @@ def test_dynamical_checks_hold_across_configs(config):
     assert cost_check.passed and cost_check.residual < 1e-8, cost_check
     assert ermakov.passed and ermakov.residual < 1e-8, ermakov
     assert routes.passed and routes.residual < 1e-8, routes
+
+
+def _sudden_reading(result):
+    # adiabatic_limit's detail ends with its sudden-side reading
+    return float(result.detail.rsplit(": ", 1)[1])
+
+
+@pytest.mark.parametrize("config", [
+    EngineConfig(omega1=0.999),
+    EngineConfig(),
+    EngineConfig(omega1=0.01, beta1=50.0),
+    EngineConfig(omega1=0.32e6, omega2=1e6, beta1=0.5e-6, beta2=0.05e-6,
+                 tau_min=1e-8, tau_max=1e-5),
+    EngineConfig(beta1=1000.0),
+    EngineConfig(beta2=1e-6),
+    EngineConfig(hbar=1e-3, beta1=500.0, beta2=50.0)],
+    ids=["ratio 1.001", "default", "ratio 100", "MHz", "beta1 = 1000",
+         "beta2 = 1e-6", "hbar = 1e-3"])
+def test_adiabatic_limit_sudden_side_readings(config):
+    # DOP853 against the series at max(omega) tau = 0.25: 3.8e-13 at
+    # ratio 100, the worst of these, and the gate (4e-11) is 100x that
+    assert _sudden_reading(checks.check_adiabatic_limit(config)) <= 1e-12
+
+
+def test_adiabatic_limit_catches_sudden_q_star_off_by_1e8(base_config,
+                                                          monkeypatch):
+    # Q* off by 1e-8 at the sudden side's tau alone: the slow side still
+    # passes, and the sudden side fails
+    clean = checks.check_adiabatic_limit(base_config)
+    assert clean.passed
+    sudden_tau = 0.25 / base_config.omega2
+    solve = checks.compression_q_star
+
+    def planted(config, tau):
+        q = solve(config, tau)
+        return q * (1.0 + 1e-8) if tau == sudden_tau else q
+
+    monkeypatch.setattr(checks, "compression_q_star", planted)
+    r = checks.check_adiabatic_limit(base_config)
+    assert not r.passed
+    assert _sudden_reading(r) == pytest.approx(1e-8, rel=1e-2)
+    assert r.detail.partition(";")[0] == clean.detail.partition(";")[0]

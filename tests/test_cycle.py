@@ -319,7 +319,10 @@ def test_far_crossover_past_long_stroke_defect(base_config):
 
 def test_root_search_work_budget(base_config, monkeypatch):
     # one Q* solve at each bracket end and one per step of the model of
-    # ln(Q*1 - 1) against the closed-form level, in ln tau
+    # ln(Q*1 - 1) against the closed-form level, in ln tau: the short
+    # root lies where the sudden-side series holds, so one step lands on
+    # it; the long one and the heat-sign root lie past the series' trust
+    # phase, where the model is the line through the latest solves
     import scipy.integrate
 
     calls = Counter()
@@ -332,7 +335,7 @@ def test_root_search_work_budget(base_config, monkeypatch):
     monkeypatch.setattr(scipy.integrate, "solve_ivp", counted)
     colder = replace(base_config, beta1=0.2)
     for search, config, bracket, budget in (
-            (find_efficiency_crossover, base_config, (0.01, 10.0), 6),
+            (find_efficiency_crossover, base_config, (0.01, 10.0), 3),
             (find_efficiency_crossover, base_config, (10.0, 40.0), 7),
             (find_heat_sign_threshold, colder, (0.01, 10.0), 8)):
         calls.clear()
@@ -342,7 +345,8 @@ def test_root_search_work_budget(base_config, monkeypatch):
 
 def test_crossover_solves_per_root_on_study_region(monkeypatch):
     # the benchmark's crossover study draws its configs from this region;
-    # a Brent search on the whole gap takes 9.8 solves per root there
+    # a Brent search on the whole gap takes 9.8 solves per root there,
+    # and the line model through the latest solves alone takes 6.0
     calls = Counter()
 
     def counted(*args, _fn=cycle.solve_linear_pair, **kwargs):
@@ -356,13 +360,84 @@ def test_crossover_solves_per_root_on_study_region(monkeypatch):
                               beta1=rng.uniform(0.5, 0.95),
                               beta2=rng.uniform(0.02, 0.05))
         find_efficiency_crossover(config, (0.01, 10.0))
-    assert calls["solve"] / 20 <= 6.5, calls
+    assert calls["solve"] / 20 <= 3.5, calls
+
+
+def _search_with_shape(search, config, bracket, reshape):
+    """(ln root or None where no sign change, Q* solves) of a search
+    whose model shape is reshape(the series' shape)."""
+    calls = Counter()
+
+    def counted(*args, _fn=cycle.compression_q_star, **kwargs):
+        calls["solve"] += 1
+        return _fn(*args, **kwargs)
+
+    def planted(config, _build=cycle._sudden_shape):
+        shape = _build(config)
+        return lambda s: reshape(shape, s)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cycle, "compression_q_star", counted)
+        m.setattr(cycle, "_sudden_shape", planted)
+        try:
+            root = math.log(search(config, bracket))
+        except NoSignChange:
+            root = None
+    return root, calls["solve"]
+
+
+def _solves_against_flat(search, config, bracket, reshape):
+    """(Q* solves with no shape, with reshape), once the two searches
+    have agreed on the root within 1e-6 in ln tau, or on NoSignChange.
+    With no shape the model is the line through the latest solves
+    alone, the search before the series."""
+    want, flat = _search_with_shape(search, config, bracket,
+                                    lambda shape, s: 0.0)
+    got, solves = _search_with_shape(search, config, bracket, reshape)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert abs(got - want) <= 1e-6
+    return flat, solves
+
+
+_SEARCHES = [(find_efficiency_crossover, (0.01, 10.0)),
+             (find_efficiency_crossover, (10.0, 40.0)),
+             (find_heat_sign_threshold, (0.01, 10.0))]
+
+
+# a constant offset cancels against the model's anchor on a solve, so
+# the planted offset is a step of 0.3 in ln(Q*1 - 1) at tau = 0.2
+@pytest.mark.parametrize("reshape", [
+    lambda shape, s: 1.5 * shape(s),
+    lambda shape, s: shape(s) + (0.3 if s > math.log(0.2) else 0.0)],
+    ids=["scaled by 1.5", "offset by 0.3 past tau = 0.2"])
+@pytest.mark.parametrize("config, search, bracket", [
+    (EngineConfig(), *_SEARCHES[0]),
+    (EngineConfig(), *_SEARCHES[1]),
+    (EngineConfig(beta1=0.2), *_SEARCHES[2]),
+    (POLE_CONFIG, *_SEARCHES[0])])
+def test_wrong_shape_costs_solves_never_a_root(config, search, bracket,
+                                               reshape):
+    # every Q* the search compares with the level is a solve, so a wrong
+    # model finds the same root or NoSignChange, within the cap
+    _, solves = _solves_against_flat(search, config, bracket, reshape)
+    assert solves <= 2 + cycle._ROOT_ITERATIONS
+
+
+@settings(max_examples=10, derandomize=True, database=None, deadline=None)
+@given(config=CONFIG_BOX, case=st.sampled_from(_SEARCHES))
+def test_series_shape_costs_at_most_one_extra_solve(config, case):
+    search, bracket = case
+    flat, solves = _solves_against_flat(search, config, bracket,
+                                        lambda shape, s: shape(s))
+    assert solves <= flat + 1, (flat, solves)
 
 
 def test_root_search_non_convergence(base_config, monkeypatch):
-    # the default crossover takes four steps past the bracket ends: a cap
-    # of three raises instead of returning the last iterate
-    monkeypatch.setattr(cycle, "_ROOT_ITERATIONS", 3)
+    # the default crossover takes two steps past the bracket ends, one
+    # solve and the step that stays within 1e-6 of it: a cap of one
+    # raises instead of returning the last iterate
+    monkeypatch.setattr(cycle, "_ROOT_ITERATIONS", 1)
     with pytest.raises(SolverFailure, match="did not converge"):
         find_efficiency_crossover(base_config, (0.01, 10.0))
 

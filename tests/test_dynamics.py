@@ -1,15 +1,18 @@
 import pytest
+from hypothesis import example, given, settings
 
 from sta_otto import (ConfigError, EngineConfig, SolverFailure,
                       ThermalOscillatorState, adiabaticity_from_ermakov,
                       ermakov_from_linear, husimi_q_star, moment_q_star,
-                      polynomial_ramp, solve_effective_pair,
-                      solve_linear_pair, solve_second_moments, wronskian)
+                      polynomial_ramp, q_star_excess, series_pair_state,
+                      solve_effective_pair, solve_linear_pair,
+                      solve_second_moments, sudden_pair_series, wronskian)
 from sta_otto.checks import effective_samples
 from sta_otto.config import linspace
+from sta_otto.dynamics import SERIES_PHASE
 from sta_otto.protocol import omega_of
 
-from conftest import Q1_TAU1, Q1_TAU001, SUDDEN_CAP
+from conftest import CONFIG_BOX, Q1_TAU1, Q1_TAU001, SUDDEN_CAP
 
 TIMES = linspace(0.0, 1.0, 101)
 # the default tolerances, which every solver reads from the config
@@ -153,3 +156,70 @@ def test_phase_budget_refused_before_any_step(monkeypatch):
     with pytest.raises(SolverFailure, match="solver budget"):
         solve_second_moments(polynomial_ramp(0.32, 1e6, 0.1), (0.1,),
                              initial, CONFIG)
+
+
+def _series_error(omega1, omega2, phase):
+    # relative gap in Q* - 1 between the series and DOP853 at t = tau,
+    # for the stroke of phase max(omega) tau
+    tau = phase / omega2
+    exact = solve_linear_pair(polynomial_ramp(omega1, omega2, tau), (tau,),
+                              CONFIG)[0]
+    series = series_pair_state(sudden_pair_series(omega1, omega2), tau)
+    return abs(q_star_excess(omega1, omega2, series)
+               / q_star_excess(omega1, omega2, exact) - 1.0)
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(config=CONFIG_BOX)
+@example(config=EngineConfig(omega1=0.01, beta1=50.0))
+def test_series_matches_pair_in_trust_region(config):
+    # up to 4.3e-10 at phase 1 and 4.6e-7 at the trust phase 2 over the
+    # box (2.9e-10 and 3.0e-7 at the default, 2.4e-10 and 2.1e-7 at
+    # omega2/omega1 = 100)
+    w1, w2 = config.omega1, config.omega2
+    assert _series_error(w1, w2, 1.0) <= 3e-9
+    assert _series_error(w1, w2, SERIES_PHASE) <= 3e-6
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(config=CONFIG_BOX)
+def test_series_tau2_term_is_dyson_c2(config):
+    # Q* = Q_s + c2 tau^2 + O(tau^4), with the sudden-side Dyson closed
+    # form c2 = [w1^2 w2^2 - 2 w1^2 A1 - 2 w2^2 (A0 - A1) + A0^2]
+    # / (2 w1 w2), A0 = int omega^2 ds, A1 = int s omega^2 ds, from the
+    # exact moments of the ramp shape p: int p = 1/2, int p^2 = 181/462,
+    # int s p = 5/14, int s p^2 = 10/33
+    w1, w2 = config.omega1, config.omega2
+    d = w2 - w1
+    a0 = w1 * w1 + 2.0 * w1 * d / 2.0 + d * d * 181.0 / 462.0
+    a1 = w1 * w1 / 2.0 + 2.0 * w1 * d * 5.0 / 14.0 + d * d * 10.0 / 33.0
+    c2 = ((w1 * w1 * w2 * w2 - 2.0 * w1 * w1 * a1 - 2.0 * w2 * w2 * (a0 - a1)
+           + a0 * a0) / (2.0 * w1 * w2))
+    x, xd, y, yd = sudden_pair_series(w1, w2)
+    assert (x[0], xd[0], y[0]) == (1.0, 1.0, 1.0)
+    # the tau^2 term of Husimi's numerator over 2 w1 w2
+    series_c2 = ((w1 * w1 * (w2 * w2 * x[0] * x[0] + 2.0 * xd[0] * xd[1])
+                  + w2 * w2 * 2.0 * y[0] * y[1] + yd[0] * yd[0])
+                 / (2.0 * w1 * w2))
+    assert series_c2 == pytest.approx(c2, rel=1e-13)
+
+
+def test_series_c2_at_default():
+    x, xd, y, yd = sudden_pair_series(0.32, 1.0)
+    c2 = (0.32**2 * (1.0 + 2.0 * xd[1]) + 2.0 * y[1] + yd[0]**2) / 0.64
+    assert c2 == pytest.approx(-0.0410471, abs=1e-7)
+
+
+@pytest.mark.parametrize("tau", [0.01, 1.0, 10.0])
+@pytest.mark.parametrize("ends", [(0.32, 1.0), (0.999, 1.0), (0.01, 1.0)])
+def test_q_star_excess_is_husimi_less_wronskian(ends, tau):
+    # Q* = W + squares/(2 omega0 omega_t) is an identity of any state, so
+    # on DOP853 states it holds to roundoff, W - 1 and all
+    w0, wt = ends
+    states = solve_linear_pair(polynomial_ramp(w0, wt, tau),
+                               linspace(0.0, tau, 11), CONFIG)
+    omega = omega_of(polynomial_ramp(w0, wt, tau))
+    for t, state in zip(linspace(0.0, tau, 11), states):
+        q = husimi_q_star(w0, omega(t), state)
+        split = (wronskian(state) - 1.0) + q_star_excess(w0, omega(t), state)
+        assert abs((q - 1.0) - split) <= 4e-15 * q

@@ -157,3 +157,29 @@ def test_occupation_factors_have_one_owner():
             if name in ("coth", "csch"):
                 found.append(f"{path.name}:{node.lineno}: {name}()")
     assert not found, found
+
+
+def test_one_production_solve_and_run_cycle_never_reads_the_series():
+    # compression_q_star holds cycle's one solve_linear_pair call; the
+    # sudden-side series only models Q* in the root searches, so no
+    # function that run_cycle reaches inside cycle names it
+    tree = ast.parse((PACKAGE / "cycle.py").read_text(encoding="utf-8"))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name)
+             and node.func.id == "solve_linear_pair"]
+    assert len(calls) == 1
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    names = {name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+             for name, node in functions.items()}
+    reached, todo = set(), ["run_cycle"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [n for n in names[name] if n in functions]
+    series = {"sudden_pair_series", "series_pair_state", "q_star_excess",
+              "_sudden_shape"}
+    assert "compression_q_star" in reached
+    assert not [(f, names[f] & series) for f in sorted(reached)
+                if names[f] & series]
