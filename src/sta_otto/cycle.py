@@ -28,9 +28,8 @@ from typing import Callable, Sequence
 
 from .config import EngineConfig, tau_grid
 from .cost import sa_cost_time_average
-from .dynamics import (SERIES_PHASE, husimi_q_star, q_star_excess,
-                       series_pair_state, solve_linear_pair,
-                       sudden_pair_series)
+from .dynamics import (SERIES_PHASE, q_star_excess, series_pair_state,
+                       solve_linear_pair, sudden_pair_series)
 from .errors import (NoSignChange, SolverFailure, StaOttoError,
                      TrapInversionError)
 from .protocol import (FrequencyProtocol, inversion_threshold,
@@ -287,8 +286,8 @@ def _root_in_ln_tau(q_star: Callable[[float], float],
     without Derivatives, 1973, ch. 4).  Every q the search compares
     with the level is a solve, and the bracket keeps the sign change,
     so a wrong shape costs solves but never moves a root past the
-    tolerance.  A Q*1 - 1 that rounds to 0 or below is taken as the
-    smallest normal float; a non-finite q or the iteration cap raises
+    tolerance.  A Q*1 - 1 that rounds to 0 is taken as the smallest
+    normal float; a non-finite q or the iteration cap raises
     SolverFailure.
     """
     def failure(reason: str) -> SolverFailure:
@@ -366,12 +365,12 @@ def _sudden_shape(config: EngineConfig) -> Callable[[float], float]:
     (phase max(omega) tau = SERIES_PHASE) for longer strokes: the shape
     of the root searches' model, built in about 0.2 ms per config.
 
-    It reads Q*1 - 1 as q_star_excess, the sum of squares that is Q* - 1
-    at W = 1, so it stays positive and accurate near omega2/omega1 = 1.
-    The series is a model and an oracle, not a production Q*: it meets
-    DOP853's 1e-8 only on short strokes, and a faster production Q*
-    waits for the benchmark to stop counting every kept sweep CSV as
-    peak memory (ROADMAP items 1 and 2).
+    It reads Q*1 - 1 as q_star_excess, as compression_q_star does, so it
+    stays positive and accurate near omega2/omega1 = 1.  The series is a
+    model and an oracle, not a production Q*: it meets DOP853's 1e-8
+    only on short strokes, and a faster production Q* waits for the
+    benchmark to stop counting every kept sweep CSV as peak memory
+    (ROADMAP items 1 and 2).
     """
     w1, w2 = config.omega1, config.omega2
     series = sudden_pair_series(w1, w2)
@@ -451,11 +450,12 @@ def compression_q_star(config: EngineConfig, tau: float) -> float:
     """Endpoint Q* of the compression stroke: one ODE solve, the unit of
     work of run_cycle, of both root searches and of validate's adiabatic
     limit.  Its solve_linear_pair call is the program's one production
-    Q* solve."""
+    Q* solve, read as 1 + q_star_excess, so Q* >= 1 holds exactly and
+    Q* - 1 keeps its relative accuracy on long strokes."""
     _check_tau(tau)
     ramp = polynomial_ramp(config.omega1, config.omega2, tau)
     state = solve_linear_pair(ramp, (tau,), config)[0]
-    return husimi_q_star(config.omega1, config.omega2, state)
+    return 1.0 + q_star_excess(config.omega1, config.omega2, state)
 
 
 def find_heat_sign_threshold(config: EngineConfig,

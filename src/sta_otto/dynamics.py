@@ -13,8 +13,17 @@ solves the Ermakov equation b'' + omega^2 b = omega0^2 / b^3 with
 b(0)=1, b'(0)=0, and the adiabaticity parameter (actual over adiabatic
 mean energy of an initially thermal oscillator) is
 
-    Q*(t) = [omega0^2 (omega_t^2 X^2 + X'^2) + omega_t^2 Y^2 + Y'^2]
-            / (2 omega0 omega_t).
+    Q*(t) = 1 + [(omega0 omega_t X + Y')^2 + (omega0 X' - omega_t Y)^2]
+                / (2 omega0 omega_t),
+
+the q_star_excess of the state plus 1.  Husimi's form
+[omega0^2 (omega_t^2 X^2 + X'^2) + omega_t^2 Y^2 + Y'^2]
+/ (2 omega0 omega_t) is W plus the same squares for any state, so the
+two agree on the true pair.  This is the definition because the
+solver's error enters Husimi's Q* - 1 linearly, through W - 1 (-1.25e-9
+at tau = 1000, where Q* - 1 is 1.2e-13), but enters the squares only
+times the small deviation itself; and Q* >= 1, so P_NA <= P_SA, holds
+by construction.
 
 Three routes to Q* are exposed: the linear pair directly, the
 closed-form Ermakov transform of the pair, and an independent
@@ -32,14 +41,15 @@ Q* - 1 at omega2/omega1 from 2 to 100, and to 6e-6 at 1.001.  It is
 the root searches' model of Q*1 and the sudden-side oracle of
 validate's adiabatic_limit, not a production Q*: it covers only short
 strokes, and a faster production Q* waits for the benchmark to stop
-counting every kept sweep CSV as peak memory.
+counting every kept sweep CSV as peak memory.  q_star_excess is no
+model: it reads every pair state, the solver's and the series' alike.
 
 Each solver integrates the whole stroke and returns its state only at
 the requested times, as a list of plain tuples; every caller knows
 those times before the solve, and the production cycle asks for
-t = tau alone.  The formulas that read a state (husimi_q_star,
-q_star_excess, wronskian, ermakov_from_linear,
-adiabaticity_from_ermakov, moment_q_star) are pure functions of it.
+t = tau alone.  The formulas that read a state (q_star_excess,
+wronskian, ermakov_from_linear, adiabaticity_from_ermakov,
+moment_q_star) are pure functions of it.
 
 Integration uses an adaptive embedded Runge-Kutta of order 8 (DOP853).
 Every solver takes the EngineConfig, the one owner and validator of
@@ -200,21 +210,14 @@ def wronskian(state: PairState) -> float:
     return y * xd - yd * x
 
 
-def husimi_q_star(omega0: float, omega_t: float, state: PairState) -> float:
-    """Q* from a pair state (X, X', Y, Y') started at omega0, read at the
-    instantaneous frequency omega_t.  Always >= 1 for a thermal start."""
-    x, xd, y, yd = state
-    return (omega0 * omega0 * (omega_t * omega_t * x * x + xd * xd)
-            + omega_t * omega_t * y * y + yd * yd) / (2.0 * omega0 * omega_t)
-
-
 def q_star_excess(omega0: float, omega_t: float, state: PairState) -> float:
-    """Husimi's Q* less the Wronskian, as a sum of squares:
+    """Q* - 1 from a pair state (X, X', Y, Y') started at omega0, read at
+    the instantaneous frequency omega_t, as a sum of squares:
     [(omega0 omega_t X + Y')^2 + (omega0 X' - omega_t Y)^2]
-    / (2 omega0 omega_t).  It is Q* - 1 of the true pair (W = 1), never
-    negative, and keeps its relative accuracy near omega_t = omega0,
-    where Q* - 1 of a state whose W is off by roundoff or truncation
-    does not."""
+    / (2 omega0 omega_t).  It is Husimi's Q* less the Wronskian, so
+    Q* = 1 + q_star_excess for the true pair (W = 1); it is never
+    negative, and keeps its relative accuracy where Q* - 1 is tiny,
+    unlike Husimi's form, which carries the solver's W - 1."""
     x, xd, y, yd = state
     u = omega0 * omega_t * x + yd
     v = omega0 * xd - omega_t * y

@@ -35,7 +35,7 @@ SUDDEN_CAP = 1.7225                   # (0.32^2 + 1)/(2 * 0.32): sudden-quench Q
 
 # regression constants (first computation with this implementation, frozen)
 TAU_STAR = 0.253077777638             # root of eta_sa = eta_na, converged (xtol 1e-14 in ln tau)
-TAU_STAR_FAR = 18.2192069808          # second root (run_cycle gap, xtol 1e-15)
+TAU_STAR_FAR = 18.2192070598          # second root, converged (rtol 1e-13, xtol 1e-15 in ln tau)
 Q1_TAU1 = 1.68265052943513            # compression Q* at tau = 1
 Q1_TAU001 = 1.72249589529961          # compression Q* at tau = 0.01
 TAU_HEAT_DEATH_B02 = 4.19044578965    # heat-sign root for the beta1 = 0.2 config

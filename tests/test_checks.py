@@ -6,7 +6,8 @@ from hypothesis import given, settings
 
 from sta_otto import EngineConfig, checks, cost, cycle, protocol
 from sta_otto.checks import (check_bound_ordering, check_cost_consistency,
-                             check_ermakov_residual, check_q_star_routes,
+                             check_ermakov_residual, check_lcd_exactness,
+                             check_power_ordering, check_q_star_routes,
                              check_wronskian, effective_samples, pair_samples,
                              run_all_checks)
 
@@ -128,15 +129,21 @@ def test_q_star_routes_catches_q3_off_by_1e7(base_config, monkeypatch):
     assert clean.passed
     omega2 = base_config.omega2
 
-    def off(route, start_frequency):
+    def off(route, start_frequency, base=0.0):
+        # route returns Q* - base; Q* itself is planted 1e-7 off
         def planted(*args):
-            q = route(*args)
-            return q * (1.0 + 1e-7) if start_frequency(args) == omega2 else q
+            q = route(*args) + base
+            if start_frequency(args) == omega2:
+                q *= 1.0 + 1e-7
+            return q - base
         return planted
 
-    for name in ("husimi_q_star", "adiabaticity_from_ermakov"):
-        monkeypatch.setattr(checks, name,
-                            off(getattr(checks, name), lambda a: a[0]))
+    # the pair route reads Q* as 1 + q_star_excess
+    monkeypatch.setattr(checks, "q_star_excess",
+                        off(checks.q_star_excess, lambda a: a[0], 1.0))
+    monkeypatch.setattr(checks, "adiabaticity_from_ermakov",
+                        off(checks.adiabaticity_from_ermakov,
+                            lambda a: a[0]))
     monkeypatch.setattr(checks, "moment_q_star",
                         off(checks.moment_q_star, lambda a: a[2].omega))
     r = check_q_star_routes(base_config, samples)
@@ -144,6 +151,21 @@ def test_q_star_routes_catches_q3_off_by_1e7(base_config, monkeypatch):
     assert r.residual == pytest.approx(1e-7, rel=1e-2)
     # the route spread is unchanged; only the symmetry part moved
     assert r.detail.partition(",")[0] == clean.detail.partition(",")[0]
+
+
+def test_q_star_routes_floor_catches_moment_route_low_by_2e9(base_config,
+                                                             monkeypatch):
+    # the moment route scaled by 1 - 2e-9 stays within the 1e-8 spread,
+    # but its Q* at t = 0, where Q* = 1, falls below the floor 1 - 1e-9
+    samples = pair_samples(base_config)
+    assert check_q_star_routes(base_config, samples).passed
+    moment_q_star = checks.moment_q_star
+    monkeypatch.setattr(checks, "moment_q_star",
+                        lambda *args: moment_q_star(*args) * (1.0 - 2e-9))
+    r = check_q_star_routes(base_config, samples)
+    assert not r.passed
+    assert r.residual <= 1e-8
+    assert float(r.detail.rsplit("= ", 1)[1]) < 1.0 - 1e-9
 
 
 def _scaled(samples, kx, ky):
@@ -175,18 +197,42 @@ def test_ermakov_residual_catches_wronskian_off_by_1e7(base_config):
     assert r.residual == pytest.approx(1e-7, rel=1e-2)
 
 
+def _wrong_omega_dot_term(omega, omega_dot, omega_ddot):
+    # Omega^2 with 0.7499 for the 3/4 of its omega'^2 term
+    return (omega * omega - 0.7499 * omega_dot * omega_dot
+            / (omega * omega) + 0.5 * omega_ddot / omega)
+
+
 def test_ermakov_residual_catches_wrong_omega_dot_term(base_config,
                                                         monkeypatch):
-    # 0.7499 for the 3/4 of Omega^2's omega'^2 term: the effective pair
-    # leaves the Ermakov scaling by about 1.8e-4
-    def wrong(omega, omega_dot, omega_ddot):
-        return (omega * omega - 0.7499 * omega_dot * omega_dot
-                / (omega * omega) + 0.5 * omega_ddot / omega)
-
-    monkeypatch.setattr(protocol, "effective_frequency_sq", wrong)
+    # the effective pair leaves the Ermakov scaling by about 1.8e-4
+    monkeypatch.setattr(protocol, "effective_frequency_sq",
+                        _wrong_omega_dot_term)
     r = check_ermakov_residual(base_config, effective_samples(base_config))
     assert not r.passed
     assert r.residual > 1e-5
+
+
+def test_lcd_exactness_catches_wrong_omega_dot_term(base_config,
+                                                    monkeypatch):
+    # the shortcut misses the adiabatic state by 2.56e-5 in Q* - 1
+    assert check_lcd_exactness(base_config,
+                               effective_samples(base_config)).passed
+    monkeypatch.setattr(protocol, "effective_frequency_sq",
+                        _wrong_omega_dot_term)
+    r = check_lcd_exactness(base_config, effective_samples(base_config))
+    assert not r.passed
+    assert r.residual == pytest.approx(2.56e-5, rel=1e-2)
+
+
+def test_power_ordering_on_long_strokes():
+    # the long half of a tau_max = 1e3 grid, where Q* - 1 falls to 1e-13:
+    # Husimi's form of the same solves read P_NA > P_SA by 8.7e-12
+    config = EngineConfig(tau_min=274.0, tau_max=1000.0, tau_count=5)
+    rows = cycle.sweep(config)
+    assert not any(r.failed for r in rows)
+    r = check_power_ordering(config, rows)
+    assert r.passed and r.residual == 0.0, r
 
 
 def test_ermakov_residual_passes_at_ratio_100(base_config):

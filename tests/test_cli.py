@@ -343,6 +343,16 @@ def test_validate_default_config(capsys):
     assert "WARN trap_inversion_scan" in out
 
 
+def test_validate_near_unit_compression_ratio(tmp_path, capsys):
+    # omega2/omega1 = 1.001: Q* - 1 is below 1e-11 on much of the grid,
+    # where Husimi's form of the solves read P_NA > P_SA by 1.7e-11
+    cfg = tmp_path / "engine.cfg"
+    cfg.write_text("omega1 = 0.999\n")
+    code, out, _ = run_cli(capsys, "validate", str(cfg))
+    assert code == 0, out
+    assert "FAIL" not in out
+
+
 def test_validate_all_rows_error(tmp_path, capsys):
     # strict mode and a grid wholly below tau_c ~ 2.62: every sweep row
     # is an error row, which the row checks must report, not crash on
@@ -374,7 +384,7 @@ def test_protocol_dump_stdout(capsys):
     code, out, err = run_cli(capsys, "protocol-dump", "--points", "11")
     assert code == 0 and err == ""
     lines = out.splitlines()
-    assert lines[0] == "# sta-otto protocol-dump v0.1.3"
+    assert lines[0] == "# sta-otto protocol-dump v0.1.4"
     data = [l for l in lines if not l.startswith("#")]
     header = data[0].split(",")
     assert header == ["t", "omega", "omega_dot", "omega_ddot",

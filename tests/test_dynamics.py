@@ -3,10 +3,10 @@ from hypothesis import example, given, settings
 
 from sta_otto import (ConfigError, EngineConfig, SolverFailure,
                       ThermalOscillatorState, adiabaticity_from_ermakov,
-                      ermakov_from_linear, husimi_q_star, moment_q_star,
-                      polynomial_ramp, q_star_excess, series_pair_state,
-                      solve_effective_pair, solve_linear_pair,
-                      solve_second_moments, sudden_pair_series, wronskian)
+                      ermakov_from_linear, moment_q_star, polynomial_ramp,
+                      q_star_excess, series_pair_state, solve_effective_pair,
+                      solve_linear_pair, solve_second_moments,
+                      sudden_pair_series, wronskian)
 from sta_otto.checks import effective_samples
 from sta_otto.config import linspace
 from sta_otto.dynamics import SERIES_PHASE
@@ -45,8 +45,13 @@ def test_wronskian_constant(states):
     assert max(abs(wronskian(s) - 1.0) for s in states) < 1e-10
 
 
+def q_star(omega0, omega_t, state):
+    # the package's one formula for Q* from a pair state
+    return 1.0 + q_star_excess(omega0, omega_t, state)
+
+
 def test_endpoint_q_star_regression(states):
-    q = husimi_q_star(0.32, 1.0, states[-1])
+    q = q_star(0.32, 1.0, states[-1])
     assert q == pytest.approx(Q1_TAU1, rel=1e-9)
 
 
@@ -62,22 +67,25 @@ def test_endpoint_solve_matches_dense_bitwise(ends, tau):
 
 def test_fast_drive_approaches_sudden_cap():
     ramp = polynomial_ramp(0.32, 1.0, 0.01)
-    q = husimi_q_star(0.32, 1.0, solve_linear_pair(ramp, (0.01,), CONFIG)[0])
+    q = q_star(0.32, 1.0, solve_linear_pair(ramp, (0.01,), CONFIG)[0])
     assert q == pytest.approx(Q1_TAU001, rel=1e-9)
     assert q < SUDDEN_CAP + 1e-9
 
 
 def test_slow_drive_is_adiabatic():
     ramp = polynomial_ramp(0.32, 1.0, 100.0)
-    q = husimi_q_star(0.32, 1.0,
-                      solve_linear_pair(ramp, (100.0,), CONFIG)[0])
+    q = q_star(0.32, 1.0, solve_linear_pair(ramp, (100.0,), CONFIG)[0])
     assert abs(q - 1.0) < 1e-3
 
 
-def test_q_star_never_below_one(states, ramp):
+def test_q_star_never_below_one(ramp):
+    # 1 + a sum of squares is >= 1 by construction; the independent
+    # moment route must agree
+    initial = ThermalOscillatorState(0.5, 0.32)
+    moments = solve_second_moments(ramp, TIMES, initial, CONFIG)
     omega = omega_of(ramp)
-    for t, state in zip(TIMES, states):
-        assert husimi_q_star(0.32, omega(t), state) >= 1.0 - 1e-9
+    for t, mom in zip(TIMES, moments):
+        assert moment_q_star(omega(t), mom, initial, CONFIG) >= 1.0 - 1e-9
 
 
 def test_ermakov_route_matches_pair(states, ramp):
@@ -87,7 +95,7 @@ def test_ermakov_route_matches_pair(states, ramp):
     omega = omega_of(ramp)
     for t, state in zip(TIMES, states):
         wt = omega(t)
-        q_pair = husimi_q_star(0.32, wt, state)
+        q_pair = q_star(0.32, wt, state)
         q_erk = adiabaticity_from_ermakov(
             0.32, wt, ermakov_from_linear(0.32, state))
         assert q_erk == pytest.approx(q_pair, rel=1e-10)
@@ -101,7 +109,7 @@ def test_moment_route_matches_pair(ramp):
     omega = omega_of(ramp)
     for t, pair, mom in zip(times, pairs, moments):
         wt = omega(t)
-        q_pair = husimi_q_star(0.32, wt, pair)
+        q_pair = q_star(0.32, wt, pair)
         assert moment_q_star(wt, mom, initial, CONFIG) == pytest.approx(
             q_pair, rel=1e-9)
 
@@ -122,9 +130,8 @@ def test_moment_route_beta_independent(ramp):
 def test_lcd_lands_on_adiabatic_state():
     for strokes in effective_samples(CONFIG).values():
         for ramp, _, _, states in strokes:
-            q = husimi_q_star(ramp.omega_initial, ramp.omega_final,
-                              states[-1])
-            assert abs(q - 1.0) < 1e-6
+            assert q_star_excess(ramp.omega_initial, ramp.omega_final,
+                                 states[-1]) < 1e-6
 
 
 def test_effective_pair_through_inversion():
@@ -213,13 +220,18 @@ def test_series_c2_at_default():
 @pytest.mark.parametrize("tau", [0.01, 1.0, 10.0])
 @pytest.mark.parametrize("ends", [(0.32, 1.0), (0.999, 1.0), (0.01, 1.0)])
 def test_q_star_excess_is_husimi_less_wronskian(ends, tau):
-    # Q* = W + squares/(2 omega0 omega_t) is an identity of any state, so
-    # on DOP853 states it holds to roundoff, W - 1 and all
+    # Husimi's textbook Q* (Prog. Theor. Phys. 9, 381 (1953)), kept here
+    # as a reference only: Q*_H = W + squares/(2 omega0 omega_t) is an
+    # identity of any state, so on DOP853 states it holds to roundoff,
+    # W - 1 and all
     w0, wt = ends
     states = solve_linear_pair(polynomial_ramp(w0, wt, tau),
                                linspace(0.0, tau, 11), CONFIG)
     omega = omega_of(polynomial_ramp(w0, wt, tau))
-    for t, state in zip(linspace(0.0, tau, 11), states):
-        q = husimi_q_star(w0, omega(t), state)
-        split = (wronskian(state) - 1.0) + q_star_excess(w0, omega(t), state)
-        assert abs((q - 1.0) - split) <= 4e-15 * q
+    for t, (x, xd, y, yd) in zip(linspace(0.0, tau, 11), states):
+        w = omega(t)
+        husimi = ((w0 * w0 * (w * w * x * x + xd * xd) + w * w * y * y
+                   + yd * yd) / (2.0 * w0 * w))
+        state = (x, xd, y, yd)
+        split = (wronskian(state) - 1.0) + q_star_excess(w0, w, state)
+        assert abs((husimi - 1.0) - split) <= 4e-15 * husimi
