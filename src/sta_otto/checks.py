@@ -2,11 +2,16 @@
 
 Every check is a named function returning a CheckResult with a measured
 residual, so a failure report says not only what broke but by how much.
-Data that several checks read (pair_samples, effective_samples, the
-sweep rows) is computed once by run_all_checks and passed to each.
-Checks marked as warnings (trap inversion on the configured grid, speed
-bound premise violations) inform without failing the suite; strict mode
-is handled upstream by run_cycle, which turns inversion into errors.
+Data that several checks read (pair_samples, effective_samples and
+the cycle rows) is computed once by run_all_checks and passed to each.
+The rows come from cycle_from_q_star, so they cost no solve: the four
+grid checks read it at Q*1 = 1 over the tau grid, since none of them
+reads a column that Q* enters, and power_ordering reads it at the Q*1
+that pair_samples' compression solves hold at t = tau.  Checks marked
+as warnings (trap inversion on the configured grid, speed bound premise
+violations) inform without failing the suite; strict mode's refusal of
+a tau at or below the inversion threshold is cycle_from_q_star's, and a
+refused point is left out of the rows.
 Every fixed duration a check solves at is given in units of the default
 omega1 (times 0.32/omega1), or, for adiabatic_limit's sudden side, as
 a phase max(omega) tau, so a config in other units of time asks the
@@ -24,13 +29,13 @@ from dataclasses import dataclass, replace
 
 from .config import EngineConfig, linspace, tau_grid
 from .cost import sa_cost_time_average, sa_energy_instant
-from .cycle import (compression_q_star, cycle_constants, rescaled,
-                    run_cycle, stroke_pairs, sweep)
+from .cycle import (compression_q_star, cycle_constants, cycle_from_q_star,
+                    rescaled, run_cycle, stroke_pairs)
 from .dynamics import (adiabaticity_from_ermakov, ermakov_from_linear,
                        moment_q_star, q_star_excess, series_pair_state,
                        solve_effective_pair, solve_linear_pair,
                        solve_second_moments, sudden_pair_series, wronskian)
-from .errors import ConfigError
+from .errors import ConfigError, StaOttoError
 from .protocol import (boundary_residuals, omega_of, polynomial_ramp,
                        sample_protocol)
 from .qsl import bures_angle, gaussian_fidelity
@@ -305,7 +310,7 @@ def check_fidelity_zero_t(config: EngineConfig) -> CheckResult:
                        "cold limit matches ground-state overlap")
 
 
-# the five checks of the sweep rows are run on at least one valid row
+# the five row checks are run on at least one valid row
 def check_bound_ordering(config: EngineConfig, rows) -> CheckResult:
     """On the rows where the speed-limit premise holds, the bounds
     bracket the shortcut engine and are tighter than the second law:
@@ -336,9 +341,14 @@ def check_eta_sa_monotone(config: EngineConfig, rows) -> CheckResult:
 
 
 def check_power_ordering(config: EngineConfig, rows) -> CheckResult:
+    """P_SA >= P_NA on rows that carry a solved Q*1.  P_SA - P_NA =
+    hbar (Q*1 - 1)(omega2 nu_cold + omega1 nu_hot) / (4 tau) and
+    Q*1 - 1 is a sum of squares, so only works wired wrongly fail it."""
     worst = max(r.p_na - r.p_sa for r in rows)
     return CheckResult("power_ordering", worst <= 1e-12, max(worst, 0.0),
-                       "P_SA >= P_NA on the grid")
+                       f"P_SA >= P_NA at {len(rows)} solved Q*1: P_SA - "
+                       f"P_NA = hbar (Q*1 - 1)(omega2 nu_cold + omega1 "
+                       f"nu_hot)/(4 tau)")
 
 
 def check_p_sa_scaling(config: EngineConfig, rows) -> CheckResult:
@@ -407,6 +417,18 @@ def check_trap_inversion_scan(config: EngineConfig) -> CheckResult:
                        detail, warning=True)
 
 
+def _cycle_rows(config: EngineConfig, points) -> list:
+    # cycle_from_q_star at each (tau, Q*1); a point it refuses is left
+    # out, as a sweep's error row is
+    rows = []
+    for tau, q_star_1 in points:
+        try:
+            rows.append(cycle_from_q_star(config, tau, q_star_1))
+        except StaOttoError:
+            pass
+    return rows
+
+
 def run_all_checks(config: EngineConfig) -> list[CheckResult]:
     results = [
         check_config_invariants(config),
@@ -430,12 +452,18 @@ def run_all_checks(config: EngineConfig) -> list[CheckResult]:
         check_fidelity_identity(config),
         check_fidelity_zero_t(config),
     ]
-    rows = [r for r in sweep(config) if not r.failed]
-    for check in (check_bound_ordering, check_eta_sa_monotone,
-                  check_power_ordering, check_p_sa_scaling,
-                  check_eta_ordering):
-        # every grid point errored (e.g. strict mode below tau_c): nothing
-        # to check is a failure, not a vacuous pass
+    # the row checks solve nothing; see the module docstring
+    grid = _cycle_rows(config, [(tau, 1.0) for tau in tau_grid(config)])
+    solved = _cycle_rows(config, [
+        (tau, 1.0 + q_star_excess(config.omega1, config.omega2, pair[-1]))
+        for tau, ((_, _, _, pair), _) in samples.items()])
+    for check, rows in ((check_bound_ordering, grid),
+                        (check_eta_sa_monotone, grid),
+                        (check_power_ordering, solved),
+                        (check_p_sa_scaling, grid),
+                        (check_eta_ordering, grid)):
+        # every point refused (e.g. strict mode below tau_c): nothing to
+        # check is a failure, not a vacuous pass
         results.append(check(config, rows) if rows else CheckResult(
             check.__name__.removeprefix("check_"), False, math.inf,
             "no valid rows"))

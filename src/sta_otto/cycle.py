@@ -160,10 +160,24 @@ def run_cycle(config: EngineConfig, tau: float) -> CycleMetrics:
     """Evaluate all three cycle variants plus speed-limit bounds at tau.
 
     One ODE solve per call: the expansion ramp is the time reverse of
-    the compression ramp, so its transfer matrix is J M^-1 J and
-    Husimi's formula gives it the same Q* (Husimi, Prog. Theor. Phys.
-    9, 381 (1953)).  Everything else tau-independent comes from
-    cycle_constants.
+    the compression ramp, and time reversal leaves the endpoint Q*
+    unchanged, so Q*3 = Q*1.  Strict mode refuses a stroke at or below
+    the inversion threshold before the solve; the rest is
+    cycle_from_q_star.
+    """
+    _check_tau(tau)
+    _refuse_inversion(config, tau, cycle_constants(config).tau_c)
+    return cycle_from_q_star(config, tau, compression_q_star(config, tau))
+
+
+def cycle_from_q_star(config: EngineConfig, tau: float,
+                      q_star_1: float) -> CycleMetrics:
+    """run_cycle at tau with the compression's Q*1 given, in closed form.
+
+    Q* enters only the q_star columns (Q*3 = Q*1) and the bare (NA)
+    works, heat, efficiency, power and engine flag; every other column,
+    the speed-limit bounds included, reads only tau and cycle_constants.
+    Strict mode refuses a tau at or below the inversion threshold.
     """
     _check_tau(tau)
     const = cycle_constants(config)
@@ -171,8 +185,7 @@ def run_cycle(config: EngineConfig, tau: float) -> CycleMetrics:
     _refuse_inversion(config, tau, const.tau_c)
     flags = ["inversion_1", "inversion_3"] if tau <= const.tau_c else []
 
-    q1 = compression_q_star(config, tau)
-    q3 = q1
+    q1 = q3 = q_star_1
 
     w1_na = stroke_work(q1, config.cold, config.omega2)
     w3_na = stroke_work(q3, config.hot, config.omega1)

@@ -57,10 +57,15 @@ def test_validate_work_budget(base_config, monkeypatch):
     # reference from cycle_constants instead of a quadrature of its own;
     # lcd_exactness and cost_consistency share one effective-pair solve
     # per (stroke, tau), and q_star_routes adds one moment solve per
-    # bare-pair grid
+    # bare-pair grid.  With 2 solves of adiabatic_limit and 6 cycles of
+    # rescaling_invariance that makes 30 DOP853 solves at any grid size:
+    # the row checks read cycle_from_q_star, which solves nothing
+    import scipy.integrate
+
     calls = Counter()
     solve, quad = checks.solve_linear_pair, checks.sa_cost_time_average
     effective, moments = checks.solve_effective_pair, checks.solve_second_moments
+    solve_ivp = scipy.integrate.solve_ivp
 
     def counted_solve(protocol, times, *args):
         calls["pair_grid_solves"] += len(times) == 101
@@ -78,16 +83,22 @@ def test_validate_work_budget(base_config, monkeypatch):
         calls["moment_solves"] += 1
         return moments(*args)
 
+    def counted_solve_ivp(*args, **kwargs):
+        calls["solve_ivp"] += 1
+        return solve_ivp(*args, **kwargs)
+
     for module in (checks, cycle):
         monkeypatch.setattr(module, "solve_linear_pair", counted_solve)
     monkeypatch.setattr(checks, "sa_cost_time_average", counted_quad)
     monkeypatch.setattr(checks, "solve_effective_pair", counted_effective)
     monkeypatch.setattr(checks, "solve_second_moments", counted_moments)
-    run_all_checks(replace(base_config, tau_count=4))
-    assert calls["pair_grid_solves"] == 6
-    assert calls["cost_scaling_quads"] == 4
-    assert calls["effective_solves"] == 10
-    assert calls["moment_solves"] == 6
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", counted_solve_ivp)
+    for tau_count in (4, 200):
+        calls.clear()
+        run_all_checks(replace(base_config, tau_count=tau_count))
+        assert calls == {"pair_grid_solves": 6, "cost_scaling_quads": 4,
+                         "effective_solves": 10, "moment_solves": 6,
+                         "solve_ivp": 30}, (tau_count, calls)
 
 
 def test_cost_scaling_catches_k3_off_by_1e9(base_config, monkeypatch):
@@ -233,6 +244,53 @@ def test_power_ordering_on_long_strokes():
     assert not any(r.failed for r in rows)
     r = check_power_ordering(config, rows)
     assert r.passed and r.residual == 0.0, r
+
+
+@pytest.mark.parametrize("config", [
+    None,
+    EngineConfig(omega1=0.345, omega2=0.93, beta1=0.46, beta2=0.054,
+                 tau_count=50),
+    EngineConfig(omega1=0.999, tau_count=50),
+    EngineConfig(omega1=0.01, beta1=50.0, tau_count=50)],
+    ids=["default", "jittered", "ratio 1.001", "ratio 100"])
+def test_row_checks_match_the_sweep_bitwise(base_config, base_sweep,
+                                            monkeypatch, config):
+    # the four grid checks read no column that Q* enters, so on the
+    # Q*1 = 1 rows they return what they return on the sweep; the rows of
+    # power_ordering are run_cycle's at the pair samples' taus
+    config = config or base_config
+    read = {}
+    for check in (checks.check_bound_ordering, checks.check_eta_sa_monotone,
+                  checks.check_power_ordering, checks.check_p_sa_scaling,
+                  checks.check_eta_ordering):
+        def recorded(config, rows, check=check):
+            read[check] = rows
+            return check(config, rows)
+        monkeypatch.setattr(checks, check.__name__, recorded)
+    run_all_checks(config)
+    solved = read.pop(check_power_ordering)
+    assert [r.tau for r in solved] == list(pair_samples(config))
+    assert solved == [cycle.run_cycle(config, r.tau) for r in solved]
+    rows = base_sweep if config is base_config else cycle.sweep(config)
+    assert len(read) == 4
+    for check, grid in read.items():
+        assert len(grid) == len(rows)
+        assert check(config, grid) == check(config, rows), check.__name__
+
+
+def test_power_ordering_catches_na_works_reflected_about_1(base_config,
+                                                           monkeypatch):
+    # NA works that read Q*1 reflected about 1 put P_NA above P_SA by
+    # hbar (Q*1 - 1)(omega2 nu_cold + omega1 nu_hot)/(4 tau) wherever
+    # Q*1 > 1: power_ordering's solved rows see it, and no other check
+    config = replace(base_config, tau_count=4)
+    assert all(r.passed for r in run_all_checks(config))
+    stroke_work = cycle.stroke_work
+    monkeypatch.setattr(cycle, "stroke_work",
+                        lambda q, start, omega: stroke_work(2.0 - q, start,
+                                                            omega))
+    results = run_all_checks(config)
+    assert [r.name for r in results if not r.passed] == ["power_ordering"]
 
 
 def test_ermakov_residual_passes_at_ratio_100(base_config):

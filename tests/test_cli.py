@@ -146,6 +146,26 @@ def test_floating_point_failure_is_one_error_line(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error:"), err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("omega1 = 1.5\n", "need omega2 > omega1 > 0"),
+    ("m = 0\n", "m and hbar must be positive"),
+    ("hbar = -1\n", "m and hbar must be positive"),
+    ("tau_min = 10\ntau_max = 1\n", "need 0 < tau_min < tau_max"),
+    ("tau_count = 1\n", "tau_count must be at least 2"),
+    ("tau_spacing = cubic\n", "tau_spacing must be 'log' or 'linear'"),
+    ("strict = maybe\n", "boolean expected for 'strict'")],
+    ids=["omega order", "m", "hbar", "tau order", "tau_count",
+         "tau_spacing", "strict"])
+def test_config_rejections_exit_2(tmp_path, capsys, no_solve, text,
+                                  message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    code, out, err = run_cli(capsys, "cycle", "--tau", "1", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_missing_config_file(capsys):
     code, _, err = run_cli(capsys, "cycle", "--tau", "1", "/no/such/file")
     assert code == 2
@@ -179,15 +199,16 @@ def test_duplicate_config_key_exit_2(tmp_path, capsys, no_solve):
     assert code == 2 and "duplicate key 'omega1'" in err
 
 
-def _refuse_long_solves(monkeypatch, omega_max):
+def _refuse_long_solves(monkeypatch, omega_max, phase=1e5):
     # a stroke of 1e5 rad or more would keep DOP853 busy for tens of
-    # seconds to hours: fail the test if one reaches solve_ivp
+    # seconds to hours: fail the test if one of phase rad or more
+    # reaches solve_ivp
     import scipy.integrate
 
     solve_ivp = scipy.integrate.solve_ivp
 
     def bounded(fun, t_span, *args, **kwargs):
-        if omega_max * t_span[1] >= 1e5:
+        if omega_max * t_span[1] >= phase:
             raise AssertionError(f"a {omega_max * t_span[1]:g} rad stroke "
                                  f"reached solve_ivp")
         return solve_ivp(fun, t_span, *args, **kwargs)
@@ -236,6 +257,21 @@ def test_validate_in_mhz_units_matches_default(tmp_path, capsys,
         assert abs(mhz.residual - ref.residual) <= 1e-9, (mhz, ref)
 
 
+def test_validate_mhz_engine_default_grid(tmp_path, capsys, monkeypatch):
+    # the MHz engine on the default tau grid, whose strokes run 1e4 to
+    # 1e7 rad: the row checks solve nothing, so validate's longest solve
+    # is adiabatic_limit's slow side, 100 rad, and no solve reaches 1e3
+    _refuse_long_solves(monkeypatch, 1e6, phase=1e3)
+    cfg = tmp_path / "engine.cfg"
+    cfg.write_text("omega1 = 0.32e6\nomega2 = 1e6\nbeta1 = 0.5e-6\n"
+                   "beta2 = 0.05e-6\n")
+    code, out, err = run_cli(capsys, "validate", str(cfg))
+    assert code == 0 and err == "", out + err
+    lines = out.splitlines()
+    assert sum(line.startswith("PASS ") for line in lines) == 22, out
+    assert lines[-1] == "0 of 22 checks failed"
+
+
 def test_parse_config_text_roundtrip():
     text = "omega1 = 0.4  # comment\n\nstrict = yes\ntau_count = 50\n"
     config = parse_config_text(text)
@@ -273,6 +309,20 @@ def test_sweep_csv(tmp_path, capsys):
         float(row[0])
 
     assert read_manifest(str(out_csv)) == EngineConfig(tau_count=24)
+
+
+def test_sweep_linear_spacing(tmp_path, capsys):
+    # the tau column of a linear grid is the linspace: its ends and step
+    cfg = tmp_path / "linear.cfg"
+    cfg.write_text("tau_spacing = linear\ntau_min = 1\ntau_max = 4\n"
+                   "tau_count = 7\n")
+    out_csv = tmp_path / "linear.csv"
+    code, out, err = run_cli(capsys, "sweep", str(cfg), "--out",
+                             str(out_csv))
+    assert code == 0 and err == ""
+    _, rows = data_rows(out_csv)
+    assert [float(row[0]) for row in rows] == [1.0 + 0.5 * i
+                                               for i in range(7)]
 
 
 def test_sweep_deterministic_bytes(tmp_path, capsys):
@@ -354,8 +404,9 @@ def test_validate_near_unit_compression_ratio(tmp_path, capsys):
 
 
 def test_validate_all_rows_error(tmp_path, capsys):
-    # strict mode and a grid wholly below tau_c ~ 2.62: every sweep row
-    # is an error row, which the row checks must report, not crash on
+    # strict mode and a grid wholly below tau_c ~ 2.62: every grid row
+    # is refused, which the grid checks must report, not crash on;
+    # power_ordering's tau = 10 row lies above tau_c
     cfg = tmp_path / "strict.cfg"
     cfg.write_text("strict = true\ntau_max = 2.0\ntau_count = 12\n")
     code, out, err = run_cli(capsys, "validate", str(cfg))
@@ -364,10 +415,10 @@ def test_validate_all_rows_error(tmp_path, capsys):
              for line in out.splitlines()
              if line.split(" ", 1)[0] in ("PASS", "WARN", "FAIL")]
     assert len(names) == len(set(names)) == 22
-    for name in ("bound_ordering", "eta_sa_monotone", "power_ordering",
+    for name in ("bound_ordering", "eta_sa_monotone",
                  "p_sa_scaling", "eta_ordering"):
         assert f"FAIL {name}: residual = inf  (no valid rows)" in out
-    assert out.splitlines()[-1] == "5 of 22 checks failed"
+    assert out.splitlines()[-1] == "4 of 22 checks failed"
 
 
 def test_validate_rejects_bath_order(tmp_path, capsys):
@@ -384,7 +435,7 @@ def test_protocol_dump_stdout(capsys):
     code, out, err = run_cli(capsys, "protocol-dump", "--points", "11")
     assert code == 0 and err == ""
     lines = out.splitlines()
-    assert lines[0] == "# sta-otto protocol-dump v0.1.4"
+    assert lines[0] == "# sta-otto protocol-dump v0.1.5"
     data = [l for l in lines if not l.startswith("#")]
     header = data[0].split(",")
     assert header == ["t", "omega", "omega_dot", "omega_ddot",
