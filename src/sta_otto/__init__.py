@@ -17,15 +17,15 @@ solves nothing load only the standard library.
 
 from types import ModuleType as _ModuleType
 
-__version__ = "0.1.5"
+__version__ = "0.1.6"
 
 from .config import EngineConfig, tau_grid
 from .cost import (q_star_lcd_instant, sa_cost_time_average,
                    sa_energy_instant, shortcut_shape_factor)
-from .cycle import (CycleConstants, CycleMetrics, compression_q_star,
-                    cycle_constants, find_efficiency_crossover,
-                    find_heat_sign_threshold, rescaled, run_cycle,
-                    stroke_pairs, sweep)
+from .cycle import (CycleConstants, CycleMetrics,
+                    compression_q_star_excess, cycle_constants,
+                    find_efficiency_crossover, find_heat_sign_threshold,
+                    rescaled, run_cycle, stroke_pairs, sweep)
 from .dynamics import (adiabaticity_from_ermakov, ermakov_from_linear,
                        moment_q_star, q_star_excess, series_pair_state,
                        solve_effective_pair, solve_linear_pair,

@@ -29,8 +29,8 @@ from dataclasses import dataclass, replace
 
 from .config import EngineConfig, linspace, tau_grid
 from .cost import sa_cost_time_average, sa_energy_instant
-from .cycle import (compression_q_star, cycle_constants, cycle_from_q_star,
-                    rescaled, run_cycle, stroke_pairs)
+from .cycle import (compression_q_star_excess, cycle_constants,
+                    cycle_from_q_star, rescaled, run_cycle, stroke_pairs)
 from .dynamics import (adiabaticity_from_ermakov, ermakov_from_linear,
                        moment_q_star, q_star_excess, series_pair_state,
                        solve_effective_pair, solve_linear_pair,
@@ -200,11 +200,11 @@ def check_adiabatic_limit(config: EngineConfig) -> CheckResult:
     # both ends of tau: a slow drive approaches Q* = 1, and a fast one
     # matches the closed-form series of the pair, whose truncation is
     # below roundoff at phase 0.25
-    slow = abs(compression_q_star(config, 100.0 * _time_unit(config)) - 1.0)
+    slow = compression_q_star_excess(config, 100.0 * _time_unit(config))
     w1, w2 = config.omega1, config.omega2
     tau = _SUDDEN_PHASE / w2
     state = series_pair_state(sudden_pair_series(w1, w2), tau)
-    sudden = abs(compression_q_star(config, tau)
+    sudden = abs((1.0 + compression_q_star_excess(config, tau))
                  / (1.0 + q_star_excess(w1, w2, state)) - 1.0)
     return CheckResult("adiabatic_limit",
                        slow <= 1e-3 and sudden <= _SUDDEN_GATE,

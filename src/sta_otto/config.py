@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -12,6 +13,11 @@ from .strokes import ThermalOscillatorState
 # the sweep grid is built before the first solve: an absurd count must
 # fail as a config error, not as a multi-gigabyte allocation
 MAX_TAU_COUNT = 100_000
+# the smallest tolerance each solver honours: solve_ivp raises an rtol
+# below 100 eps to it with only a warning, and quad with epsabs = 0
+# refuses an epsrel below 50 eps in a message that names no key
+_TOL_FLOORS = {"rel_tol": 100 * sys.float_info.epsilon, "abs_tol": 0.0,
+               "quad_tol": 50 * sys.float_info.epsilon}
 
 
 @dataclass(frozen=True)
@@ -67,10 +73,12 @@ class EngineConfig:
             raise ConfigError("beta1, omega1, beta2, omega2: need "
                               "beta1 omega1 > beta2 omega2 (hot bath "
                               "occupation above the cold one)")
-        for name in ("rel_tol", "abs_tol", "quad_tol"):
+        for name, floor in _TOL_FLOORS.items():
             v = getattr(self, name)
             if not 0.0 < v <= 1e-4:
                 raise ConfigError(f"{name} must lie in (0, 1e-4]")
+            if v < floor:
+                raise ConfigError(f"{name} must be at least {floor!r}")
         if not 0.0 < self.tau_min < self.tau_max:
             raise ConfigError("need 0 < tau_min < tau_max")
         if self.tau_count < 2:

@@ -88,6 +88,8 @@ def sa_cost_time_average(protocol: FrequencyProtocol,
     out = quad(integrand, 0.0, protocol.duration, epsabs=0.0,
                epsrel=config.quad_tol, limit=200, full_output=True)
     if len(out) > 3:
-        raise QuadratureFailure(f"cost integral did not converge: {out[3]}")
+        # quad's message spans lines; the CLI promises one error line
+        raise QuadratureFailure("cost integral did not converge: "
+                                + " ".join(out[3].split()))
     value = out[0]
     return value / protocol.duration

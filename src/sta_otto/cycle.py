@@ -167,7 +167,8 @@ def run_cycle(config: EngineConfig, tau: float) -> CycleMetrics:
     """
     _check_tau(tau)
     _refuse_inversion(config, tau, cycle_constants(config).tau_c)
-    return cycle_from_q_star(config, tau, compression_q_star(config, tau))
+    return cycle_from_q_star(config, tau,
+                             1.0 + compression_q_star_excess(config, tau))
 
 
 def cycle_from_q_star(config: EngineConfig, tau: float,
@@ -269,13 +270,12 @@ _ROOT_ITERATIONS = 100
 _ROOT_XTOL = 1e-6
 
 
-def _root_in_ln_tau(q_star: Callable[[float], float],
-                    shape: Callable[[float], float],
+def _root_in_ln_tau(config: EngineConfig,
                     level: Callable[[float], float],
                     lo: float, hi: float, what: str) -> float:
     """Root of q(s) = level(s) on (ln lo, ln hi), s = ln tau, where
-    q(s) = ln(Q*1(e^s) - 1) costs one Q* solve and shape and level are
-    closed form.
+    q(s) = ln(Q*1(e^s) - 1) costs one compression_q_star_excess solve
+    and the level is closed form.
 
     After a solve at each bracket end, q is modelled as shape(s) plus the
     residual r = q - shape: first the constant r(ln lo), anchored on the
@@ -287,31 +287,36 @@ def _root_in_ln_tau(q_star: Callable[[float], float],
     step.  It stops once the iterate moves less than 1e-6 in ln tau, a
     relative tolerance of 1e-6 in tau.
 
-    shape is _sudden_shape: q of the sudden-side series of the pair,
-    flat past the series' trust region.  Where a root lies inside that
-    region the first model root already sits within 1e-6 of it, so the
-    search ends after one solve past the bracket ends: 3 solves per root
-    on the benchmark's study region.  With a flat shape the model is the
-    line through the latest solves: near a root q varies several times
-    more slowly than the level (7x at the default config's short root),
-    so it settles in about 6 solves, where Brent's method on the whole
-    gap as a black box takes 9.8 (Brent, Algorithms for Minimization
-    without Derivatives, 1973, ch. 4).  Every q the search compares
-    with the level is a solve, and the bracket keeps the sign change,
-    so a wrong shape costs solves but never moves a root past the
-    tolerance.  A Q*1 - 1 that rounds to 0 is taken as the smallest
-    normal float; a non-finite q or the iteration cap raises
-    SolverFailure.
+    shape is _sudden_shape(config): q of the sudden-side series of the
+    pair, flat past the series' trust region.  Where a root lies inside
+    that region the first model root already sits within 1e-6 of it, so
+    the search ends after one solve past the bracket ends: 3 solves per
+    root on the benchmark's study region.  With a flat shape the model
+    is the line through the latest solves: near a root q varies several
+    times more slowly than the level (7x at the default config's short
+    root), so it settles in about 6 solves, where Brent's method on the
+    whole gap as a black box takes 9.8 (Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 4).  Every q the search
+    compares with the level is a solve, and the bracket keeps the sign
+    change, so a wrong shape costs solves but never moves a root past
+    the tolerance; a solve that ties the level exactly counts as below
+    it, which keeps a sign-change bracket too.  q reads the solve's own
+    Q*1 - 1, never 1 + (Q*1 - 1), so it keeps its relative accuracy on
+    long strokes, where Q*1 - 1 falls far below the float spacing near
+    1; an excess that underflows to 0 is taken as the smallest normal
+    float.  A non-finite q or the iteration cap raises SolverFailure.
     """
+    shape = _sudden_shape(config)
+
     def failure(reason: str) -> SolverFailure:
         return SolverFailure(f"{what}: root search on ({lo!r}, {hi!r}) "
                              f"did not converge: {reason}")
 
     def solve(s: float) -> float:
-        tau = math.exp(s)
-        q = math.log(max(q_star(tau) - 1.0, sys.float_info.min))
+        excess = compression_q_star_excess(config, math.exp(s))
+        q = math.log(max(excess, sys.float_info.min))
         if not math.isfinite(q):
-            raise failure(f"ln(Q*1 - 1) = {q!r} at tau = {tau!r}")
+            raise failure(f"ln(Q*1 - 1) = {q!r} at tau = {math.exp(s)!r}")
         return q
 
     def model_root(s0: float, r0: float, slope: float,
@@ -336,13 +341,9 @@ def _root_in_ln_tau(q_star: Callable[[float], float],
     a, b = math.log(lo), math.log(hi)
     qa, qb = solve(a), solve(b)
     ga, gb = qa - level(a), qb - level(b)
-    if ga == 0.0:
-        return math.exp(a)
-    if gb == 0.0:
-        return math.exp(b)
     if (ga > 0.0) == (gb > 0.0):
         raise NoSignChange(f"{what} does not change sign on ({lo!r}, {hi!r})")
-    # the bracket (a, b) keeps ga and gb of opposite signs
+    # the bracket (a, b) keeps ga and gb on opposite sides of 0
     s_last, r_last, slope = a, qa - shape(a), 0.0
     step_last, stalls = b - a, 0
     for _ in range(_ROOT_ITERATIONS):
@@ -354,8 +355,6 @@ def _root_in_ln_tau(q_star: Callable[[float], float],
             return math.exp(s)
         q = solve(s)
         g = q - level(s)
-        if g == 0.0:
-            return math.exp(s)
         width = b - a
         if (g > 0.0) == (ga > 0.0):
             a, ga = s, g
@@ -378,12 +377,12 @@ def _sudden_shape(config: EngineConfig) -> Callable[[float], float]:
     (phase max(omega) tau = SERIES_PHASE) for longer strokes: the shape
     of the root searches' model, built in about 0.2 ms per config.
 
-    It reads Q*1 - 1 as q_star_excess, as compression_q_star does, so it
-    stays positive and accurate near omega2/omega1 = 1.  The series is a
-    model and an oracle, not a production Q*: it meets DOP853's 1e-8
-    only on short strokes, and a faster production Q* waits for the
-    benchmark to stop counting every kept sweep CSV as peak memory
-    (ROADMAP items 1 and 2).
+    It reads Q*1 - 1 as q_star_excess, as compression_q_star_excess
+    does, so it stays positive and accurate near omega2/omega1 = 1.
+    The series is a model and an oracle, not a production Q*: it meets
+    DOP853's 1e-8 only on short strokes, and a faster production Q*
+    waits for the benchmark to stop counting every kept sweep CSV as
+    peak memory (ROADMAP items 1 and 2).
     """
     w1, w2 = config.omega1, config.omega2
     series = sudden_pair_series(w1, w2)
@@ -431,9 +430,8 @@ def find_efficiency_crossover(config: EngineConfig,
     """
     lo, hi = _check_bracket(bracket)
     _refuse_inversion(config, lo, cycle_constants(config).tau_c)
-    return _root_in_ln_tau(functools.partial(compression_q_star, config),
-                           _sudden_shape(config), _crossover_level(config),
-                           lo, hi, "eta_sa - eta_na (engine branch)")
+    return _root_in_ln_tau(config, _crossover_level(config), lo, hi,
+                           "eta_sa - eta_na (engine branch)")
 
 
 def _crossover_level(config: EngineConfig) -> Callable[[float], float]:
@@ -459,16 +457,18 @@ def _crossover_level(config: EngineConfig) -> Callable[[float], float]:
     return level
 
 
-def compression_q_star(config: EngineConfig, tau: float) -> float:
-    """Endpoint Q* of the compression stroke: one ODE solve, the unit of
-    work of run_cycle, of both root searches and of validate's adiabatic
-    limit.  Its solve_linear_pair call is the program's one production
-    Q* solve, read as 1 + q_star_excess, so Q* >= 1 holds exactly and
-    Q* - 1 keeps its relative accuracy on long strokes."""
+def compression_q_star_excess(config: EngineConfig, tau: float) -> float:
+    """Endpoint Q* - 1 of the compression stroke: one ODE solve, the unit
+    of work of run_cycle, of both root searches and of validate's
+    adiabatic limit.  Its solve_linear_pair call is the program's one
+    production Q* solve, read as q_star_excess: a sum of squares, so
+    Q* >= 1 holds exactly, and returned without adding 1, so Q* - 1
+    keeps its relative accuracy on long strokes, where it falls far
+    below the float spacing near 1."""
     _check_tau(tau)
     ramp = polynomial_ramp(config.omega1, config.omega2, tau)
     state = solve_linear_pair(ramp, (tau,), config)[0]
-    return 1.0 + q_star_excess(config.omega1, config.omega2, state)
+    return q_star_excess(config.omega1, config.omega2, state)
 
 
 def find_heat_sign_threshold(config: EngineConfig,
@@ -489,8 +489,7 @@ def find_heat_sign_threshold(config: EngineConfig,
     search.
     """
     ln_level = math.log(heat_sign_threshold(config.cold, config.hot) - 1.0)
-    return _root_in_ln_tau(functools.partial(compression_q_star, config),
-                           _sudden_shape(config), lambda s: ln_level,
+    return _root_in_ln_tau(config, lambda s: ln_level,
                            *_check_bracket(bracket),
                            "q_star_1 - heat-sign threshold")
 

@@ -74,14 +74,14 @@ def no_solve(monkeypatch):
 
 @pytest.fixture
 def nan_q_star_inside(monkeypatch):
-    """compression_q_star returns NaN for 0.05 < tau < 5, inside the
-    (0.01, 10) bracket but not at its ends."""
-    solve = cycle.compression_q_star
+    """compression_q_star_excess returns NaN for 0.05 < tau < 5, inside
+    the (0.01, 10) bracket but not at its ends."""
+    solve = cycle.compression_q_star_excess
 
     def nan_inside(config, tau):
         return math.nan if 0.05 < tau < 5.0 else solve(config, tau)
 
-    monkeypatch.setattr(cycle, "compression_q_star", nan_inside)
+    monkeypatch.setattr(cycle, "compression_q_star_excess", nan_inside)
 
 
 def pytest_configure(config):

@@ -363,13 +363,13 @@ def test_adiabatic_limit_catches_sudden_q_star_off_by_1e8(base_config,
     clean = checks.check_adiabatic_limit(base_config)
     assert clean.passed
     sudden_tau = 0.25 / base_config.omega2
-    solve = checks.compression_q_star
+    solve = checks.compression_q_star_excess
 
     def planted(config, tau):
-        q = solve(config, tau)
-        return q * (1.0 + 1e-8) if tau == sudden_tau else q
+        e = solve(config, tau)
+        return (1.0 + e) * (1.0 + 1e-8) - 1.0 if tau == sudden_tau else e
 
-    monkeypatch.setattr(checks, "compression_q_star", planted)
+    monkeypatch.setattr(checks, "compression_q_star_excess", planted)
     r = checks.check_adiabatic_limit(base_config)
     assert not r.passed
     assert _sudden_reading(r) == pytest.approx(1e-8, rel=1e-2)

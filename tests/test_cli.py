@@ -146,6 +146,18 @@ def test_floating_point_failure_is_one_error_line(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error:"), err
 
 
+def test_quadrature_failure_is_one_error_line(tmp_path, capsys, no_solve):
+    # accepted, but too tight for the cost quadrature's roundoff: quad's
+    # three-line message becomes one error line, before any solve
+    cfg = tmp_path / "tight.cfg"
+    cfg.write_text("quad_tol = 1.2e-14\n")
+    code, out, err = run_cli(capsys, "cycle", "--tau", "1", str(cfg))
+    assert code == 3 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith("error: cost integral did not converge: ")
+
+
 @pytest.mark.parametrize("text, message", [
     ("omega1 = 1.5\n", "need omega2 > omega1 > 0"),
     ("m = 0\n", "m and hbar must be positive"),
@@ -153,9 +165,14 @@ def test_floating_point_failure_is_one_error_line(tmp_path, capsys):
     ("tau_min = 10\ntau_max = 1\n", "need 0 < tau_min < tau_max"),
     ("tau_count = 1\n", "tau_count must be at least 2"),
     ("tau_spacing = cubic\n", "tau_spacing must be 'log' or 'linear'"),
-    ("strict = maybe\n", "boolean expected for 'strict'")],
+    ("strict = maybe\n", "boolean expected for 'strict'"),
+    # below these floors scipy widens rel_tol with only a warning, and
+    # quad refuses quad_tol in a message that names no key
+    ("rel_tol = 1e-20\n", "rel_tol must be at least 2.220446049250313e-14"),
+    ("quad_tol = 1e-300\n",
+     "quad_tol must be at least 1.1102230246251565e-14")],
     ids=["omega order", "m", "hbar", "tau order", "tau_count",
-         "tau_spacing", "strict"])
+         "tau_spacing", "strict", "rel_tol floor", "quad_tol floor"])
 def test_config_rejections_exit_2(tmp_path, capsys, no_solve, text,
                                   message):
     cfg = tmp_path / "bad.cfg"
@@ -435,7 +452,7 @@ def test_protocol_dump_stdout(capsys):
     code, out, err = run_cli(capsys, "protocol-dump", "--points", "11")
     assert code == 0 and err == ""
     lines = out.splitlines()
-    assert lines[0] == "# sta-otto protocol-dump v0.1.5"
+    assert lines[0] == "# sta-otto protocol-dump v0.1.6"
     data = [l for l in lines if not l.startswith("#")]
     header = data[0].split(",")
     assert header == ["t", "omega", "omega_dot", "omega_ddot",
@@ -512,3 +529,10 @@ def test_manifest_schema_roundtrip(tmp_path):
         read_manifest(str(path))
     # the error names the offending line of the file
     assert str(info.value) == f"{path}:{len(header) + 1}: unknown key 'speed'"
+
+
+def test_read_manifest_without_config_header(tmp_path):
+    path = tmp_path / "bare.csv"
+    path.write_text("# sta-otto sweep\ntau,q_star_1\n1.0,1.5\n")
+    with pytest.raises(ConfigError, match="no manifest found"):
+        read_manifest(str(path))

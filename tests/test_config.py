@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -71,12 +72,25 @@ def test_log_grid_on_default_config_within_one_ulp():
     assert (grid[0], grid[-1]) == (config.tau_min, config.tau_max)
 
 
-@pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "quad_tol"])
-@pytest.mark.parametrize("bad", [0.0, -1e-12, 1e-3])
-def test_tolerance_bounds_rejected(name, bad):
-    # the config is the one validator of the solver tolerances
+@pytest.mark.parametrize("name, bad, message", [
+    *[pytest.param(name, bad, rf"{name} must lie in \(0, 1e-4\]",
+                   id=f"{bad}-{name}")
+      for bad in (0.0, -1e-12, 1e-3)
+      for name in ("rel_tol", "abs_tol", "quad_tol")],
+    # the smallest relative tolerances solve_ivp and quad honour
+    pytest.param("rel_tol", 1e-20, "rel_tol must be at least "
+                 "2.220446049250313e-14", id="1e-20-rel_tol"),
+    pytest.param("quad_tol", 1e-300, "quad_tol must be at least "
+                 "1.1102230246251565e-14", id="1e-300-quad_tol"),
+    pytest.param("quad_tol", 1.11e-14, "quad_tol must be at least "
+                 "1.1102230246251565e-14", id="1.11e-14-quad_tol")])
+def test_tolerance_bounds_rejected(name, bad, message):
+    # the config is the one validator of the solver tolerances; each
+    # floor is accepted at exact equality, as scipy accepts it
     EngineConfig(**{name: 1e-4})
-    with pytest.raises(ConfigError, match=rf"{name} must lie in \(0, 1e-4\]"):
+    EngineConfig(rel_tol=100 * sys.float_info.epsilon,
+                 quad_tol=50 * sys.float_info.epsilon)
+    with pytest.raises(ConfigError, match=message):
         EngineConfig(**{name: bad})
 
 

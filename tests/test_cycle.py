@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from sta_otto import (CycleMetrics, EngineConfig, NoSignChange,
-                      SolverFailure, TrapInversionError, compression_q_star,
-                      cycle_constants, find_efficiency_crossover,
-                      find_heat_sign_threshold, inversion_threshold,
-                      polynomial_ramp, q_star_excess, rescaled, run_cycle,
-                      solve_linear_pair, sweep)
+                      SolverFailure, TrapInversionError,
+                      compression_q_star_excess, cycle_constants,
+                      find_efficiency_crossover, find_heat_sign_threshold,
+                      inversion_threshold, polynomial_ramp, q_star_excess,
+                      rescaled, run_cycle, solve_linear_pair, sweep)
 from sta_otto import cycle, strokes
 from sta_otto.checks import check_rescaling_invariance
 
@@ -71,7 +71,7 @@ def test_tau_validation(base_config):
     with pytest.raises(ValueError, match="tau must be positive"):
         run_cycle(base_config, -1.0)
     with pytest.raises(ValueError):
-        compression_q_star(base_config, 0.0)
+        compression_q_star_excess(base_config, 0.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -79,7 +79,7 @@ def test_non_finite_tau_rejected(base_config, no_solve, bad):
     with pytest.raises(ValueError, match="tau must be positive and finite"):
         run_cycle(base_config, bad)
     with pytest.raises(ValueError, match="tau must be positive and finite"):
-        compression_q_star(base_config, bad)
+        compression_q_star_excess(base_config, bad)
     with pytest.raises(ValueError, match="bracket"):
         find_efficiency_crossover(base_config, (0.01, bad))
     with pytest.raises(ValueError, match="bracket"):
@@ -87,9 +87,9 @@ def test_non_finite_tau_rejected(base_config, no_solve, bad):
 
 
 def test_compression_q_star_matches_cycle(base_config, unit_metrics):
-    assert compression_q_star(base_config, 1.0) \
+    assert 1.0 + compression_q_star_excess(base_config, 1.0) \
         == pytest.approx(unit_metrics.q_star_1, rel=1e-12)
-    q_sudden = compression_q_star(base_config, 0.01)
+    q_sudden = 1.0 + compression_q_star_excess(base_config, 0.01)
     assert q_sudden == pytest.approx(Q1_TAU001, rel=1e-9)
     assert q_sudden < SUDDEN_CAP + 1e-9
 
@@ -231,24 +231,16 @@ def _adiabatic_tail(omega_i, omega_f, tau):
 
 
 @pytest.mark.parametrize("tau", [500.0, 1000.0, 2000.0])
-def test_long_stroke_q_star_matches_adiabatic_tail(base_config, monkeypatch,
-                                                   tau):
-    # the excess compression_q_star reads lies within 2.6e-4 of the tail
-    # (1.6e-4 at tau = 1000, 1.1e-4 at 2000); Q* itself rounds Q* - 1 to
-    # the float spacing near 1, 8 units of it at tau = 2000
-    read = []
-
-    def recorded(*args):
-        read.append(q_star_excess(*args))
-        return read[-1]
-
-    monkeypatch.setattr(cycle, "q_star_excess", recorded)
-    q = cycle.compression_q_star(base_config, tau)
+def test_long_stroke_q_star_matches_adiabatic_tail(base_config, tau):
+    # the solve's Q*1 - 1 lies within 2.6e-4 of the tail (1.6e-4 at
+    # tau = 1000, 1.1e-4 at 2000), far below the float spacing near 1,
+    # to which 1 + (Q*1 - 1) would round it (2.9e-2 off at 2000); abs=0
+    # drops approx's default 1e-12, which would pass any of these
+    excess = compression_q_star_excess(base_config, tau)
     tail = _adiabatic_tail(base_config.omega1, base_config.omega2, tau)
-    assert read[-1] == pytest.approx(tail, rel=1e-3)
-    assert q - 1.0 == pytest.approx(tail, rel=1e-3, abs=sys.float_info.epsilon)
+    assert excess == pytest.approx(tail, rel=1e-3, abs=0.0)
     if tau == 1000.0:
-        assert run_cycle(base_config, tau).q_star_1 == q
+        assert run_cycle(base_config, tau).q_star_1 == 1.0 + excess
 
 
 @settings(max_examples=20, derandomize=True, database=None, deadline=None)
@@ -329,8 +321,8 @@ def _reference_crossover(config, bracket):
     level = cycle._crossover_level(config)
 
     def gap(s):
-        q1 = compression_q_star(config, math.exp(s))
-        return math.log(max(q1 - 1.0, sys.float_info.min)) - level(s)
+        excess = compression_q_star_excess(config, math.exp(s))
+        return math.log(max(excess, sys.float_info.min)) - level(s)
 
     try:
         return brentq(gap, *map(math.log, bracket), xtol=1e-12)
@@ -415,7 +407,7 @@ def _search_with_shape(search, config, bracket, reshape):
     whose model shape is reshape(the series' shape)."""
     calls = Counter()
 
-    def counted(*args, _fn=cycle.compression_q_star, **kwargs):
+    def counted(*args, _fn=cycle.compression_q_star_excess, **kwargs):
         calls["solve"] += 1
         return _fn(*args, **kwargs)
 
@@ -424,7 +416,7 @@ def _search_with_shape(search, config, bracket, reshape):
         return lambda s: reshape(shape, s)
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(cycle, "compression_q_star", counted)
+        m.setattr(cycle, "compression_q_star_excess", counted)
         m.setattr(cycle, "_sudden_shape", planted)
         try:
             root = math.log(search(config, bracket))
@@ -516,6 +508,26 @@ def test_heat_sign_threshold_colder_bath(base_config):
     assert below.q2_na < 0.0 < above.q2_na
     assert below.q2_ad > 0.0 and above.q2_ad > 0.0
     assert not below.is_engine_na and not above.is_engine_na
+
+
+def test_search_reads_q_star_excess_below_float_spacing(base_config,
+                                                        monkeypatch):
+    # a heat-sign level of 1e-14 puts the root near tau = 1512, where
+    # Q*1 - 1 is 50x below the float spacing near 1; read as
+    # 1 + (Q*1 - 1) it rounds, and the search lands 2.6e-3 off in ln tau.
+    # Q*1 - 1 oscillates by 2% there, so the gap has roots close by: a
+    # sign change of the gap within 1e-6 either side of the returned root
+    # is what brentq would need to find one there
+    level = (1.0 + 1e-14) - 1.0
+    monkeypatch.setattr(cycle, "heat_sign_threshold",
+                        lambda cold, hot: 1.0 + 1e-14)
+    root = math.log(find_heat_sign_threshold(base_config, (1000.0, 2000.0)))
+
+    def gap(s):
+        excess = compression_q_star_excess(base_config, math.exp(s))
+        return math.log(excess) - math.log(level)
+
+    assert gap(root - 1e-6) * gap(root + 1e-6) < 0.0
 
 
 def test_strict_mode_leaves_heat_sign_search_alone():

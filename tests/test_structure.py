@@ -160,8 +160,8 @@ def test_occupation_factors_have_one_owner():
 
 
 def test_one_production_solve_and_run_cycle_never_reads_the_series():
-    # compression_q_star holds cycle's one solve_linear_pair call; the
-    # sudden-side series only models Q* in the root searches, so no
+    # compression_q_star_excess holds cycle's one solve_linear_pair call;
+    # the sudden-side series only models Q* in the root searches, so no
     # function that run_cycle reaches inside cycle names it.
     # q_star_excess is not the series: it is the production Q* formula
     tree = ast.parse((PACKAGE / "cycle.py").read_text(encoding="utf-8"))
@@ -180,6 +180,6 @@ def test_one_production_solve_and_run_cycle_never_reads_the_series():
             reached.add(name)
             todo += [n for n in names[name] if n in functions]
     series = {"sudden_pair_series", "series_pair_state", "_sudden_shape"}
-    assert "compression_q_star" in reached
+    assert "compression_q_star_excess" in reached
     assert not [(f, names[f] & series) for f in sorted(reached)
                 if names[f] & series]
