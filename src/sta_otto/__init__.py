@@ -17,7 +17,7 @@ solves nothing load only the standard library.
 
 from types import ModuleType as _ModuleType
 
-__version__ = "0.1.6"
+__version__ = "0.1.7"
 
 from .config import EngineConfig, tau_grid
 from .cost import (q_star_lcd_instant, sa_cost_time_average,
@@ -27,9 +27,10 @@ from .cycle import (CycleConstants, CycleMetrics,
                     find_efficiency_crossover, find_heat_sign_threshold,
                     rescaled, run_cycle, stroke_pairs, sweep)
 from .dynamics import (adiabaticity_from_ermakov, ermakov_from_linear,
-                       moment_q_star, q_star_excess, series_pair_state,
-                       solve_effective_pair, solve_linear_pair,
-                       solve_second_moments, sudden_pair_series, wronskian)
+                       magnus_pair, moment_q_star, q_star_excess,
+                       series_pair_state, solve_effective_pair,
+                       solve_linear_pair, solve_second_moments,
+                       sudden_pair_series, wronskian)
 from .errors import (ConfigError, DivisionByZeroCost, DomainError,
                      InvalidDenominator, NoSignChange, OutOfRangeTime,
                      QuadratureFailure, SolverFailure, StaOttoError,

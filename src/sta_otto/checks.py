@@ -4,10 +4,12 @@ Every check is a named function returning a CheckResult with a measured
 residual, so a failure report says not only what broke but by how much.
 Data that several checks read (pair_samples, effective_samples and
 the cycle rows) is computed once by run_all_checks and passed to each.
-The rows come from cycle_from_q_star, so they cost no solve: the four
-grid checks read it at Q*1 = 1 over the tau grid, since none of them
-reads a column that Q* enters, and power_ordering reads it at the Q*1
-that pair_samples' compression solves hold at t = tau.  Checks marked
+The rows come from cycle_from_q_star, so they cost no DOP853 solve:
+the four grid checks read it at Q*1 = 1 over the tau grid, since none
+of them reads a column that Q* enters, and power_ordering reads it at
+the production Q*1 of pair_samples' taus, which is the state their
+compression solves hold at t = tau where the production route is
+DOP853, and the Magnus kernel's past phase 2.  Checks marked
 as warnings (trap inversion on the configured grid, speed bound premise
 violations) inform without failing the suite; strict mode's refusal of
 a tau at or below the inversion threshold is cycle_from_q_star's, and a
@@ -30,11 +32,13 @@ from dataclasses import dataclass, replace
 from .config import EngineConfig, linspace, tau_grid
 from .cost import sa_cost_time_average, sa_energy_instant
 from .cycle import (compression_q_star_excess, cycle_constants,
-                    cycle_from_q_star, rescaled, run_cycle, stroke_pairs)
+                    cycle_from_q_star, reads_magnus, rescaled, run_cycle,
+                    stroke_pairs)
 from .dynamics import (adiabaticity_from_ermakov, ermakov_from_linear,
-                       moment_q_star, q_star_excess, series_pair_state,
-                       solve_effective_pair, solve_linear_pair,
-                       solve_second_moments, sudden_pair_series, wronskian)
+                       magnus_pair, moment_q_star, q_star_excess,
+                       series_pair_state, solve_effective_pair,
+                       solve_linear_pair, solve_second_moments,
+                       sudden_pair_series, wronskian)
 from .errors import ConfigError, StaOttoError
 from .protocol import (boundary_residuals, omega_of, polynomial_ramp,
                        sample_protocol)
@@ -157,10 +161,12 @@ def check_ermakov_residual(config: EngineConfig, effective) -> CheckResult:
 
 
 def check_q_star_routes(config: EngineConfig, samples) -> CheckResult:
-    # also holds Q*3 = Q*1 at t = tau, which run_cycle relies on.  The
-    # pair route, 1 + a sum of squares, is >= 1 by construction, so the
-    # floor Q* >= 1 is read on the independent moment route
-    worst = asymmetry = 0.0
+    # also holds Q*3 = Q*1 at t = tau, which run_cycle relies on, and the
+    # Magnus kernel of the production Q* to the DOP853 pair at t = tau on
+    # every stroke.  The pair route, 1 + a sum of squares, is >= 1 by
+    # construction, so the floor Q* >= 1 is read on the independent
+    # moment route
+    worst = asymmetry = magnus = 0.0
     floor = math.inf
     for strokes in samples.values():
         ends = []
@@ -178,14 +184,20 @@ def check_q_star_routes(config: EngineConfig, samples) -> CheckResult:
                             abs(q_mom - q_pair) / scale)
                 floor = min(floor, q_mom)
             ends.append(q_pair)   # the last time is t = tau
+            omega_end = protocol.omega_final
+            state = magnus_pair(lambda t: omega(t) ** 2, protocol.duration,
+                                max(omega0, omega_end))
+            q_magnus = 1.0 + q_star_excess(omega0, omega_end, state)
+            magnus = max(magnus, abs(q_magnus - q_pair) / q_pair)
         q1, q3 = ends
         asymmetry = max(asymmetry, abs(q3 - q1) / q1)
-    residual = max(worst, asymmetry)
+    residual = max(worst, asymmetry, magnus)
     passed = residual <= 1e-8 and floor >= 1.0 - 1e-9
     return CheckResult("q_star_routes", passed, residual,
                        f"pair/Ermakov/moment spread = {worst:.3g}, |Q*3 - "
-                       f"Q*1|/Q*1 = {asymmetry:.3g}; min moment Q* = "
-                       f"{floor:.12g}")
+                       f"Q*1|/Q*1 = {asymmetry:.3g}, Magnus kernel at "
+                       f"t = tau off the pair by {magnus:.3g}; min moment "
+                       f"Q* = {floor:.12g}")
 
 
 # phase max(omega) tau of the sudden side of adiabatic_limit, and its
@@ -455,7 +467,9 @@ def run_all_checks(config: EngineConfig) -> list[CheckResult]:
     # the row checks solve nothing; see the module docstring
     grid = _cycle_rows(config, [(tau, 1.0) for tau in tau_grid(config)])
     solved = _cycle_rows(config, [
-        (tau, 1.0 + q_star_excess(config.omega1, config.omega2, pair[-1]))
+        (tau, 1.0 + (compression_q_star_excess(config, tau)
+                     if reads_magnus(config, tau) else
+                     q_star_excess(config.omega1, config.omega2, pair[-1])))
         for tau, ((_, _, _, pair), _) in samples.items()])
     for check, rows in ((check_bound_ordering, grid),
                         (check_eta_sa_monotone, grid),

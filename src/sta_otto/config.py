@@ -15,8 +15,13 @@ from .strokes import ThermalOscillatorState
 MAX_TAU_COUNT = 100_000
 # the smallest tolerance each solver honours: solve_ivp raises an rtol
 # below 100 eps to it with only a warning, and quad with epsabs = 0
-# refuses an epsrel below 50 eps in a message that names no key
-_TOL_FLOORS = {"rel_tol": 100 * sys.float_info.epsilon, "abs_tol": 0.0,
+# refuses an epsrel below 50 eps in a message that names no key.
+# DOP853's first step squares the pair's start slopes over abs_tol, the
+# scale of X and Y', which start at 0: the default config's pair solves
+# overflow below abs_tol = 7.6e-155 (compression) and 1.06e-154
+# (expansion, which starts at omega2 = 1), as (1 + omega0^4)/abs_tol^2
+# passes the float maximum; at 1e-150 that holds for omega0 up to ~100
+_TOL_FLOORS = {"rel_tol": 100 * sys.float_info.epsilon, "abs_tol": 1e-150,
                "quad_tol": 50 * sys.float_info.epsilon}
 
 

@@ -28,11 +28,12 @@ from typing import Callable, Sequence
 
 from .config import EngineConfig, tau_grid
 from .cost import sa_cost_time_average
-from .dynamics import (SERIES_PHASE, q_star_excess, series_pair_state,
-                       solve_linear_pair, sudden_pair_series)
+from .dynamics import (SERIES_PHASE, magnus_pair, q_star_excess,
+                       series_pair_state, solve_linear_pair,
+                       sudden_pair_series)
 from .errors import (NoSignChange, SolverFailure, StaOttoError,
                      TrapInversionError)
-from .protocol import (FrequencyProtocol, inversion_threshold,
+from .protocol import (FrequencyProtocol, inversion_threshold, omega_of,
                        polynomial_ramp)
 from .qsl import (bures_angle, efficiency_bound, gaussian_fidelity,
                   power_bound, qsl_time)
@@ -159,11 +160,11 @@ def _refuse_inversion(config: EngineConfig, tau: float, tau_c: float) -> None:
 def run_cycle(config: EngineConfig, tau: float) -> CycleMetrics:
     """Evaluate all three cycle variants plus speed-limit bounds at tau.
 
-    One ODE solve per call: the expansion ramp is the time reverse of
-    the compression ramp, and time reversal leaves the endpoint Q*
-    unchanged, so Q*3 = Q*1.  Strict mode refuses a stroke at or below
-    the inversion threshold before the solve; the rest is
-    cycle_from_q_star.
+    One Q* solve per call, compression_q_star_excess: the expansion
+    ramp is the time reverse of the compression ramp, and time reversal
+    leaves the endpoint Q* unchanged, so Q*3 = Q*1.  Strict mode
+    refuses a stroke at or below the inversion threshold before the
+    solve; the rest is cycle_from_q_star.
     """
     _check_tau(tau)
     _refuse_inversion(config, tau, cycle_constants(config).tau_c)
@@ -263,11 +264,13 @@ def _check_bracket(bracket: Sequence[float]) -> tuple[float, float]:
     return lo, hi
 
 
-# iteration cap of a root search, and of the bisection that finds each
-# model root; a search that reaches it raises SolverFailure
+# iteration cap of a root search, and of the false-position loop that
+# finds each model root; a search that reaches it raises SolverFailure
 _ROOT_ITERATIONS = 100
-# a search stops once its iterate moves less than this in ln tau
+# a search stops once its iterate moves less than this in ln tau, and
+# each model root is found to within _MODEL_XTOL
 _ROOT_XTOL = 1e-6
+_MODEL_XTOL = 1e-12
 
 
 def _root_in_ln_tau(config: EngineConfig,
@@ -281,11 +284,14 @@ def _root_in_ln_tau(config: EngineConfig,
     residual r = q - shape: first the constant r(ln lo), anchored on the
     sudden side, then the line through the residuals of the two latest
     solves.  The next iterate is the root of model = level inside the
-    sign-change bracket, found by a capped bisection that needs no
-    solve.  The search bisects the bracket instead when that root leaves
-    it, or when two steps in a row halved neither the bracket nor the
-    step.  It stops once the iterate moves less than 1e-6 in ln tau, a
-    relative tolerance of 1e-6 in tau.
+    sign-change bracket, found without a solve by capped false position
+    (the Illinois variant) to within 1e-12 in ln tau, in about 11
+    evaluations of the model where bisection took 58.  The search
+    bisects the bracket instead when the model has no root in it, or
+    only a sign change where it jumps (it must vanish there to within
+    1e-6), or when two steps in a row halved neither the bracket nor
+    the step.  It stops once the iterate moves less than 1e-6 in ln
+    tau, a relative tolerance of 1e-6 in tau.
 
     shape is _sudden_shape(config): q of the sudden-side series of the
     pair, flat past the series' trust region.  Where a root lies inside
@@ -297,14 +303,18 @@ def _root_in_ln_tau(config: EngineConfig,
     root), so it settles in about 6 solves, where Brent's method on the
     whole gap as a black box takes 9.8 (Brent, Algorithms for
     Minimization without Derivatives, 1973, ch. 4).  Every q the search
-    compares with the level is a solve, and the bracket keeps the sign
-    change, so a wrong shape costs solves but never moves a root past
-    the tolerance; a solve that ties the level exactly counts as below
-    it, which keeps a sign-change bracket too.  q reads the solve's own
-    Q*1 - 1, never 1 + (Q*1 - 1), so it keeps its relative accuracy on
-    long strokes, where Q*1 - 1 falls far below the float spacing near
-    1; an excess that underflows to 0 is taken as the smallest normal
-    float.  A non-finite q or the iteration cap raises SolverFailure.
+    compares with the level is a solve, the bracket keeps the sign
+    change, and a jump of the shape is no model root, so a wrong shape
+    costs solves but does not move a root past the tolerance: a shape
+    that jumps by 0.3 anywhere from tau = 0.12 to 0.25 finds the
+    default config's root, where a bisected model stopped at the jump
+    for 7 of 14 such jumps.  A solve that ties the level exactly counts
+    as below it, which keeps a sign-change bracket too.  q reads the
+    solve's own Q*1 - 1, never 1 + (Q*1 - 1), so it keeps its relative
+    accuracy on long strokes, where Q*1 - 1 falls far below the float
+    spacing near 1; an excess that underflows to 0 is taken as the
+    smallest normal float.  A non-finite q or the iteration cap raises
+    SolverFailure.
     """
     shape = _sudden_shape(config)
 
@@ -322,21 +332,34 @@ def _root_in_ln_tau(config: EngineConfig,
     def model_root(s0: float, r0: float, slope: float,
                    a: float, b: float) -> float | None:
         """Root of shape(s) + r0 + slope (s - s0) = level(s) inside
-        (a, b), or None."""
+        (a, b), or None: false position that halves the value at an end
+        kept twice in a row (Illinois), and bisects where rounding puts
+        the secant outside the bracket; it stops once the bracket or the
+        step falls below _MODEL_XTOL."""
         def h(s: float) -> float:
             return shape(s) + r0 + slope * (s - s0) - level(s)
         ha, hb = h(a), h(b)
         if not (ha < 0.0 < hb or hb < 0.0 < ha):
             return None
+        # replaced: the end the last step moved, "a", "b" or None
+        s, replaced = a, None
         for _ in range(_ROOT_ITERATIONS):
-            mid = 0.5 * (a + b)
-            if not a < mid < b:
+            s_prev, s = s, (a * hb - b * ha) / (hb - ha)
+            if not a < s < b:
+                s = 0.5 * (a + b)
+            if b - a <= _MODEL_XTOL or abs(s - s_prev) <= _MODEL_XTOL:
                 break
-            if (h(mid) < 0.0) == (ha < 0.0):
-                a = mid
+            hs = h(s)
+            if (hs < 0.0) == (ha < 0.0):
+                if replaced == "a":
+                    hb *= 0.5
+                a, ha, replaced = s, hs, "a"
             else:
-                b = mid
-        return 0.5 * (a + b)
+                if replaced == "b":
+                    ha *= 0.5
+                b, hb, replaced = s, hs, "b"
+        # a sign change where the model jumps is no root of it
+        return s if abs(h(s)) <= _ROOT_XTOL else None
 
     a, b = math.log(lo), math.log(hi)
     qa, qb = solve(a), solve(b)
@@ -379,10 +402,10 @@ def _sudden_shape(config: EngineConfig) -> Callable[[float], float]:
 
     It reads Q*1 - 1 as q_star_excess, as compression_q_star_excess
     does, so it stays positive and accurate near omega2/omega1 = 1.
-    The series is a model and an oracle, not a production Q*: it meets
-    DOP853's 1e-8 only on short strokes, and a faster production Q*
-    waits for the benchmark to stop counting every kept sweep CSV as
-    peak memory (ROADMAP items 1 and 2).
+    The series is a model and an oracle, not yet a production Q*: it
+    meets DOP853's 1e-8 only on short strokes, which DOP853 still
+    solves in production (ROADMAP item 12); longer ones take the Magnus
+    kernel.
     """
     w1, w2 = config.omega1, config.omega2
     series = sudden_pair_series(w1, w2)
@@ -457,18 +480,33 @@ def _crossover_level(config: EngineConfig) -> Callable[[float], float]:
     return level
 
 
+def reads_magnus(config: EngineConfig, tau: float) -> bool:
+    """True where compression_q_star_excess solves the stroke of
+    duration tau with magnus_pair: past the phase max(omega) tau =
+    SERIES_PHASE, beyond which the sudden-side series is not trusted."""
+    return max(config.omega1, config.omega2) * tau > SERIES_PHASE
+
+
 def compression_q_star_excess(config: EngineConfig, tau: float) -> float:
     """Endpoint Q* - 1 of the compression stroke: one ODE solve, the unit
     of work of run_cycle, of both root searches and of validate's
-    adiabatic limit.  Its solve_linear_pair call is the program's one
-    production Q* solve, read as q_star_excess: a sum of squares, so
-    Q* >= 1 holds exactly, and returned without adding 1, so Q* - 1
-    keeps its relative accuracy on long strokes, where it falls far
-    below the float spacing near 1."""
+    adiabatic limit.  It is the program's one production Q* solve: the
+    pure-Python Magnus kernel past phase SERIES_PHASE (reads_magnus),
+    and at or below it the DOP853 solve_linear_pair, until the
+    sudden-side series takes those strokes (ROADMAP item 12).  The
+    state is read as q_star_excess: a sum of squares, so Q* >= 1 holds
+    exactly, and returned without adding 1, so Q* - 1 keeps its
+    relative accuracy on long strokes, where it falls far below the
+    float spacing near 1."""
     _check_tau(tau)
-    ramp = polynomial_ramp(config.omega1, config.omega2, tau)
-    state = solve_linear_pair(ramp, (tau,), config)[0]
-    return q_star_excess(config.omega1, config.omega2, state)
+    w1, w2 = config.omega1, config.omega2
+    ramp = polynomial_ramp(w1, w2, tau)
+    if reads_magnus(config, tau):
+        omega = omega_of(ramp)
+        state = magnus_pair(lambda t: omega(t) ** 2, tau, max(w1, w2))
+    else:
+        state = solve_linear_pair(ramp, (tau,), config)[0]
+    return q_star_excess(w1, w2, state)
 
 
 def find_heat_sign_threshold(config: EngineConfig,

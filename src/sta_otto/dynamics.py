@@ -28,10 +28,12 @@ by construction.
 Three routes to Q* are exposed: the linear pair directly, the
 closed-form Ermakov transform of the pair, and an independent
 integration of the second moments.  They must agree; validate's
-q_star_routes holds them to 1e-8 of each other.  The Ermakov route is
-not independent of the pair: Q*_erk - Q*_pair = omega0 (1 - W^2) /
-(2 omega_t b^2), so it restates W = 1; the second moments are the
-independent route.
+q_star_routes holds them to 1e-8 of each other, and holds magnus_pair,
+the pure-Python fourth-order Magnus kernel behind the production Q*
+past phase SERIES_PHASE, to the DOP853 pair at t = tau on the same
+strokes.  The Ermakov route is not independent of the pair:
+Q*_erk - Q*_pair = omega0 (1 - W^2) / (2 omega_t b^2), so it restates
+W = 1; the second moments are the independent route.
 
 For the quintic ramp the pair at t = tau is also an entire function of
 tau^2, and sudden_pair_series gives its power series, SERIES_TERMS
@@ -39,10 +41,10 @@ Picard terms past the sudden quench.  Within the trust phase
 max(omega) tau <= SERIES_PHASE it matches DOP853 to 5e-7 relative in
 Q* - 1 at omega2/omega1 from 2 to 100, and to 6e-6 at 1.001.  It is
 the root searches' model of Q*1 and the sudden-side oracle of
-validate's adiabatic_limit, not a production Q*: it covers only short
-strokes, and a faster production Q* waits for the benchmark to stop
-counting every kept sweep CSV as peak memory.  q_star_excess is no
-model: it reads every pair state, the solver's and the series' alike.
+validate's adiabatic_limit, not yet a production Q*: the strokes it
+covers are solved by DOP853 (ROADMAP item 12).  q_star_excess is no
+model: it reads every pair state, the solvers', the kernel's and the
+series' alike.
 
 Each solver integrates the whole stroke and returns its state only at
 the requested times, as a list of plain tuples; every caller knows
@@ -51,21 +53,23 @@ t = tau alone.  The formulas that read a state (q_star_excess,
 wronskian, ermakov_from_linear, adiabaticity_from_ermakov,
 moment_q_star) are pure functions of it.
 
-Integration uses an adaptive embedded Runge-Kutta of order 8 (DOP853).
-Every solver takes the EngineConfig, the one owner and validator of
+The solve_* solvers use an adaptive embedded Runge-Kutta of order 8
+(DOP853).  Each takes the EngineConfig, the one owner and validator of
 the ODE tolerances; the tight defaults (1e-10 relative) keep Q* - 1
-resolvable down to ~1e-6 in the adiabatic regime.  A stroke of
-MAX_STROKE_PHASE rad or more is refused before any step is taken, and
-a floating-point overflow or invalid value inside a solve raises
-SolverFailure instead of a RuntimeWarning.  A thermal start is a
-ThermalOscillatorState, which owns its occupation factor.
+resolvable down to ~1e-6 in the adiabatic regime.  magnus_pair has no
+tolerance: its step count grows with the phase.  A stroke of
+MAX_STROKE_PHASE rad or more is refused by every solver before any
+step is taken, and a floating-point overflow or invalid value inside a
+DOP853 solve raises SolverFailure instead of a RuntimeWarning.  A
+thermal start is a ThermalOscillatorState, which owns its occupation
+factor.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .config import EngineConfig
 from .cost import check_start_frequency
@@ -75,8 +79,9 @@ from .strokes import ThermalOscillatorState
 
 PairState = tuple[float, float, float, float]   # (X, X', Y, Y')
 
-# phase max(omega) tau at which a solve is refused: DOP853's work grows
-# with it (2 s for 1e4 rad on a 2-vCPU host), so tau = 1e8 takes hours
+# phase max(omega) tau at which a solve is refused: the work of DOP853
+# and of magnus_pair grows with it (2 s and 0.3 s for 1e4 rad on a
+# 2-vCPU host), so tau = 1e8 takes hours
 MAX_STROKE_PHASE = 1e5
 
 # Picard terms of sudden_pair_series past the sudden quench, and the
@@ -88,17 +93,28 @@ SERIES_TERMS = 4
 SERIES_PHASE = 2.0
 
 
+# the abscissae of two-point Gauss-Legendre quadrature on a unit step sit
+# at 1/2 -+ _GAUSS_OFFSET, and the fourth-order Magnus exponent weighs the
+# commutator of the two samples by _MAGNUS_COMMUTATOR h^2
+_GAUSS_OFFSET = math.sqrt(3.0) / 6.0
+_MAGNUS_COMMUTATOR = math.sqrt(3.0) / 12.0
+
+
+def _check_phase(omega_max: float, duration: float) -> None:
+    phase = omega_max * duration
+    if phase >= MAX_STROKE_PHASE:
+        raise SolverFailure(
+            f"stroke phase max(omega) tau = {phase:.6g} rad reaches the "
+            f"solver budget of {MAX_STROKE_PHASE:g} rad")
+
+
 def _integrate(rhs, y0, protocol: FrequencyProtocol, times: Sequence[float],
                config: EngineConfig) -> list[tuple[float, ...]]:
     """Integrate over the stroke at the config's tolerances; the states
     at the increasing times, each read from the interpolant of the step
     that contains it."""
     duration = protocol.duration
-    phase = max(protocol.omega_initial, protocol.omega_final) * duration
-    if phase >= MAX_STROKE_PHASE:
-        raise SolverFailure(
-            f"stroke phase max(omega) tau = {phase:.6g} rad reaches the "
-            f"solver budget of {MAX_STROKE_PHASE:g} rad")
+    _check_phase(max(protocol.omega_initial, protocol.omega_final), duration)
     from scipy.integrate import solve_ivp
 
     with warnings.catch_warnings():
@@ -125,6 +141,55 @@ def solve_linear_pair(protocol: FrequencyProtocol, times: Sequence[float],
         return (y[1], -w2 * y[0], y[3], -w2 * y[2])
 
     return _integrate(rhs, (0.0, 1.0, 1.0, 0.0), protocol, times, config)
+
+
+def magnus_pair(omega_sq: Callable[[float], float], duration: float,
+                omega_max: float) -> PairState:
+    """(X, X', Y, Y') of the fundamental pair of f'' + omega_sq(t) f = 0
+    at t = duration, from N = 128 + ceil(32 omega_max duration) steps of
+    the fourth-order Magnus method on two Gauss points (Blanes, Casas,
+    Oteo & Ros, Phys. Rep. 470, 151 (2009)).
+
+    With A(t) = [[0, 1], [-omega_sq(t), 0]] sampled as A1, A2 at the
+    step's Gauss points, the step's exponent is
+    Omega = h/2 (A1 + A2) + sqrt(3)/12 h^2 [A2, A1], and
+    [A2, A1] = diag(a2 - a1, a1 - a2) with a = omega_sq.  Omega is
+    traceless, so exp(Omega) = cos(r) I + sin(r)/r Omega with
+    r^2 = det Omega, or cosh and sinh of |r| where det Omega < 0, and
+    every step has determinant 1 up to rounding: no step can drift the
+    Wronskian.  The transfer matrix M of the stroke holds the pair as
+    X = M01, X' = M11, Y = M00, Y' = M10.  omega_max, the largest
+    frequency of the stroke, sets the step count, so that every step
+    spans at most 1/32 rad; a stroke of MAX_STROKE_PHASE rad or more is
+    refused before the first step.  Pure Python, no tolerance: the
+    config's rel_tol and abs_tol do not reach it.
+    """
+    _check_phase(omega_max, duration)
+    n = 128 + math.ceil(32.0 * omega_max * duration)
+    h = duration / n
+    first, second = (0.5 - _GAUSS_OFFSET) * h, (0.5 + _GAUSS_OFFSET) * h
+    commutator = _MAGNUS_COMMUTATOR * h * h
+    m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
+    for k in range(n):
+        t = k * h
+        a1, a2 = omega_sq(t + first), omega_sq(t + second)
+        # Omega = [[c, h], [b, -c]]
+        c = commutator * (a2 - a1)
+        b = -0.5 * h * (a1 + a2)
+        det = -c * c - h * b
+        if det > 0.0:
+            r = math.sqrt(det)
+            cos_r, sinc_r = math.cos(r), math.sin(r) / r
+        elif det < 0.0:
+            r = math.sqrt(-det)
+            cos_r, sinc_r = math.cosh(r), math.sinh(r) / r
+        else:
+            cos_r, sinc_r = 1.0, 1.0
+        e00, e01 = cos_r + sinc_r * c, sinc_r * h
+        e10, e11 = sinc_r * b, cos_r - sinc_r * c
+        m00, m01, m10, m11 = (e00 * m00 + e01 * m10, e00 * m01 + e01 * m11,
+                              e10 * m00 + e11 * m10, e10 * m01 + e11 * m11)
+    return m01, m11, m00, m10
 
 
 def solve_effective_pair(protocol: FrequencyProtocol, times: Sequence[float],

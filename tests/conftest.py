@@ -66,10 +66,12 @@ def base_sweep(base_config):
 
 @pytest.fixture
 def no_solve(monkeypatch):
-    """Fail fast instead of hanging if a bad input reaches the ODE solver."""
+    """Fail fast instead of hanging if a bad input reaches the ODE solver
+    or the Magnus kernel."""
     def refuse(*args, **kwargs):
         raise AssertionError("input reached the ODE solver")
     monkeypatch.setattr("sta_otto.cycle.solve_linear_pair", refuse)
+    monkeypatch.setattr("sta_otto.cycle.magnus_pair", refuse)
 
 
 @pytest.fixture

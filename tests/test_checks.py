@@ -57,15 +57,19 @@ def test_validate_work_budget(base_config, monkeypatch):
     # reference from cycle_constants instead of a quadrature of its own;
     # lcd_exactness and cost_consistency share one effective-pair solve
     # per (stroke, tau), and q_star_routes adds one moment solve per
-    # bare-pair grid.  With 2 solves of adiabatic_limit and 6 cycles of
-    # rescaling_invariance that makes 30 DOP853 solves at any grid size:
-    # the row checks read cycle_from_q_star, which solves nothing
+    # bare-pair grid.  With the sudden side of adiabatic_limit and 6
+    # cycles of rescaling_invariance that makes 29 DOP853 solves at any
+    # grid size: the row checks read cycle_from_q_star, which solves
+    # nothing.  The Magnus kernel runs 8 times: q_star_routes on each of
+    # the 6 strokes, adiabatic_limit's slow side at phase 100, and
+    # power_ordering's production Q*1 at the one pair-sample tau past
+    # phase 2 (at the others it reads the sample's own DOP853 state)
     import scipy.integrate
 
     calls = Counter()
     solve, quad = checks.solve_linear_pair, checks.sa_cost_time_average
     effective, moments = checks.solve_effective_pair, checks.solve_second_moments
-    solve_ivp = scipy.integrate.solve_ivp
+    solve_ivp, magnus = scipy.integrate.solve_ivp, checks.magnus_pair
 
     def counted_solve(protocol, times, *args):
         calls["pair_grid_solves"] += len(times) == 101
@@ -87,8 +91,13 @@ def test_validate_work_budget(base_config, monkeypatch):
         calls["solve_ivp"] += 1
         return solve_ivp(*args, **kwargs)
 
+    def counted_magnus(*args):
+        calls["magnus_pair"] += 1
+        return magnus(*args)
+
     for module in (checks, cycle):
         monkeypatch.setattr(module, "solve_linear_pair", counted_solve)
+        monkeypatch.setattr(module, "magnus_pair", counted_magnus)
     monkeypatch.setattr(checks, "sa_cost_time_average", counted_quad)
     monkeypatch.setattr(checks, "solve_effective_pair", counted_effective)
     monkeypatch.setattr(checks, "solve_second_moments", counted_moments)
@@ -98,7 +107,8 @@ def test_validate_work_budget(base_config, monkeypatch):
         run_all_checks(replace(base_config, tau_count=tau_count))
         assert calls == {"pair_grid_solves": 6, "cost_scaling_quads": 4,
                          "effective_solves": 10, "moment_solves": 6,
-                         "solve_ivp": 30}, (tau_count, calls)
+                         "solve_ivp": 29, "magnus_pair": 8}, (tau_count,
+                                                             calls)
 
 
 def test_cost_scaling_catches_k3_off_by_1e9(base_config, monkeypatch):
@@ -257,7 +267,9 @@ def test_row_checks_match_the_sweep_bitwise(base_config, base_sweep,
                                             monkeypatch, config):
     # the four grid checks read no column that Q* enters, so on the
     # Q*1 = 1 rows they return what they return on the sweep; the rows of
-    # power_ordering are run_cycle's at the pair samples' taus
+    # power_ordering are run_cycle's at the pair samples' taus, on the
+    # production route of each: the Magnus kernel past phase 2, the
+    # sample's own DOP853 state at or below it
     config = config or base_config
     read = {}
     for check in (checks.check_bound_ordering, checks.check_eta_sa_monotone,

@@ -166,13 +166,16 @@ def test_quadrature_failure_is_one_error_line(tmp_path, capsys, no_solve):
     ("tau_count = 1\n", "tau_count must be at least 2"),
     ("tau_spacing = cubic\n", "tau_spacing must be 'log' or 'linear'"),
     ("strict = maybe\n", "boolean expected for 'strict'"),
-    # below these floors scipy widens rel_tol with only a warning, and
-    # quad refuses quad_tol in a message that names no key
+    # below these floors scipy widens rel_tol with only a warning, quad
+    # refuses quad_tol in a message that names no key, and DOP853's error
+    # norm overflows on abs_tol
     ("rel_tol = 1e-20\n", "rel_tol must be at least 2.220446049250313e-14"),
     ("quad_tol = 1e-300\n",
-     "quad_tol must be at least 1.1102230246251565e-14")],
+     "quad_tol must be at least 1.1102230246251565e-14"),
+    ("abs_tol = 1e-200\n", "abs_tol must be at least 1e-150")],
     ids=["omega order", "m", "hbar", "tau order", "tau_count",
-         "tau_spacing", "strict", "rel_tol floor", "quad_tol floor"])
+         "tau_spacing", "strict", "rel_tol floor", "quad_tol floor",
+         "abs_tol floor"])
 def test_config_rejections_exit_2(tmp_path, capsys, no_solve, text,
                                   message):
     cfg = tmp_path / "bad.cfg"
@@ -181,6 +184,16 @@ def test_config_rejections_exit_2(tmp_path, capsys, no_solve, text,
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_abs_tol_floor_solves(tmp_path, capsys):
+    # at the floor the default solve stays finite, where 1e-200
+    # overflowed DOP853's error norm and exited 3
+    cfg = tmp_path / "floor.cfg"
+    cfg.write_text("abs_tol = 1e-150\n")
+    code, out, err = run_cli(capsys, "cycle", "--tau", "1", str(cfg))
+    assert code == 0 and err == "", err
+    assert out
 
 
 def test_missing_config_file(capsys):
@@ -452,7 +465,7 @@ def test_protocol_dump_stdout(capsys):
     code, out, err = run_cli(capsys, "protocol-dump", "--points", "11")
     assert code == 0 and err == ""
     lines = out.splitlines()
-    assert lines[0] == "# sta-otto protocol-dump v0.1.6"
+    assert lines[0] == "# sta-otto protocol-dump v0.1.7"
     data = [l for l in lines if not l.startswith("#")]
     header = data[0].split(",")
     assert header == ["t", "omega", "omega_dot", "omega_ddot",

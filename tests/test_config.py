@@ -83,12 +83,17 @@ def test_log_grid_on_default_config_within_one_ulp():
     pytest.param("quad_tol", 1e-300, "quad_tol must be at least "
                  "1.1102230246251565e-14", id="1e-300-quad_tol"),
     pytest.param("quad_tol", 1.11e-14, "quad_tol must be at least "
-                 "1.1102230246251565e-14", id="1.11e-14-quad_tol")])
+                 "1.1102230246251565e-14", id="1.11e-14-quad_tol"),
+    # below it DOP853's error norm overflows
+    pytest.param("abs_tol", 1e-200, "abs_tol must be at least 1e-150",
+                 id="1e-200-abs_tol"),
+    pytest.param("abs_tol", 9.9e-151, "abs_tol must be at least 1e-150",
+                 id="9.9e-151-abs_tol")])
 def test_tolerance_bounds_rejected(name, bad, message):
     # the config is the one validator of the solver tolerances; each
     # floor is accepted at exact equality, as scipy accepts it
     EngineConfig(**{name: 1e-4})
-    EngineConfig(rel_tol=100 * sys.float_info.epsilon,
+    EngineConfig(rel_tol=100 * sys.float_info.epsilon, abs_tol=1e-150,
                  quad_tol=50 * sys.float_info.epsilon)
     with pytest.raises(ConfigError, match=message):
         EngineConfig(**{name: bad})

@@ -151,29 +151,34 @@ def test_strict_message(base_config):
 
 
 def test_per_tau_work_budget(base_config, monkeypatch):
+    # one Q* solve per tau on one route: DOP853 at phase max(omega) tau
+    # = 0.5, the Magnus kernel at 5, past SERIES_PHASE; no quadrature
     cycle_constants(base_config)
     calls = Counter()
-    for name in ("solve_linear_pair", "sa_cost_time_average"):
+    for name in ("solve_linear_pair", "magnus_pair", "sa_cost_time_average"):
         def counted(*args, _name=name, _fn=getattr(cycle, name), **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(cycle, name, counted)
-    for tau in (0.5, 5.0):
+    for tau, routes in ((0.5, (1, 0)), (5.0, (0, 1))):
         calls.clear()
         run_cycle(base_config, tau)
-        assert (calls["solve_linear_pair"],
-                calls["sa_cost_time_average"]) == (1, 0)
+        assert (calls["solve_linear_pair"], calls["magnus_pair"],
+                calls["sa_cost_time_average"]) == (*routes, 0)
 
 
 def test_per_config_work_budget(monkeypatch):
     # the calls a config costs, pinned so that a port of these routines
     # keeps them: one cost quadrature and one inversion threshold per
-    # config, one ODE solve per tau, nothing for a strict refusal
+    # config, one ODE solve per tau (DOP853 at or below phase
+    # SERIES_PHASE, the Magnus kernel past it), nothing for a strict
+    # refusal
     import scipy.integrate
 
     calls = Counter()
     for module, name in ((scipy.integrate, "quad"),
                          (scipy.integrate, "solve_ivp"),
+                         (cycle, "magnus_pair"),
                          (cycle, "inversion_threshold")):
         def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
             calls[_name] += 1
@@ -182,10 +187,10 @@ def test_per_config_work_budget(monkeypatch):
     config = EngineConfig(omega1=0.31, beta2=0.049)   # not cached yet
     cycle_constants(config)
     assert calls == {"quad": 1, "inversion_threshold": 1}
-    for tau in (0.5, 5.0):
+    for tau, route in ((0.5, "solve_ivp"), (5.0, "magnus_pair")):
         calls.clear()
         run_cycle(config, tau)
-        assert calls == {"solve_ivp": 1}
+        assert calls == {route: 1}
     strict = replace(config, strict=True)
     cycle_constants(strict)
     calls.clear()
@@ -232,10 +237,13 @@ def _adiabatic_tail(omega_i, omega_f, tau):
 
 @pytest.mark.parametrize("tau", [500.0, 1000.0, 2000.0])
 def test_long_stroke_q_star_matches_adiabatic_tail(base_config, tau):
-    # the solve's Q*1 - 1 lies within 2.6e-4 of the tail (1.6e-4 at
-    # tau = 1000, 1.1e-4 at 2000), far below the float spacing near 1,
-    # to which 1 + (Q*1 - 1) would round it (2.9e-2 off at 2000); abs=0
-    # drops approx's default 1e-12, which would pass any of these
+    # the production solve here is the Magnus kernel: its Q*1 - 1 lies
+    # within 2.6e-4 of the tail (1.6e-4 at tau = 1000, 1.1e-4 at 2000;
+    # 3.5e-9, 1.7e-8 and 8e-7 off DOP853 at rtol 1e-13), far below the
+    # float spacing near 1, to which 1 + (Q*1 - 1) would round it
+    # (2.9e-2 off at 2000); abs=0 drops approx's default 1e-12, which
+    # would pass any of these
+    assert cycle.reads_magnus(base_config, tau)
     excess = compression_q_star_excess(base_config, tau)
     tail = _adiabatic_tail(base_config.omega1, base_config.omega2, tau)
     assert excess == pytest.approx(tail, rel=1e-3, abs=0.0)
@@ -361,17 +369,15 @@ def test_root_search_work_budget(base_config, monkeypatch):
     # ln(Q*1 - 1) against the closed-form level, in ln tau: the short
     # root lies where the sudden-side series holds, so one step lands on
     # it; the long one and the heat-sign root lie past the series' trust
-    # phase, where the model is the line through the latest solves
-    import scipy.integrate
-
+    # phase, where the model is the line through the latest solves.  A
+    # solve is a compression_q_star_excess call, on either route
     calls = Counter()
-    solve_ivp = scipy.integrate.solve_ivp
 
-    def counted(*args, **kwargs):
-        calls["solve_ivp"] += 1
-        return solve_ivp(*args, **kwargs)
+    def counted(*args, _fn=cycle.compression_q_star_excess, **kwargs):
+        calls["solve"] += 1
+        return _fn(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", counted)
+    monkeypatch.setattr(cycle, "compression_q_star_excess", counted)
     colder = replace(base_config, beta1=0.2)
     for search, config, bracket, budget in (
             (find_efficiency_crossover, base_config, (0.01, 10.0), 3),
@@ -379,20 +385,21 @@ def test_root_search_work_budget(base_config, monkeypatch):
             (find_heat_sign_threshold, colder, (0.01, 10.0), 8)):
         calls.clear()
         search(config, bracket)
-        assert calls["solve_ivp"] <= budget, (bracket, calls)
+        assert calls["solve"] <= budget, (bracket, calls)
 
 
 def test_crossover_solves_per_root_on_study_region(monkeypatch):
     # the benchmark's crossover study draws its configs from this region;
     # a Brent search on the whole gap takes 9.8 solves per root there,
-    # and the line model through the latest solves alone takes 6.0
+    # and the line model through the latest solves alone takes 6.0; a
+    # solve is a compression_q_star_excess call, on either route
     calls = Counter()
 
-    def counted(*args, _fn=cycle.solve_linear_pair, **kwargs):
+    def counted(*args, _fn=cycle.compression_q_star_excess, **kwargs):
         calls["solve"] += 1
         return _fn(*args, **kwargs)
 
-    monkeypatch.setattr(cycle, "solve_linear_pair", counted)
+    monkeypatch.setattr(cycle, "compression_q_star_excess", counted)
     rng = random.Random(2016)
     for _ in range(20):
         config = EngineConfig(omega1=rng.uniform(0.35, 0.5),
@@ -445,11 +452,15 @@ _SEARCHES = [(find_efficiency_crossover, (0.01, 10.0)),
 
 
 # a constant offset cancels against the model's anchor on a solve, so
-# the planted offset is a step of 0.3 in ln(Q*1 - 1) at tau = 0.2
+# the planted offset is a step of 0.3 in ln(Q*1 - 1) at tau = 0.2 or
+# 0.15; a sign change of the model at such a jump is not taken as its
+# root, which at 0.15 would end the default search at the jump
 @pytest.mark.parametrize("reshape", [
     lambda shape, s: 1.5 * shape(s),
-    lambda shape, s: shape(s) + (0.3 if s > math.log(0.2) else 0.0)],
-    ids=["scaled by 1.5", "offset by 0.3 past tau = 0.2"])
+    lambda shape, s: shape(s) + (0.3 if s > math.log(0.2) else 0.0),
+    lambda shape, s: shape(s) + (0.3 if s > math.log(0.15) else 0.0)],
+    ids=["scaled by 1.5", "offset by 0.3 past tau = 0.2",
+         "offset by 0.3 past tau = 0.15"])
 @pytest.mark.parametrize("config, search, bracket", [
     (EngineConfig(), *_SEARCHES[0]),
     (EngineConfig(), *_SEARCHES[1]),

@@ -160,17 +160,20 @@ def test_occupation_factors_have_one_owner():
 
 
 def test_one_production_solve_and_run_cycle_never_reads_the_series():
-    # compression_q_star_excess holds cycle's one solve_linear_pair call;
-    # the sudden-side series only models Q* in the root searches, so no
-    # function that run_cycle reaches inside cycle names it.
-    # q_star_excess is not the series: it is the production Q* formula
+    # compression_q_star_excess holds cycle's one call of each production
+    # route, solve_linear_pair (DOP853) and magnus_pair; the sudden-side
+    # series only models Q* in the root searches, so no function that
+    # run_cycle reaches inside cycle names it.  q_star_excess is not the
+    # series: it is the production Q* formula
     tree = ast.parse((PACKAGE / "cycle.py").read_text(encoding="utf-8"))
-    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
-             and isinstance(node.func, ast.Name)
-             and node.func.id == "solve_linear_pair"]
-    assert len(calls) == 1
     functions = {node.name: node for node in tree.body
                  if isinstance(node, ast.FunctionDef)}
+    for route in ("solve_linear_pair", "magnus_pair"):
+        holders = [name for name, node in functions.items()
+                   for call in ast.walk(node) if isinstance(call, ast.Call)
+                   and isinstance(call.func, ast.Name)
+                   and call.func.id == route]
+        assert holders == ["compression_q_star_excess"], route
     names = {name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
              for name, node in functions.items()}
     reached, todo = set(), ["run_cycle"]
