@@ -114,7 +114,7 @@ def _stroke_samples(config: EngineConfig, solve, taus, count: int) -> dict:
         tau *= _time_unit(config)
         times = linspace(0.0, tau, count)
         samples[tau] = [(protocol, initial, times,
-                         solve(protocol, times, config))
+                         solve(protocol, times))
                         for protocol, initial in stroke_pairs(config, tau)]
     return samples
 
@@ -172,13 +172,13 @@ def check_q_star_routes(config: EngineConfig, samples) -> CheckResult:
         ends = []
         for protocol, initial, times, pairs in strokes:
             omega, omega0 = omega_of(protocol), protocol.omega_initial
-            moments = solve_second_moments(protocol, times, initial, config)
+            moments = solve_second_moments(protocol, times, initial, config.m)
             for t, pair, mom in zip(times, pairs, moments):
                 wt = omega(t)
                 q_pair = 1.0 + q_star_excess(omega0, wt, pair)
                 q_erk = adiabaticity_from_ermakov(
                     omega0, wt, ermakov_from_linear(omega0, pair))
-                q_mom = moment_q_star(wt, mom, initial, config)
+                q_mom = moment_q_star(wt, mom, initial, config.m)
                 scale = abs(q_pair)
                 worst = max(worst, abs(q_erk - q_pair) / scale,
                             abs(q_mom - q_pair) / scale)
@@ -265,7 +265,7 @@ def check_cost_scaling(config: EngineConfig) -> CheckResult:
     for tau in (0.1 * unit, 10.0 * unit):
         for (protocol, initial), ref in zip(stroke_pairs(config, tau),
                                             (const.k1, const.k3)):
-            v = sa_cost_time_average(protocol, initial, config) * tau * tau
+            v = sa_cost_time_average(protocol, initial) * tau * tau
             worst = max(worst, abs(v - ref) / abs(ref))
     return CheckResult("cost_scaling", worst <= 1e-12, worst,
                        "time-averaged cost ~ 1/tau^2 at fixed shape")

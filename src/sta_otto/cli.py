@@ -126,8 +126,6 @@ def write_manifest(fh: IO[str], command: str, config: EngineConfig,
     fh.write(f"# grid: tau_min={config.tau_min!r} tau_max={config.tau_max!r}"
              f" tau_count={config.tau_count!r}"
              f" tau_spacing={config.tau_spacing}\n")
-    fh.write(f"# tolerances: rel_tol={config.rel_tol!r}"
-             f" abs_tol={config.abs_tol!r} quad_tol={config.quad_tol!r}\n")
     for key in _CONFIG_TYPES:
         fh.write(f"# config: {key} = {getattr(config, key)!r}\n")
 

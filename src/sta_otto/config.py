@@ -1,10 +1,9 @@
-"""Engine configuration: physical parameters, solver tolerances, sweep grid."""
+"""Engine configuration: physical parameters and the sweep grid."""
 
 from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -13,16 +12,6 @@ from .strokes import ThermalOscillatorState
 # the sweep grid is built before the first solve: an absurd count must
 # fail as a config error, not as a multi-gigabyte allocation
 MAX_TAU_COUNT = 100_000
-# the smallest tolerance each solver honours: solve_ivp raises an rtol
-# below 100 eps to it with only a warning, and quad with epsabs = 0
-# refuses an epsrel below 50 eps in a message that names no key.
-# DOP853's first step squares the pair's start slopes over abs_tol, the
-# scale of X and Y', which start at 0: the default config's pair solves
-# overflow below abs_tol = 7.6e-155 (compression) and 1.06e-154
-# (expansion, which starts at omega2 = 1), as (1 + omega0^4)/abs_tol^2
-# passes the float maximum; at 1e-150 that holds for omega0 up to ~100
-_TOL_FLOORS = {"rel_tol": 100 * sys.float_info.epsilon, "abs_tol": 1e-150,
-               "quad_tol": 50 * sys.float_info.epsilon}
 
 
 @dataclass(frozen=True)
@@ -36,7 +25,8 @@ class EngineConfig:
     kept so configurations document the full oscillator.  Field order
     is the key order of the config file and of the CSV manifest.
     It owns what it determines: the bath states cold and hot, built
-    once, and the solver tolerances, which every solver reads from it.
+    once.  The solver tolerances are not part of it: the oracle
+    integrators run at fixed tolerances of their own.
     """
 
     omega1: float = 0.32
@@ -49,9 +39,6 @@ class EngineConfig:
     tau_max: float = 10.0
     tau_count: int = 200
     tau_spacing: str = "log"
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    quad_tol: float = 1e-10
     strict: bool = False
 
     def __post_init__(self) -> None:
@@ -78,12 +65,6 @@ class EngineConfig:
             raise ConfigError("beta1, omega1, beta2, omega2: need "
                               "beta1 omega1 > beta2 omega2 (hot bath "
                               "occupation above the cold one)")
-        for name, floor in _TOL_FLOORS.items():
-            v = getattr(self, name)
-            if not 0.0 < v <= 1e-4:
-                raise ConfigError(f"{name} must lie in (0, 1e-4]")
-            if v < floor:
-                raise ConfigError(f"{name} must be at least {floor!r}")
         if not 0.0 < self.tau_min < self.tau_max:
             raise ConfigError("need 0 < tau_min < tau_max")
         if self.tau_count < 2:

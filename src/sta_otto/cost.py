@@ -25,13 +25,14 @@ validate's cost_consistency checks this on the effective pair.
 
 from __future__ import annotations
 
-from .config import EngineConfig
 from .errors import ConfigError, QuadratureFailure
 from .protocol import FrequencyProtocol, ProtocolSample, sample_protocol
 from .strokes import ThermalOscillatorState
 
 # the schedule must start where the thermal state sits
 _FREQ_MATCH_RTOL = 1e-9
+# quad's relative tolerance on the cost integral (no absolute one)
+_QUAD_EPSREL = 1e-10
 
 
 def check_start_frequency(protocol: FrequencyProtocol,
@@ -71,13 +72,12 @@ def q_star_lcd_instant(sample: ProtocolSample) -> float:
 
 
 def sa_cost_time_average(protocol: FrequencyProtocol,
-                         initial: ThermalOscillatorState,
-                         config: EngineConfig) -> float:
+                         initial: ThermalOscillatorState) -> float:
     """Time-averaged auxiliary energy over the stroke.
 
-    Adaptive quadrature with the config's purely relative quadrature
-    tolerance; the integrand is smooth for every admissible ramp, so a
-    failure to converge is raised rather than glossed over.
+    Adaptive quadrature at the fixed, purely relative tolerance 1e-10;
+    the integrand is smooth for every admissible ramp, so a failure to
+    converge is raised rather than glossed over.
     """
     check_start_frequency(protocol, initial)
     from scipy.integrate import quad
@@ -86,7 +86,7 @@ def sa_cost_time_average(protocol: FrequencyProtocol,
         return sa_energy_instant(sample_protocol(protocol, t), initial)
 
     out = quad(integrand, 0.0, protocol.duration, epsabs=0.0,
-               epsrel=config.quad_tol, limit=200, full_output=True)
+               epsrel=_QUAD_EPSREL, limit=200, full_output=True)
     if len(out) > 3:
         # quad's message spans lines; the CLI promises one error line
         raise QuadratureFailure("cost integral did not converge: "

@@ -138,7 +138,7 @@ class CycleConstants:
 def cycle_constants(config: EngineConfig) -> CycleConstants:
     """Build (once per config) the tau-independent part of run_cycle."""
     (compression, cold), (_, hot) = stroke_pairs(config, 1.0)
-    k1 = sa_cost_time_average(compression, cold, config)
+    k1 = sa_cost_time_average(compression, cold)
     return CycleConstants(
         k1=k1, k3=k1 * hot.nu / cold.nu,
         tau_c=inversion_threshold(config.omega1, config.omega2),
@@ -505,7 +505,7 @@ def compression_q_star_excess(config: EngineConfig, tau: float) -> float:
         omega = omega_of(ramp)
         state = magnus_pair(lambda t: omega(t) ** 2, tau, max(w1, w2))
     else:
-        state = solve_linear_pair(ramp, (tau,), config)[0]
+        state = solve_linear_pair(ramp, (tau,))[0]
     return q_star_excess(w1, w2, state)
 
 

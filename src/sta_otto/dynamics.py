@@ -54,15 +54,15 @@ wronskian, ermakov_from_linear, adiabaticity_from_ermakov,
 moment_q_star) are pure functions of it.
 
 The solve_* solvers use an adaptive embedded Runge-Kutta of order 8
-(DOP853).  Each takes the EngineConfig, the one owner and validator of
-the ODE tolerances; the tight defaults (1e-10 relative) keep Q* - 1
-resolvable down to ~1e-6 in the adiabatic regime.  magnus_pair has no
-tolerance: its step count grows with the phase.  A stroke of
-MAX_STROKE_PHASE rad or more is refused by every solver before any
-step is taken, and a floating-point overflow or invalid value inside a
-DOP853 solve raises SolverFailure instead of a RuntimeWarning.  A
-thermal start is a ThermalOscillatorState, which owns its occupation
-factor.
+(DOP853) at fixed tolerances, 1e-10 relative and 1e-12 absolute, which
+keep Q* - 1 resolvable down to ~1e-6 in the adiabatic regime; each
+takes only the stroke, the times and what its equations read.
+magnus_pair has no tolerance: its step count grows with the phase.  A
+stroke of MAX_STROKE_PHASE rad or more is refused by every solver
+before any step is taken, and a floating-point overflow or invalid
+value inside a DOP853 solve raises SolverFailure instead of a
+RuntimeWarning.  A thermal start is a ThermalOscillatorState, which
+owns its occupation factor.
 """
 
 from __future__ import annotations
@@ -71,13 +71,16 @@ import math
 import warnings
 from typing import Callable, Sequence
 
-from .config import EngineConfig
 from .cost import check_start_frequency
 from .errors import SolverFailure
 from .protocol import FrequencyProtocol, omega_of, sample_protocol
 from .strokes import ThermalOscillatorState
 
 PairState = tuple[float, float, float, float]   # (X, X', Y, Y')
+
+# DOP853's relative and absolute tolerances in every solve_* solver
+_RTOL = 1e-10
+_ATOL = 1e-12
 
 # phase max(omega) tau at which a solve is refused: the work of DOP853
 # and of magnus_pair grows with it (2 s and 0.3 s for 1e4 rad on a
@@ -108,11 +111,11 @@ def _check_phase(omega_max: float, duration: float) -> None:
             f"solver budget of {MAX_STROKE_PHASE:g} rad")
 
 
-def _integrate(rhs, y0, protocol: FrequencyProtocol, times: Sequence[float],
-               config: EngineConfig) -> list[tuple[float, ...]]:
-    """Integrate over the stroke at the config's tolerances; the states
-    at the increasing times, each read from the interpolant of the step
-    that contains it."""
+def _integrate(rhs, y0, protocol: FrequencyProtocol,
+               times: Sequence[float]) -> list[tuple[float, ...]]:
+    """Integrate over the stroke at _RTOL and _ATOL; the states at the
+    increasing times, each read from the interpolant of the step that
+    contains it."""
     duration = protocol.duration
     _check_phase(max(protocol.omega_initial, protocol.omega_final), duration)
     from scipy.integrate import solve_ivp
@@ -121,7 +124,7 @@ def _integrate(rhs, y0, protocol: FrequencyProtocol, times: Sequence[float],
         warnings.simplefilter("error", RuntimeWarning)
         try:
             sol = solve_ivp(rhs, (0.0, duration), y0, "DOP853", t_eval=times,
-                            rtol=config.rel_tol, atol=config.abs_tol)
+                            rtol=_RTOL, atol=_ATOL)
         except RuntimeWarning as exc:
             raise SolverFailure(f"floating-point failure: {exc}") from exc
     if not sol.success:
@@ -130,8 +133,8 @@ def _integrate(rhs, y0, protocol: FrequencyProtocol, times: Sequence[float],
     return [tuple(state) for state in sol.y.T.tolist()]
 
 
-def solve_linear_pair(protocol: FrequencyProtocol, times: Sequence[float],
-                      config: EngineConfig) -> list[PairState]:
+def solve_linear_pair(protocol: FrequencyProtocol,
+                      times: Sequence[float]) -> list[PairState]:
     """(X, X', Y, Y') of the fundamental pair for the bare frequency
     omega(t), at each of the times (within [0, duration], increasing)."""
     omega = omega_of(protocol)
@@ -140,7 +143,7 @@ def solve_linear_pair(protocol: FrequencyProtocol, times: Sequence[float],
         w2 = omega(t) ** 2
         return (y[1], -w2 * y[0], y[3], -w2 * y[2])
 
-    return _integrate(rhs, (0.0, 1.0, 1.0, 0.0), protocol, times, config)
+    return _integrate(rhs, (0.0, 1.0, 1.0, 0.0), protocol, times)
 
 
 def magnus_pair(omega_sq: Callable[[float], float], duration: float,
@@ -161,8 +164,7 @@ def magnus_pair(omega_sq: Callable[[float], float], duration: float,
     X = M01, X' = M11, Y = M00, Y' = M10.  omega_max, the largest
     frequency of the stroke, sets the step count, so that every step
     spans at most 1/32 rad; a stroke of MAX_STROKE_PHASE rad or more is
-    refused before the first step.  Pure Python, no tolerance: the
-    config's rel_tol and abs_tol do not reach it.
+    refused before the first step.  Pure Python, with no tolerance.
     """
     _check_phase(omega_max, duration)
     n = 128 + math.ceil(32.0 * omega_max * duration)
@@ -192,8 +194,8 @@ def magnus_pair(omega_sq: Callable[[float], float], duration: float,
     return m01, m11, m00, m10
 
 
-def solve_effective_pair(protocol: FrequencyProtocol, times: Sequence[float],
-                         config: EngineConfig) -> list[PairState]:
+def solve_effective_pair(protocol: FrequencyProtocol,
+                         times: Sequence[float]) -> list[PairState]:
     """Fundamental pair for the shortcut's effective frequency Omega(t).
 
     Omega^2 may be negative mid-protocol (trap inversion); the linear
@@ -204,7 +206,7 @@ def solve_effective_pair(protocol: FrequencyProtocol, times: Sequence[float],
         w2 = sample_protocol(protocol, t).omega_eff_sq
         return (y[1], -w2 * y[0], y[3], -w2 * y[2])
 
-    return _integrate(rhs, (0.0, 1.0, 1.0, 0.0), protocol, times, config)
+    return _integrate(rhs, (0.0, 1.0, 1.0, 0.0), protocol, times)
 
 
 def sudden_pair_series(omega_initial: float, omega_final: float
@@ -313,10 +315,9 @@ def adiabaticity_from_ermakov(omega0: float, omega_t: float,
 
 
 def solve_second_moments(protocol: FrequencyProtocol, times: Sequence[float],
-                         initial: ThermalOscillatorState,
-                         config: EngineConfig
+                         initial: ThermalOscillatorState, m: float
                          ) -> list[tuple[float, float, float]]:
-    """(<x^2>, <{x,p}>/2, <p^2>) of an oscillator of mass config.m that
+    """(<x^2>, <{x,p}>/2, <p^2>) of an oscillator of mass m that
     starts in the thermal state initial, under driving, at the times.
 
     The closed system for the second moments never references the
@@ -324,7 +325,7 @@ def solve_second_moments(protocol: FrequencyProtocol, times: Sequence[float],
     third, independent route to Q*.
     """
     check_start_frequency(protocol, initial)
-    m, omega = config.m, omega_of(protocol)
+    omega = omega_of(protocol)
 
     def rhs(t, y):
         xx, c, pp = y
@@ -333,19 +334,18 @@ def solve_second_moments(protocol: FrequencyProtocol, times: Sequence[float],
 
     w0, hbar, nu = initial.omega, initial.hbar, initial.nu
     y0 = (hbar * nu / (2.0 * m * w0), 0.0, 0.5 * m * hbar * w0 * nu)
-    return _integrate(rhs, y0, protocol, times, config)
+    return _integrate(rhs, y0, protocol, times)
 
 
 def moment_q_star(omega_t: float, moments: tuple[float, float, float],
-                  initial: ThermalOscillatorState,
-                  config: EngineConfig) -> float:
+                  initial: ThermalOscillatorState, m: float) -> float:
     """Q* as mean energy over its adiabatic value, from the second moments
-    of an oscillator of mass config.m started in the thermal state initial.
+    of an oscillator of mass m started in the thermal state initial.
 
     Q* is a ratio of energies, so it must come out independent of beta,
     m and hbar; the tests exploit that as an extra invariant.
     """
-    m, omega0 = config.m, initial.omega
+    omega0 = initial.omega
     xx, _, pp = moments
     energy = pp / (2.0 * m) + 0.5 * m * omega_t**2 * xx
     return energy * omega0 / (omega_t * initial.mean_energy)

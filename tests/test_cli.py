@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import pytest
 
-from sta_otto import ConfigError, EngineConfig, cli
+from sta_otto import ConfigError, EngineConfig, cli, cost, cycle
 from sta_otto.checks import run_all_checks
 from sta_otto.cli import (MAX_DUMP_POINTS, main, parse_config_text,
                           read_manifest, write_manifest)
@@ -146,12 +146,14 @@ def test_floating_point_failure_is_one_error_line(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error:"), err
 
 
-def test_quadrature_failure_is_one_error_line(tmp_path, capsys, no_solve):
-    # accepted, but too tight for the cost quadrature's roundoff: quad's
-    # three-line message becomes one error line, before any solve
-    cfg = tmp_path / "tight.cfg"
-    cfg.write_text("quad_tol = 1.2e-14\n")
-    code, out, err = run_cli(capsys, "cycle", "--tau", "1", str(cfg))
+def test_quadrature_failure_is_one_error_line(monkeypatch, capsys, no_solve):
+    # a tolerance too tight for the cost quadrature's roundoff: quad's
+    # three-line message becomes one error line, before any solve.  An
+    # earlier test may have cached the default config's constants, so
+    # the cache is cleared for the quadrature to run
+    monkeypatch.setattr(cost, "_QUAD_EPSREL", 1.2e-14)
+    cycle.cycle_constants.cache_clear()
+    code, out, err = run_cli(capsys, "cycle", "--tau", "1")
     assert code == 3 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1, err
@@ -165,17 +167,9 @@ def test_quadrature_failure_is_one_error_line(tmp_path, capsys, no_solve):
     ("tau_min = 10\ntau_max = 1\n", "need 0 < tau_min < tau_max"),
     ("tau_count = 1\n", "tau_count must be at least 2"),
     ("tau_spacing = cubic\n", "tau_spacing must be 'log' or 'linear'"),
-    ("strict = maybe\n", "boolean expected for 'strict'"),
-    # below these floors scipy widens rel_tol with only a warning, quad
-    # refuses quad_tol in a message that names no key, and DOP853's error
-    # norm overflows on abs_tol
-    ("rel_tol = 1e-20\n", "rel_tol must be at least 2.220446049250313e-14"),
-    ("quad_tol = 1e-300\n",
-     "quad_tol must be at least 1.1102230246251565e-14"),
-    ("abs_tol = 1e-200\n", "abs_tol must be at least 1e-150")],
+    ("strict = maybe\n", "boolean expected for 'strict'")],
     ids=["omega order", "m", "hbar", "tau order", "tau_count",
-         "tau_spacing", "strict", "rel_tol floor", "quad_tol floor",
-         "abs_tol floor"])
+         "tau_spacing", "strict"])
 def test_config_rejections_exit_2(tmp_path, capsys, no_solve, text,
                                   message):
     cfg = tmp_path / "bad.cfg"
@@ -186,14 +180,46 @@ def test_config_rejections_exit_2(tmp_path, capsys, no_solve, text,
     assert message in err
 
 
-def test_abs_tol_floor_solves(tmp_path, capsys):
-    # at the floor the default solve stays finite, where 1e-200
-    # overflowed DOP853's error norm and exited 3
-    cfg = tmp_path / "floor.cfg"
-    cfg.write_text("abs_tol = 1e-150\n")
-    code, out, err = run_cli(capsys, "cycle", "--tau", "1", str(cfg))
-    assert code == 0 and err == "", err
-    assert out
+# the configs of three former defects: a tiny abs_tol stalled or overflowed
+# the solve, an unreachable quad_tol was accepted, and a loose rel_tol
+# failed four validate checks
+TOLERANCE_CONFIGS = [("abs_tol = 1e-150\ntau_count = 4\n", "abs_tol"),
+                     ("quad_tol = 1.2e-14\n", "quad_tol"),
+                     ("rel_tol = 1e-6\n", "rel_tol")]
+
+
+@pytest.mark.parametrize("text, key", TOLERANCE_CONFIGS,
+                         ids=[key for _, key in TOLERANCE_CONFIGS])
+@pytest.mark.parametrize("command", [("cycle", "--tau", "1"), ("sweep",),
+                                     ("crossover",)],
+                         ids=["cycle", "sweep", "crossover"])
+def test_solver_tolerance_keys_refused(tmp_path, capsys, no_solve, command,
+                                       text, key):
+    # the oracles run at fixed tolerances: a config that still sets one
+    # is refused by name, before any solve or output file
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text(text)
+    out_csv = tmp_path / "out.csv"
+    argv = [*command, str(cfg)]
+    if command[0] == "sweep":
+        argv += ["--out", str(out_csv)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {cfg}:1: unknown key {key!r}\n"
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("text, key", TOLERANCE_CONFIGS,
+                         ids=[key for _, key in TOLERANCE_CONFIGS])
+def test_validate_names_solver_tolerance_key(tmp_path, capsys, no_solve,
+                                             text, key):
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text(text)
+    code, out, _ = run_cli(capsys, "validate", str(cfg))
+    assert code == 1
+    assert out.startswith(f"FAIL config_invariants: {cfg}:1: unknown key "
+                          f"{key!r}\n")
+    assert "1 of 1 checks failed" in out
 
 
 def test_missing_config_file(capsys):
@@ -465,7 +491,7 @@ def test_protocol_dump_stdout(capsys):
     code, out, err = run_cli(capsys, "protocol-dump", "--points", "11")
     assert code == 0 and err == ""
     lines = out.splitlines()
-    assert lines[0] == "# sta-otto protocol-dump v0.1.7"
+    assert lines[0] == "# sta-otto protocol-dump v0.1.8"
     data = [l for l in lines if not l.startswith("#")]
     header = data[0].split(",")
     assert header == ["t", "omega", "omega_dot", "omega_ddot",
@@ -526,8 +552,7 @@ def test_unwritable_output_exit_2(tmp_path, capsys, request, argv):
 def test_manifest_schema_roundtrip(tmp_path):
     config = EngineConfig(omega1=0.4, omega2=1.3, beta1=0.7, beta2=0.1,
                           m=2.0, hbar=0.5, tau_min=0.02, tau_max=5.0,
-                          tau_count=17, tau_spacing="linear", rel_tol=1e-9,
-                          abs_tol=1e-11, quad_tol=1e-9, strict=True)
+                          tau_count=17, tau_spacing="linear", strict=True)
     for f in fields(EngineConfig):
         assert getattr(config, f.name) != f.default, f.name
     path = tmp_path / "manifest.csv"
@@ -542,6 +567,22 @@ def test_manifest_schema_roundtrip(tmp_path):
         read_manifest(str(path))
     # the error names the offending line of the file
     assert str(info.value) == f"{path}:{len(header) + 1}: unknown key 'speed'"
+
+
+@pytest.mark.parametrize("key", ["rel_tol", "abs_tol", "quad_tol"])
+def test_manifest_with_solver_tolerance_refused(tmp_path, key):
+    # result CSVs written before the tolerances became constants echo
+    # them as config keys; such a manifest no longer reproduces a run
+    path = tmp_path / "old.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        write_manifest(fh, "sweep", EngineConfig(), ["sweep"])
+    header = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(header + [f"# config: {key} = 1e-10", "tau",
+                                        ""]))
+    with pytest.raises(ConfigError) as info:
+        read_manifest(str(path))
+    assert str(info.value) == (f"{path}:{len(header) + 1}: unknown key "
+                               f"{key!r}")
 
 
 def test_read_manifest_without_config_header(tmp_path):

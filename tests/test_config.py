@@ -1,5 +1,4 @@
 import math
-import sys
 from dataclasses import fields
 
 import numpy as np
@@ -12,12 +11,25 @@ from sta_otto.config import MAX_TAU_COUNT, linspace
 
 
 @pytest.mark.parametrize("name", ["omega1", "omega2", "beta1", "beta2", "m",
-                                  "hbar", "rel_tol", "abs_tol", "quad_tol",
-                                  "tau_min", "tau_max"])
+                                  "hbar", "tau_min", "tau_max"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_fields_rejected(name, bad):
     with pytest.raises(ConfigError, match=f"{name} must be finite"):
         EngineConfig(**{name: bad})
+
+
+def test_schema_is_the_physics_and_the_grid():
+    # the solver tolerances are module constants, not user settings
+    assert [f.name for f in fields(EngineConfig)] == [
+        "omega1", "omega2", "beta1", "beta2", "m", "hbar", "tau_min",
+        "tau_max", "tau_count", "tau_spacing", "strict"]
+
+
+@pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "quad_tol"])
+def test_solver_tolerance_keywords_refused(name):
+    with pytest.raises(TypeError, match=f"unexpected keyword argument "
+                                        f"'{name}'"):
+        EngineConfig(**{name: 1e-10})
 
 
 def test_tau_count_capped():
@@ -70,33 +82,6 @@ def test_log_grid_on_default_config_within_one_ulp():
     assert ([f"{tau:#.12g}" for tau in grid]
             == [f"{ref:#.12g}" for ref in reference])
     assert (grid[0], grid[-1]) == (config.tau_min, config.tau_max)
-
-
-@pytest.mark.parametrize("name, bad, message", [
-    *[pytest.param(name, bad, rf"{name} must lie in \(0, 1e-4\]",
-                   id=f"{bad}-{name}")
-      for bad in (0.0, -1e-12, 1e-3)
-      for name in ("rel_tol", "abs_tol", "quad_tol")],
-    # the smallest relative tolerances solve_ivp and quad honour
-    pytest.param("rel_tol", 1e-20, "rel_tol must be at least "
-                 "2.220446049250313e-14", id="1e-20-rel_tol"),
-    pytest.param("quad_tol", 1e-300, "quad_tol must be at least "
-                 "1.1102230246251565e-14", id="1e-300-quad_tol"),
-    pytest.param("quad_tol", 1.11e-14, "quad_tol must be at least "
-                 "1.1102230246251565e-14", id="1.11e-14-quad_tol"),
-    # below it DOP853's error norm overflows
-    pytest.param("abs_tol", 1e-200, "abs_tol must be at least 1e-150",
-                 id="1e-200-abs_tol"),
-    pytest.param("abs_tol", 9.9e-151, "abs_tol must be at least 1e-150",
-                 id="9.9e-151-abs_tol")])
-def test_tolerance_bounds_rejected(name, bad, message):
-    # the config is the one validator of the solver tolerances; each
-    # floor is accepted at exact equality, as scipy accepts it
-    EngineConfig(**{name: 1e-4})
-    EngineConfig(rel_tol=100 * sys.float_info.epsilon, abs_tol=1e-150,
-                 quad_tol=50 * sys.float_info.epsilon)
-    with pytest.raises(ConfigError, match=message):
-        EngineConfig(**{name: bad})
 
 
 @pytest.mark.parametrize("changes, keys", [

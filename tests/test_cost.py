@@ -50,27 +50,42 @@ def test_q_star_lcd_instant(ramp):
     assert abs(q_star_lcd_instant(s_mid) - wrong) > 0.1
 
 
-def test_time_average_cost_frozen(ramp, cold, hot, base_config):
-    assert sa_cost_time_average(ramp, cold, base_config) == pytest.approx(
+def test_time_average_cost_frozen(ramp, cold, hot):
+    assert sa_cost_time_average(ramp, cold) == pytest.approx(
         COST1_TAU1, rel=1e-10)
     rev = polynomial_ramp(1.0, 0.32, 1.0)
-    assert sa_cost_time_average(rev, hot, base_config) == pytest.approx(
+    assert sa_cost_time_average(rev, hot) == pytest.approx(
         COST3_TAU1, rel=1e-10)
 
 
-def test_time_average_cost_closed_form(ramp, cold, base_config):
+def test_cost_quadrature_runs_at_fixed_tolerance(monkeypatch, ramp, cold):
+    # purely relative at 1e-10, whatever the config
+    import scipy.integrate
+    real, seen = scipy.integrate.quad, []
+
+    def recording(*args, **kwargs):
+        seen.append((kwargs["epsabs"], kwargs["epsrel"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad", recording)
+    assert sa_cost_time_average(ramp, cold) == pytest.approx(COST1_TAU1,
+                                                            rel=1e-10)
+    assert seen == [(0.0, 1e-10)]
+
+
+def test_time_average_cost_closed_form(ramp, cold):
     # integrate by parts: average = (E0/omega0) * I / tau^2 with
     # I the shape integral of omega'^2/(4 omega^3) over s
     expected = cold.mean_energy / 0.32 * SHAPE_INTEGRAL
-    assert sa_cost_time_average(ramp, cold, base_config) == pytest.approx(
+    assert sa_cost_time_average(ramp, cold) == pytest.approx(
         expected, rel=1e-10)
 
 
-def test_cost_scales_as_inverse_tau_squared(cold, base_config):
+def test_cost_scales_as_inverse_tau_squared(cold):
     values = []
     for tau in (0.1, 1.0, 10.0):
         ramp = polynomial_ramp(0.32, 1.0, tau)
-        values.append(sa_cost_time_average(ramp, cold, base_config)
+        values.append(sa_cost_time_average(ramp, cold)
                       * tau * tau)
     assert values[0] == pytest.approx(values[1], rel=1e-10)
     assert values[2] == pytest.approx(values[1], rel=1e-10)
@@ -92,9 +107,9 @@ def test_direct_operator_route_differs_by_exact_term(ramp, cold):
     assert gap > 0.0
 
 
-def test_start_frequency_mismatch_rejected(ramp, hot, base_config):
+def test_start_frequency_mismatch_rejected(ramp, hot):
     with pytest.raises(ConfigError):
-        sa_cost_time_average(ramp, hot, base_config)
+        sa_cost_time_average(ramp, hot)
 
 
 def test_steep_ramp_track_shape():

@@ -262,7 +262,7 @@ def test_q_star_at_least_one_and_time_reversal(config, phase):
     m = run_cycle(config, tau)
     assert m.q_star_1 >= 1.0
     assert m.p_na <= m.p_sa
-    state = solve_linear_pair(polynomial_ramp(w2, w1, tau), (tau,), config)[0]
+    state = solve_linear_pair(polynomial_ramp(w2, w1, tau), (tau,))[0]
     q3 = 1.0 + q_star_excess(w2, w1, state)
     assert q3 == pytest.approx(m.q_star_1, rel=1e-9)
 
@@ -280,7 +280,7 @@ def test_cycle_constants_match_per_tau_routes(base_config):
         # time reversal: an independent solve of the expansion stroke
         # lands on the compression's Q*
         expansion = polynomial_ramp(1.0, 0.32, tau)
-        state = solve_linear_pair(expansion, (tau,), base_config)[0]
+        state = solve_linear_pair(expansion, (tau,))[0]
         q3 = 1.0 + q_star_excess(1.0, 0.32, state)
         assert q3 == pytest.approx(m.q_star_1, rel=1e-9)
         inverted = tau <= const.tau_c

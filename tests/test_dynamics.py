@@ -18,7 +18,6 @@ from sta_otto.protocol import omega_of
 from conftest import CONFIG_BOX, Q1_TAU1, Q1_TAU001, SUDDEN_CAP
 
 TIMES = linspace(0.0, 1.0, 101)
-# the default tolerances, which every solver reads from the config
 CONFIG = EngineConfig()
 
 
@@ -29,7 +28,7 @@ def ramp():
 
 @pytest.fixture(scope="module")
 def states(ramp):
-    return solve_linear_pair(ramp, TIMES, CONFIG)
+    return solve_linear_pair(ramp, TIMES)
 
 
 def test_initial_conditions(states):
@@ -64,20 +63,20 @@ def test_endpoint_solve_matches_dense_bitwise(ends, tau):
     # the production solve samples t = tau alone; its state must be
     # exactly the last state of a solve sampled densely across the stroke
     ramp = polynomial_ramp(*ends, tau)
-    sampled = solve_linear_pair(ramp, linspace(0.0, tau, 101), CONFIG)
-    assert solve_linear_pair(ramp, (tau,), CONFIG) == [sampled[-1]]
+    sampled = solve_linear_pair(ramp, linspace(0.0, tau, 101))
+    assert solve_linear_pair(ramp, (tau,)) == [sampled[-1]]
 
 
 def test_fast_drive_approaches_sudden_cap():
     ramp = polynomial_ramp(0.32, 1.0, 0.01)
-    q = q_star(0.32, 1.0, solve_linear_pair(ramp, (0.01,), CONFIG)[0])
+    q = q_star(0.32, 1.0, solve_linear_pair(ramp, (0.01,))[0])
     assert q == pytest.approx(Q1_TAU001, rel=1e-9)
     assert q < SUDDEN_CAP + 1e-9
 
 
 def test_slow_drive_is_adiabatic():
     ramp = polynomial_ramp(0.32, 1.0, 100.0)
-    q = q_star(0.32, 1.0, solve_linear_pair(ramp, (100.0,), CONFIG)[0])
+    q = q_star(0.32, 1.0, solve_linear_pair(ramp, (100.0,))[0])
     assert abs(q - 1.0) < 1e-3
 
 
@@ -85,10 +84,10 @@ def test_q_star_never_below_one(ramp):
     # 1 + a sum of squares is >= 1 by construction; the independent
     # moment route must agree
     initial = ThermalOscillatorState(0.5, 0.32)
-    moments = solve_second_moments(ramp, TIMES, initial, CONFIG)
+    moments = solve_second_moments(ramp, TIMES, initial, m=1.0)
     omega = omega_of(ramp)
     for t, mom in zip(TIMES, moments):
-        assert moment_q_star(omega(t), mom, initial, CONFIG) >= 1.0 - 1e-9
+        assert moment_q_star(omega(t), mom, initial, m=1.0) >= 1.0 - 1e-9
 
 
 def test_ermakov_route_matches_pair(states, ramp):
@@ -106,14 +105,14 @@ def test_ermakov_route_matches_pair(states, ramp):
 
 def test_moment_route_matches_pair(ramp):
     times = linspace(0.0, 1.0, 51)
-    pairs = solve_linear_pair(ramp, times, CONFIG)
+    pairs = solve_linear_pair(ramp, times)
     initial = ThermalOscillatorState(0.5, 0.32)
-    moments = solve_second_moments(ramp, times, initial, CONFIG)
+    moments = solve_second_moments(ramp, times, initial, m=1.0)
     omega = omega_of(ramp)
     for t, pair, mom in zip(times, pairs, moments):
         wt = omega(t)
         q_pair = q_star(0.32, wt, pair)
-        assert moment_q_star(wt, mom, initial, CONFIG) == pytest.approx(
+        assert moment_q_star(wt, mom, initial, m=1.0) == pytest.approx(
             q_pair, rel=1e-9)
 
 
@@ -122,12 +121,12 @@ def test_moment_route_beta_independent(ramp):
     times = (0.25, 0.6, 1.0)
     cold = ThermalOscillatorState(7.0, 0.32)
     hot = ThermalOscillatorState(0.01, 0.32)
-    cold_moments = solve_second_moments(ramp, times, cold, CONFIG)
-    hot_moments = solve_second_moments(ramp, times, hot, CONFIG)
+    cold_moments = solve_second_moments(ramp, times, cold, m=1.0)
+    hot_moments = solve_second_moments(ramp, times, hot, m=1.0)
     for t, c, h in zip(times, cold_moments, hot_moments):
         wt = omega_of(ramp)(t)
-        assert moment_q_star(wt, c, cold, CONFIG) == pytest.approx(
-            moment_q_star(wt, h, hot, CONFIG), rel=1e-9)
+        assert moment_q_star(wt, c, cold, m=1.0) == pytest.approx(
+            moment_q_star(wt, h, hot, m=1.0), rel=1e-9)
 
 
 def test_lcd_lands_on_adiabatic_state():
@@ -140,15 +139,36 @@ def test_lcd_lands_on_adiabatic_state():
 def test_effective_pair_through_inversion():
     # tau = 0.1 inverts the trap mid-stroke; the linear equation just runs
     ramp = polynomial_ramp(0.32, 1.0, 0.1)
-    states = solve_effective_pair(ramp, linspace(0.0, 0.1, 51), CONFIG)
+    states = solve_effective_pair(ramp, linspace(0.0, 0.1, 51))
     assert max(abs(wronskian(s) - 1.0) for s in states) < 1e-9
+
+
+@pytest.mark.parametrize("solve", [
+    lambda ramp: solve_linear_pair(ramp, TIMES),
+    lambda ramp: solve_effective_pair(ramp, TIMES),
+    lambda ramp: solve_second_moments(
+        ramp, TIMES, ThermalOscillatorState(0.5, 0.32), m=1.0)],
+    ids=["linear", "effective", "moments"])
+def test_oracle_solves_run_at_fixed_tolerances(monkeypatch, ramp, solve):
+    # every DOP853 solve runs at rtol 1e-10 and atol 1e-12, whatever the
+    # config; the results the program prints were frozen at these values
+    import scipy.integrate
+    real, seen = scipy.integrate.solve_ivp, []
+
+    def recording(*args, **kwargs):
+        seen.append((args[3], kwargs["rtol"], kwargs["atol"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", recording)
+    solve(ramp)
+    assert seen == [("DOP853", 1e-10, 1e-12)]
 
 
 def test_second_moments_start_mismatch_rejected(ramp):
     # the thermal start must sit where the schedule starts (0.32, not 1)
     hot = ThermalOscillatorState(0.05, 1.0)
     with pytest.raises(ConfigError, match="does not match protocol start"):
-        solve_second_moments(ramp, (1.0,), hot, CONFIG)
+        solve_second_moments(ramp, (1.0,), hot, m=1.0)
 
 
 def test_phase_budget_refused_before_any_step(monkeypatch):
@@ -162,10 +182,10 @@ def test_phase_budget_refused_before_any_step(monkeypatch):
     initial = ThermalOscillatorState(0.5, 0.32)
     for solve in (solve_linear_pair, solve_effective_pair):
         with pytest.raises(SolverFailure, match="solver budget"):
-            solve(polynomial_ramp(0.32, 1.0, 1e5), (1e5,), CONFIG)
+            solve(polynomial_ramp(0.32, 1.0, 1e5), (1e5,))
     with pytest.raises(SolverFailure, match="solver budget"):
         solve_second_moments(polynomial_ramp(0.32, 1e6, 0.1), (0.1,),
-                             initial, CONFIG)
+                             initial, m=1.0)
     # the kernel's steps grow with the phase: refused before the first
     with pytest.raises(SolverFailure, match="solver budget"):
         magnus_pair(refuse, 1e5, 1.0)
@@ -235,8 +255,7 @@ def _series_error(omega1, omega2, phase):
     # relative gap in Q* - 1 between the series and DOP853 at t = tau,
     # for the stroke of phase max(omega) tau
     tau = phase / omega2
-    exact = solve_linear_pair(polynomial_ramp(omega1, omega2, tau), (tau,),
-                              CONFIG)[0]
+    exact = solve_linear_pair(polynomial_ramp(omega1, omega2, tau), (tau,))[0]
     series = series_pair_state(sudden_pair_series(omega1, omega2), tau)
     return abs(q_star_excess(omega1, omega2, series)
                / q_star_excess(omega1, omega2, exact) - 1.0)
@@ -292,7 +311,7 @@ def test_q_star_excess_is_husimi_less_wronskian(ends, tau):
     # W - 1 and all
     w0, wt = ends
     states = solve_linear_pair(polynomial_ramp(w0, wt, tau),
-                               linspace(0.0, tau, 11), CONFIG)
+                               linspace(0.0, tau, 11))
     omega = omega_of(polynomial_ramp(w0, wt, tau))
     for t, (x, xd, y, yd) in zip(linspace(0.0, tau, 11), states):
         w = omega(t)

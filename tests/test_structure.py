@@ -123,6 +123,18 @@ def test_scipy_only_integrates():
         "dynamics._integrate: scipy.integrate.solve_ivp"]
 
 
+@pytest.mark.parametrize("module", ["dynamics", "cost"])
+def test_solvers_do_not_read_the_config(module):
+    # the solvers take a protocol, times and a thermal start, and run
+    # at their own fixed tolerances; nothing in them reads EngineConfig
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and (node.module == "config" and node.level == 1
+                  or node.module == "sta_otto.config")]
+    assert not found, found
+
+
 def test_star_import_binds_no_modules():
     # __all__ lists the public API; the submodules that the package's own
     # imports bind are reached as sta_otto.<name>, not star-imported
