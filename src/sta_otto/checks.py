@@ -2,18 +2,18 @@
 
 Every check is a named function returning a CheckResult with a measured
 residual, so a failure report says not only what broke but by how much.
-Data that several checks read (pair_samples, effective_samples and
-the cycle rows) is computed once by run_all_checks and passed to each.
-The rows come from cycle_from_q_star, so they cost no DOP853 solve:
+Data that several checks read (pair_samples, effective_samples, the
+production Q*1 at pair_samples' taus and the cycle rows) is computed
+once by run_all_checks and passed to each.  The production Q*1 is
+compression_q_star_excess, the one that run_cycle reads: q_star_routes
+holds it to the DOP853 pair, and power_ordering reads its cycle.  The
+rows come from cycle_from_q_star, so they cost no solve of their own:
 the four grid checks read it at Q*1 = 1 over the tau grid, since none
-of them reads a column that Q* enters, and power_ordering reads it at
-the production Q*1 of pair_samples' taus, which is the state their
-compression solves hold at t = tau where the production route is
-DOP853, and the Magnus kernel's past phase 2.  Checks marked
-as warnings (trap inversion on the configured grid, speed bound premise
-violations) inform without failing the suite; strict mode's refusal of
-a tau at or below the inversion threshold is cycle_from_q_star's, and a
-refused point is left out of the rows.
+of them reads a column that Q* enters.  Checks marked as warnings
+(trap inversion on the configured grid, speed bound premise violations)
+inform without failing the suite; strict mode's refusal of a tau at or
+below the inversion threshold is cycle_from_q_star's, and a refused
+point is left out of the rows.
 Every fixed duration a check solves at is given in units of the default
 omega1 (times 0.32/omega1), or, for adiabatic_limit's sudden side, as
 a phase max(omega) tau, so a config in other units of time asks the
@@ -32,13 +32,11 @@ from dataclasses import dataclass, replace
 from .config import EngineConfig, linspace, tau_grid
 from .cost import sa_cost_time_average, sa_energy_instant
 from .cycle import (compression_q_star_excess, cycle_constants,
-                    cycle_from_q_star, reads_magnus, rescaled, run_cycle,
-                    stroke_pairs)
+                    cycle_from_q_star, rescaled, run_cycle, stroke_pairs)
 from .dynamics import (adiabaticity_from_ermakov, ermakov_from_linear,
-                       magnus_pair, moment_q_star, q_star_excess,
-                       series_pair_state, solve_effective_pair,
-                       solve_linear_pair, solve_second_moments,
-                       sudden_pair_series, wronskian)
+                       moment_q_star, q_star_excess, series_pair_state,
+                       solve_effective_pair, solve_linear_pair,
+                       solve_second_moments, sudden_pair_series, wronskian)
 from .errors import ConfigError, StaOttoError
 from .protocol import (boundary_residuals, omega_of, polynomial_ramp,
                        sample_protocol)
@@ -160,15 +158,16 @@ def check_ermakov_residual(config: EngineConfig, effective) -> CheckResult:
                        "b = sqrt(omega0/omega(t))")
 
 
-def check_q_star_routes(config: EngineConfig, samples) -> CheckResult:
-    # also holds Q*3 = Q*1 at t = tau, which run_cycle relies on, and the
-    # Magnus kernel of the production Q* to the DOP853 pair at t = tau on
-    # every stroke.  The pair route, 1 + a sum of squares, is >= 1 by
-    # construction, so the floor Q* >= 1 is read on the independent
-    # moment route
-    worst = asymmetry = magnus = 0.0
+def check_q_star_routes(config: EngineConfig, samples,
+                        production) -> CheckResult:
+    # also holds Q*3 = Q*1 at t = tau, which run_cycle relies on, and
+    # the production Q*1 ({tau: compression_q_star_excess}) to the
+    # DOP853 pair at t = tau on each compression stroke.  The pair
+    # route, 1 + a sum of squares, is >= 1 by construction, so the floor
+    # Q* >= 1 is read on the independent moment route
+    worst = asymmetry = off = 0.0
     floor = math.inf
-    for strokes in samples.values():
+    for tau, strokes in samples.items():
         ends = []
         for protocol, initial, times, pairs in strokes:
             omega, omega0 = omega_of(protocol), protocol.omega_initial
@@ -184,19 +183,15 @@ def check_q_star_routes(config: EngineConfig, samples) -> CheckResult:
                             abs(q_mom - q_pair) / scale)
                 floor = min(floor, q_mom)
             ends.append(q_pair)   # the last time is t = tau
-            omega_end = protocol.omega_final
-            state = magnus_pair(lambda t: omega(t) ** 2, protocol.duration,
-                                max(omega0, omega_end))
-            q_magnus = 1.0 + q_star_excess(omega0, omega_end, state)
-            magnus = max(magnus, abs(q_magnus - q_pair) / q_pair)
         q1, q3 = ends
         asymmetry = max(asymmetry, abs(q3 - q1) / q1)
-    residual = max(worst, asymmetry, magnus)
+        off = max(off, abs(1.0 + production[tau] - q1) / q1)
+    residual = max(worst, asymmetry, off)
     passed = residual <= 1e-8 and floor >= 1.0 - 1e-9
     return CheckResult("q_star_routes", passed, residual,
                        f"pair/Ermakov/moment spread = {worst:.3g}, |Q*3 - "
-                       f"Q*1|/Q*1 = {asymmetry:.3g}, Magnus kernel at "
-                       f"t = tau off the pair by {magnus:.3g}; min moment "
+                       f"Q*1|/Q*1 = {asymmetry:.3g}, production Q*1 at "
+                       f"t = tau off the pair by {off:.3g}; min moment "
                        f"Q* = {floor:.12g}")
 
 
@@ -451,10 +446,12 @@ def run_all_checks(config: EngineConfig) -> list[CheckResult]:
     # after the protocol checks: they fail fast where a solve would crawl
     samples = pair_samples(config)
     effective = effective_samples(config)
+    production = {tau: compression_q_star_excess(config, tau)
+                  for tau in samples}
     results += [
         check_wronskian(config, samples),
         check_ermakov_residual(config, effective),
-        check_q_star_routes(config, samples),
+        check_q_star_routes(config, samples, production),
         check_adiabatic_limit(config),
         check_lcd_exactness(config, effective),
         check_adiabatic_efficiency(config),
@@ -466,11 +463,8 @@ def run_all_checks(config: EngineConfig) -> list[CheckResult]:
     ]
     # the row checks solve nothing; see the module docstring
     grid = _cycle_rows(config, [(tau, 1.0) for tau in tau_grid(config)])
-    solved = _cycle_rows(config, [
-        (tau, 1.0 + (compression_q_star_excess(config, tau)
-                     if reads_magnus(config, tau) else
-                     q_star_excess(config.omega1, config.omega2, pair[-1])))
-        for tau, ((_, _, _, pair), _) in samples.items()])
+    solved = _cycle_rows(config, [(tau, 1.0 + excess)
+                                  for tau, excess in production.items()])
     for check, rows in ((check_bound_ordering, grid),
                         (check_eta_sa_monotone, grid),
                         (check_power_ordering, solved),

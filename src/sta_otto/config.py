@@ -13,6 +13,22 @@ from .strokes import ThermalOscillatorState
 # fail as a config error, not as a multi-gigabyte allocation
 MAX_TAU_COUNT = 100_000
 
+# phase max(omega) tau below which a stroke is refused, the short-side
+# mirror of dynamics.MAX_STROKE_PHASE.  The driving cost grows as
+# 1/tau^2, so a cycle's rows stop being finite near phase 1e-154 (1e-148
+# in MHz units); the floor leaves about 50 decades of margin, and a
+# stroke at phase 1e-100 is a sudden quench to any float precision
+MIN_STROKE_PHASE = 1e-100
+
+
+def check_stroke_phase(phase: float, name: str, value: float) -> None:
+    """Refuse a stroke whose phase max(omega) tau lies below
+    MIN_STROKE_PHASE; the message names the duration as name = value."""
+    if phase < MIN_STROKE_PHASE:
+        raise ValueError(f"{name} = {value!r}: stroke phase max(omega) tau "
+                         f"= {phase!r} rad is below the floor of "
+                         f"{MIN_STROKE_PHASE:g} rad")
+
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -67,6 +83,16 @@ class EngineConfig:
                               "occupation above the cold one)")
         if not 0.0 < self.tau_min < self.tau_max:
             raise ConfigError("need 0 < tau_min < tau_max")
+        # the log grid reads tau_min as 10 ** log10(tau_min) and a root
+        # search on the default bracket as exp(ln tau_min), either of
+        # which may sit an ulp below it: refused here, not mid-run
+        shortest = min(self.tau_min, 10.0 ** math.log10(self.tau_min),
+                       math.exp(math.log(self.tau_min)))
+        try:
+            check_stroke_phase(self.omega2 * shortest, "tau_min",
+                               self.tau_min)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.tau_count < 2:
             raise ConfigError("tau_count must be at least 2")
         if self.tau_count > MAX_TAU_COUNT:

@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-from .config import EngineConfig, tau_grid
+from .config import EngineConfig, check_stroke_phase, tau_grid
 from .cost import sa_cost_time_average
 from .dynamics import (SERIES_PHASE, magnus_pair, q_star_excess,
                        series_pair_state, solve_linear_pair,
@@ -87,9 +87,10 @@ class CycleMetrics:
         return any(flag.startswith(_ERROR_TAG) for flag in self.flags)
 
 
-def _check_tau(tau: float) -> None:
+def _check_tau(config: EngineConfig, tau: float) -> None:
     if not 0.0 < tau < math.inf:
         raise ValueError("tau must be positive and finite")
+    check_stroke_phase(config.omega2 * tau, "tau", tau)
 
 
 _Stroke = tuple[FrequencyProtocol, ThermalOscillatorState]
@@ -103,7 +104,7 @@ def stroke_pairs(config: EngineConfig,
     of the bath it just left: the compression from (beta1, omega1),
     the expansion from (beta2, omega2).
     """
-    _check_tau(tau)
+    _check_tau(config, tau)
     return ((polynomial_ramp(config.omega1, config.omega2, tau), config.cold),
             (polynomial_ramp(config.omega2, config.omega1, tau), config.hot))
 
@@ -166,7 +167,7 @@ def run_cycle(config: EngineConfig, tau: float) -> CycleMetrics:
     refuses a stroke at or below the inversion threshold before the
     solve; the rest is cycle_from_q_star.
     """
-    _check_tau(tau)
+    _check_tau(config, tau)
     _refuse_inversion(config, tau, cycle_constants(config).tau_c)
     return cycle_from_q_star(config, tau,
                              1.0 + compression_q_star_excess(config, tau))
@@ -181,7 +182,7 @@ def cycle_from_q_star(config: EngineConfig, tau: float,
     the speed-limit bounds included, reads only tau and cycle_constants.
     Strict mode refuses a tau at or below the inversion threshold.
     """
-    _check_tau(tau)
+    _check_tau(config, tau)
     const = cycle_constants(config)
 
     _refuse_inversion(config, tau, const.tau_c)
@@ -257,10 +258,14 @@ def sweep(config: EngineConfig) -> list[CycleMetrics]:
     return rows
 
 
-def _check_bracket(bracket: Sequence[float]) -> tuple[float, float]:
+def _check_bracket(config: EngineConfig,
+                   bracket: Sequence[float]) -> tuple[float, float]:
     lo, hi = float(bracket[0]), float(bracket[1])
     if not 0.0 < lo < hi < math.inf:
         raise ValueError("bracket must satisfy 0 < lo < hi < inf")
+    # the search reads lo as exp(ln lo), which may sit an ulp below it
+    check_stroke_phase(config.omega2 * math.exp(math.log(lo)),
+                       "bracket end lo", lo)
     return lo, hi
 
 
@@ -451,7 +456,7 @@ def find_efficiency_crossover(config: EngineConfig,
     crossing; the level form does not see the pole.  Strict mode
     refuses a bracket that starts at or below the inversion threshold.
     """
-    lo, hi = _check_bracket(bracket)
+    lo, hi = _check_bracket(config, bracket)
     _refuse_inversion(config, lo, cycle_constants(config).tau_c)
     return _root_in_ln_tau(config, _crossover_level(config), lo, hi,
                            "eta_sa - eta_na (engine branch)")
@@ -480,28 +485,23 @@ def _crossover_level(config: EngineConfig) -> Callable[[float], float]:
     return level
 
 
-def reads_magnus(config: EngineConfig, tau: float) -> bool:
-    """True where compression_q_star_excess solves the stroke of
-    duration tau with magnus_pair: past the phase max(omega) tau =
-    SERIES_PHASE, beyond which the sudden-side series is not trusted."""
-    return max(config.omega1, config.omega2) * tau > SERIES_PHASE
-
-
 def compression_q_star_excess(config: EngineConfig, tau: float) -> float:
     """Endpoint Q* - 1 of the compression stroke: one ODE solve, the unit
     of work of run_cycle, of both root searches and of validate's
-    adiabatic limit.  It is the program's one production Q* solve: the
-    pure-Python Magnus kernel past phase SERIES_PHASE (reads_magnus),
-    and at or below it the DOP853 solve_linear_pair, until the
-    sudden-side series takes those strokes (ROADMAP item 12).  The
-    state is read as q_star_excess: a sum of squares, so Q* >= 1 holds
-    exactly, and returned without adding 1, so Q* - 1 keeps its
-    relative accuracy on long strokes, where it falls far below the
-    float spacing near 1."""
-    _check_tau(tau)
+    adiabatic limit and q_star_routes.  It is the program's one
+    production Q* solve, and the one place that picks its route: the
+    pure-Python Magnus kernel past the phase max(omega) tau =
+    SERIES_PHASE, and at or below it the DOP853 solve_linear_pair,
+    until the sudden-side series takes those strokes (ROADMAP item 12).
+    validate's q_star_routes holds its value to an independent DOP853
+    pair at t = tau, whichever route it took.  The state is read as
+    q_star_excess: a sum of squares, so Q* >= 1 holds exactly, and
+    returned without adding 1, so Q* - 1 keeps its relative accuracy on
+    long strokes, where it falls far below the float spacing near 1."""
+    _check_tau(config, tau)
     w1, w2 = config.omega1, config.omega2
     ramp = polynomial_ramp(w1, w2, tau)
-    if reads_magnus(config, tau):
+    if max(w1, w2) * tau > SERIES_PHASE:
         omega = omega_of(ramp)
         state = magnus_pair(lambda t: omega(t) ** 2, tau, max(w1, w2))
     else:
@@ -528,7 +528,7 @@ def find_heat_sign_threshold(config: EngineConfig,
     """
     ln_level = math.log(heat_sign_threshold(config.cold, config.hot) - 1.0)
     return _root_in_ln_tau(config, lambda s: ln_level,
-                           *_check_bracket(bracket),
+                           *_check_bracket(config, bracket),
                            "q_star_1 - heat-sign threshold")
 
 

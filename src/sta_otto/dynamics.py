@@ -28,11 +28,13 @@ by construction.
 Three routes to Q* are exposed: the linear pair directly, the
 closed-form Ermakov transform of the pair, and an independent
 integration of the second moments.  They must agree; validate's
-q_star_routes holds them to 1e-8 of each other, and holds magnus_pair,
-the pure-Python fourth-order Magnus kernel behind the production Q*
-past phase SERIES_PHASE, to the DOP853 pair at t = tau on the same
+q_star_routes holds them to 1e-8 of each other, and holds the
+production Q*1 (cycle.compression_q_star_excess, which takes
+magnus_pair, the pure-Python fourth-order Magnus kernel, past phase
+SERIES_PHASE) to the DOP853 pair at t = tau on the compression
 strokes.  The Ermakov route is not independent of the pair:
-Q*_erk - Q*_pair = omega0 (1 - W^2) / (2 omega_t b^2), so it restates
+Q*_erk - Q*_pair = (W - 1) + omega0 (1 - W^2) / (2 omega_t b^2), the
+second term being its difference from Husimi's form, so it restates
 W = 1; the second moments are the independent route.
 
 For the quintic ramp the pair at t = tau is also an entire function of
@@ -84,7 +86,8 @@ _ATOL = 1e-12
 
 # phase max(omega) tau at which a solve is refused: the work of DOP853
 # and of magnus_pair grows with it (2 s and 0.3 s for 1e4 rad on a
-# 2-vCPU host), so tau = 1e8 takes hours
+# 2-vCPU host), so tau = 1e8 takes hours.  config.MIN_STROKE_PHASE is
+# its short-side mirror
 MAX_STROKE_PHASE = 1e5
 
 # Picard terms of sudden_pair_series past the sudden quench, and the

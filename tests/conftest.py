@@ -54,6 +54,13 @@ CONFIG_BOX = st.builds(EngineConfig,
                        hbar=st.floats(0.5, 2.0))
 
 
+def production_excess(config: EngineConfig, samples) -> dict:
+    """{tau: production Q*1 - 1} at pair_samples' taus, as validate's
+    run_all_checks builds it for q_star_routes."""
+    return {tau: cycle.compression_q_star_excess(config, tau)
+            for tau in samples}
+
+
 @pytest.fixture(scope="session")
 def base_config() -> EngineConfig:
     return EngineConfig()

@@ -21,7 +21,7 @@ from sta_otto.checks import (check_adiabatic_efficiency, check_bound_ordering,
                              check_q_star_routes, check_wronskian,
                              effective_samples, pair_samples)
 
-from conftest import HEAT_THRESHOLD, SUDDEN_CAP, TAU_STAR
+from conftest import HEAT_THRESHOLD, SUDDEN_CAP, TAU_STAR, production_excess
 
 
 def test_criterion_1_adiabatic_efficiency(base_config, record_criterion):
@@ -178,7 +178,8 @@ def test_criterion_8_bound_ordering(base_config, base_sweep,
 
 def test_criterion_9_route_triangulation(base_config, record_criterion):
     samples = pair_samples(base_config)
-    routes = check_q_star_routes(base_config, samples)
+    routes = check_q_star_routes(base_config, samples,
+                                 production_excess(base_config, samples))
     wronskian = check_wronskian(base_config, samples)
     record_criterion(9, "three adiabaticity routes agree",
                      routes.passed and wronskian.passed,

@@ -11,7 +11,7 @@ from sta_otto.checks import (check_bound_ordering, check_cost_consistency,
                              check_wronskian, effective_samples, pair_samples,
                              run_all_checks)
 
-from conftest import CONFIG_BOX
+from conftest import CONFIG_BOX, production_excess
 
 
 def test_bound_ordering_catches_eta_qsl_above_carnot(base_config,
@@ -57,19 +57,19 @@ def test_validate_work_budget(base_config, monkeypatch):
     # reference from cycle_constants instead of a quadrature of its own;
     # lcd_exactness and cost_consistency share one effective-pair solve
     # per (stroke, tau), and q_star_routes adds one moment solve per
-    # bare-pair grid.  With the sudden side of adiabatic_limit and 6
-    # cycles of rescaling_invariance that makes 29 DOP853 solves at any
-    # grid size: the row checks read cycle_from_q_star, which solves
-    # nothing.  The Magnus kernel runs 8 times: q_star_routes on each of
-    # the 6 strokes, adiabatic_limit's slow side at phase 100, and
-    # power_ordering's production Q*1 at the one pair-sample tau past
-    # phase 2 (at the others it reads the sample's own DOP853 state)
+    # bare-pair grid.  The production Q*1 at the 3 pair-sample taus,
+    # which q_star_routes and power_ordering share, adds one solve per
+    # tau.  With the sudden side of adiabatic_limit and 6 cycles of
+    # rescaling_invariance that makes 31 DOP853 solves at any grid size:
+    # the row checks read cycle_from_q_star, which solves nothing.  The
+    # Magnus kernel runs twice, for the production Q*1 at the one
+    # pair-sample tau past phase 2 and for adiabatic_limit's slow side
     import scipy.integrate
 
     calls = Counter()
     solve, quad = checks.solve_linear_pair, checks.sa_cost_time_average
     effective, moments = checks.solve_effective_pair, checks.solve_second_moments
-    solve_ivp, magnus = scipy.integrate.solve_ivp, checks.magnus_pair
+    solve_ivp, magnus = scipy.integrate.solve_ivp, cycle.magnus_pair
 
     def counted_solve(protocol, times, *args):
         calls["pair_grid_solves"] += len(times) == 101
@@ -97,7 +97,7 @@ def test_validate_work_budget(base_config, monkeypatch):
 
     for module in (checks, cycle):
         monkeypatch.setattr(module, "solve_linear_pair", counted_solve)
-        monkeypatch.setattr(module, "magnus_pair", counted_magnus)
+    monkeypatch.setattr(cycle, "magnus_pair", counted_magnus)
     monkeypatch.setattr(checks, "sa_cost_time_average", counted_quad)
     monkeypatch.setattr(checks, "solve_effective_pair", counted_effective)
     monkeypatch.setattr(checks, "solve_second_moments", counted_moments)
@@ -107,7 +107,7 @@ def test_validate_work_budget(base_config, monkeypatch):
         run_all_checks(replace(base_config, tau_count=tau_count))
         assert calls == {"pair_grid_solves": 6, "cost_scaling_quads": 4,
                          "effective_solves": 10, "moment_solves": 6,
-                         "solve_ivp": 29, "magnus_pair": 8}, (tau_count,
+                         "solve_ivp": 31, "magnus_pair": 2}, (tau_count,
                                                              calls)
 
 
@@ -146,7 +146,8 @@ def test_q_star_routes_catches_q3_off_by_1e7(base_config, monkeypatch):
     # off by the same 1e-7, so the routes agree and only the comparison
     # of Q*3 with Q*1 at t = tau can fail
     samples = pair_samples(base_config)
-    clean = check_q_star_routes(base_config, samples)
+    production = production_excess(base_config, samples)
+    clean = check_q_star_routes(base_config, samples, production)
     assert clean.passed
     omega2 = base_config.omega2
 
@@ -167,7 +168,7 @@ def test_q_star_routes_catches_q3_off_by_1e7(base_config, monkeypatch):
                             lambda a: a[0]))
     monkeypatch.setattr(checks, "moment_q_star",
                         off(checks.moment_q_star, lambda a: a[2].omega))
-    r = check_q_star_routes(base_config, samples)
+    r = check_q_star_routes(base_config, samples, production)
     assert not r.passed
     assert r.residual == pytest.approx(1e-7, rel=1e-2)
     # the route spread is unchanged; only the symmetry part moved
@@ -179,14 +180,38 @@ def test_q_star_routes_floor_catches_moment_route_low_by_2e9(base_config,
     # the moment route scaled by 1 - 2e-9 stays within the 1e-8 spread,
     # but its Q* at t = 0, where Q* = 1, falls below the floor 1 - 1e-9
     samples = pair_samples(base_config)
-    assert check_q_star_routes(base_config, samples).passed
+    production = production_excess(base_config, samples)
+    assert check_q_star_routes(base_config, samples, production).passed
     moment_q_star = checks.moment_q_star
     monkeypatch.setattr(checks, "moment_q_star",
                         lambda *args: moment_q_star(*args) * (1.0 - 2e-9))
-    r = check_q_star_routes(base_config, samples)
+    r = check_q_star_routes(base_config, samples, production)
     assert not r.passed
     assert r.residual <= 1e-8
     assert float(r.detail.rsplit("= ", 1)[1]) < 1.0 - 1e-9
+
+
+def test_q_star_routes_catches_production_state_off(base_config,
+                                                    monkeypatch):
+    # X' of the production DOP853 endpoint state scaled by 1.1 past phase
+    # 0.5 moves Q*1 at tau = 1 from 1.68265 to 1.64088.  validate's own
+    # pair samples are untouched, so q_star_routes, which holds the
+    # production Q*1 to them, fails, and no other check does
+    solve = cycle.solve_linear_pair
+
+    def planted(protocol, times):
+        states = solve(protocol, times)
+        if protocol.omega_final * protocol.duration <= 0.5:
+            return states
+        return [(x, xd * 1.1, y, yd) for x, xd, y, yd in states]
+
+    monkeypatch.setattr(cycle, "solve_linear_pair", planted)
+    assert cycle.run_cycle(base_config, 1.0).q_star_1 == pytest.approx(
+        1.64088, abs=1e-5)
+    results = run_all_checks(replace(base_config, tau_count=4))
+    assert [r.name for r in results if not r.passed] == ["q_star_routes"]
+    routes = next(r for r in results if r.name == "q_star_routes")
+    assert routes.residual == pytest.approx(0.0248, rel=1e-2)
 
 
 def _scaled(samples, kx, ky):
@@ -267,9 +292,7 @@ def test_row_checks_match_the_sweep_bitwise(base_config, base_sweep,
                                             monkeypatch, config):
     # the four grid checks read no column that Q* enters, so on the
     # Q*1 = 1 rows they return what they return on the sweep; the rows of
-    # power_ordering are run_cycle's at the pair samples' taus, on the
-    # production route of each: the Magnus kernel past phase 2, the
-    # sample's own DOP853 state at or below it
+    # power_ordering are run_cycle's at the pair samples' taus
     config = config or base_config
     read = {}
     for check in (checks.check_bound_ordering, checks.check_eta_sa_monotone,
@@ -340,7 +363,9 @@ def test_dynamical_checks_hold_across_configs(config):
     effective = effective_samples(config)
     cost_check = check_cost_consistency(config, effective)
     ermakov = check_ermakov_residual(config, effective)
-    routes = check_q_star_routes(config, pair_samples(config))
+    samples = pair_samples(config)
+    routes = check_q_star_routes(config, samples,
+                                 production_excess(config, samples))
     assert cost_check.passed and cost_check.residual < 1e-8, cost_check
     assert ermakov.passed and ermakov.residual < 1e-8, ermakov
     assert routes.passed and routes.residual < 1e-8, routes

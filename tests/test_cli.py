@@ -1,4 +1,5 @@
 import csv
+import math
 import warnings
 from dataclasses import fields
 
@@ -158,6 +159,45 @@ def test_quadrature_failure_is_one_error_line(monkeypatch, capsys, no_solve):
     lines = err.splitlines()
     assert len(lines) == 1, err
     assert lines[0].startswith("error: cost integral did not converge: ")
+
+
+def test_tiny_tau_refused_up_front(tmp_path, capsys, no_solve):
+    # below the phase floor the driving cost k1/tau^2 overflows (sweep's
+    # ZeroDivisionError at tau_min = 1e-300 and cycle's at 1e-200) or
+    # DOP853 refuses the time span (cycle at 1e-160): each command
+    # refuses the duration by name before any solve or output file
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("tau_min = 1e-300\n")
+    out_csv = tmp_path / "out.csv"
+    for argv, name in ((("sweep", "--out", str(out_csv), str(cfg)),
+                        "tau_min = 1e-300"),
+                       (("crossover", str(cfg)), "tau_min = 1e-300"),
+                       (("crossover", "--bracket", "1e-300", "1"),
+                        "bracket end lo = 1e-300"),
+                       (("cycle", "--tau", "1e-200"), "tau = 1e-200"),
+                       (("cycle", "--tau", "1e-160"), "tau = 1e-160")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith(f"error: {name}: stroke phase ") and \
+            err.count("\n") == 1, err
+    assert not out_csv.exists()
+    code, out, err = run_cli(capsys, "validate", str(cfg))
+    assert code == 1 and err == ""
+    assert out.startswith("FAIL config_invariants: tau_min = 1e-300: ")
+    assert out.endswith("1 of 1 checks failed\n")
+
+
+def test_phase_floor_leaves_finite_rows(tmp_path, capsys):
+    # just above the floor every row is finite and nothing fails
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("tau_min = 1e-99\ntau_count = 4\n")
+    out_csv = tmp_path / "out.csv"
+    code, out, _ = run_cli(capsys, "sweep", "--out", str(out_csv), str(cfg))
+    assert code == 0 and "(0 failed)" in out
+    _, rows = data_rows(out_csv)
+    assert all(math.isfinite(float(v)) for row in rows for v in row[:-1])
+    assert run_cli(capsys, "cycle", "--tau", "1e-99")[0] == 0
+    assert run_cli(capsys, "validate", str(cfg))[0] == 0
 
 
 @pytest.mark.parametrize("text, message", [
@@ -491,7 +531,7 @@ def test_protocol_dump_stdout(capsys):
     code, out, err = run_cli(capsys, "protocol-dump", "--points", "11")
     assert code == 0 and err == ""
     lines = out.splitlines()
-    assert lines[0] == "# sta-otto protocol-dump v0.1.8"
+    assert lines[0] == "# sta-otto protocol-dump v0.1.9"
     data = [l for l in lines if not l.startswith("#")]
     header = data[0].split(",")
     assert header == ["t", "omega", "omega_dot", "omega_ddot",

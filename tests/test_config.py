@@ -84,6 +84,24 @@ def test_log_grid_on_default_config_within_one_ulp():
     assert (grid[0], grid[-1]) == (config.tau_min, config.tau_max)
 
 
+_MHZ = {"omega1": 0.32e6, "omega2": 1e6, "beta1": 0.5e-6,
+        "beta2": 0.05e-6, "tau_max": 1e-5}
+
+
+@pytest.mark.parametrize("changes, refused", [
+    ({}, 1e-300), ({}, 1e-100), (_MHZ, 1e-106)],
+    ids=["tau_min = 1e-300", "tau_min = 1e-100", "MHz"])
+def test_tau_min_below_phase_floor_rejected(changes, refused):
+    # the floor is on the phase omega2 tau_min, so it follows the unit
+    # of time.  tau_min = 1e-100 sits on it, but the log grid or a root
+    # search on the default bracket reads it as 10 ** log10 or exp(ln)
+    # of itself, an ulp below
+    with pytest.raises(ConfigError, match=f"^tau_min = {refused!r}: "
+                                          f"stroke phase max"):
+        EngineConfig(**changes, tau_min=refused)
+    EngineConfig(**changes, tau_min=1e-99 / changes.get("omega2", 1.0))
+
+
 @pytest.mark.parametrize("changes, keys", [
     ({"beta2": 1e-100}, "beta2, omega2, hbar"),
     ({"beta2": 5e-324}, "beta2, omega2, hbar"),

@@ -10,7 +10,7 @@ from sta_otto import (ConfigError, EngineConfig, SolverFailure,
                       polynomial_ramp, q_star_excess, series_pair_state,
                       solve_effective_pair, solve_linear_pair,
                       solve_second_moments, sudden_pair_series, wronskian)
-from sta_otto.checks import effective_samples
+from sta_otto.checks import effective_samples, pair_samples
 from sta_otto.config import linspace
 from sta_otto.dynamics import SERIES_PHASE
 from sta_otto.protocol import omega_of
@@ -117,16 +117,60 @@ def test_moment_route_matches_pair(ramp):
 
 
 def test_moment_route_beta_independent(ramp):
-    # Q* is an energy ratio; the initial temperature must drop out
+    # Q* is an energy ratio: the initial temperature, the mass and hbar
+    # must drop out (beta scales as 1/hbar, so beta hbar omega stays
+    # the same); the largest spread reads 3.5e-11
     times = (0.25, 0.6, 1.0)
-    cold = ThermalOscillatorState(7.0, 0.32)
-    hot = ThermalOscillatorState(0.01, 0.32)
-    cold_moments = solve_second_moments(ramp, times, cold, m=1.0)
-    hot_moments = solve_second_moments(ramp, times, hot, m=1.0)
-    for t, c, h in zip(times, cold_moments, hot_moments):
-        wt = omega_of(ramp)(t)
-        assert moment_q_star(wt, c, cold, m=1.0) == pytest.approx(
-            moment_q_star(wt, h, hot, m=1.0), rel=1e-9)
+    omega = omega_of(ramp)
+    reference = None
+    for m in (0.5, 1.0, 3.0):
+        for hbar in (1e-3, 1.0, 50.0):
+            for beta in (7.0, 0.01):
+                initial = ThermalOscillatorState(beta / hbar, 0.32, hbar)
+                moments = solve_second_moments(ramp, times, initial, m)
+                q = [moment_q_star(omega(t), mom, initial, m)
+                     for t, mom in zip(times, moments)]
+                reference = reference or q
+                assert q == pytest.approx(reference, rel=1e-9), (m, hbar,
+                                                                 beta)
+
+
+def test_ermakov_route_less_pair_route_closed_form():
+    # Q*_erk - Q*_pair = (W - 1) + omega0 (1 - W^2) / (2 omega_t b^2) for
+    # any state: W - 1 because the pair route is 1 + a sum of squares,
+    # and the rest is the Ermakov route's difference from Husimi's form.
+    # On the default pair samples it holds to 6.9e-16; the second term
+    # alone is off by 3.4e-10
+    worst = 0.0
+    for strokes in pair_samples(CONFIG).values():
+        for ramp, _, times, states in strokes:
+            omega, w0 = omega_of(ramp), ramp.omega_initial
+            for t, state in zip(times, states):
+                wt, w = omega(t), wronskian(state)
+                b, b_dot = ermakov_from_linear(w0, state)
+                gap = (adiabaticity_from_ermakov(w0, wt, (b, b_dot))
+                       - q_star(w0, wt, state))
+                worst = max(worst, abs(gap - (w - 1.0) - w0 * (1.0 - w * w)
+                                       / (2.0 * wt * b * b)))
+    assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("config", [
+    CONFIG, EngineConfig(omega1=0.01, beta1=50.0)],
+    ids=["default", "ratio 100"])
+def test_magnus_pair_matches_dop853_on_pair_samples(config):
+    # validate holds only the production Q*1 to the DOP853 pair, so the
+    # kernel is held here on all six of its pair-sample strokes, both
+    # directions, at t = tau: 3.8e-11 at the default, 2.2e-10 at
+    # omega2/omega1 = 100
+    for strokes in pair_samples(config).values():
+        for ramp, _, _, states in strokes:
+            omega, w0, wt = (omega_of(ramp), ramp.omega_initial,
+                             ramp.omega_final)
+            state = magnus_pair(lambda t: omega(t) ** 2, ramp.duration,
+                                max(w0, wt))
+            q_pair = q_star(w0, wt, states[-1])
+            assert abs(q_star(w0, wt, state) / q_pair - 1.0) <= 1e-8
 
 
 def test_lcd_lands_on_adiabatic_state():
