@@ -17,7 +17,7 @@ solves nothing load only the standard library.
 
 from types import ModuleType as _ModuleType
 
-__version__ = "0.1.9"
+__version__ = "0.1.10"
 
 from .config import EngineConfig, tau_grid
 from .cost import (q_star_lcd_instant, sa_cost_time_average,

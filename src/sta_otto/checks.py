@@ -171,13 +171,13 @@ def check_q_star_routes(config: EngineConfig, samples,
         ends = []
         for protocol, initial, times, pairs in strokes:
             omega, omega0 = omega_of(protocol), protocol.omega_initial
-            moments = solve_second_moments(protocol, times, initial, config.m)
+            moments = solve_second_moments(protocol, times, initial)
             for t, pair, mom in zip(times, pairs, moments):
                 wt = omega(t)
                 q_pair = 1.0 + q_star_excess(omega0, wt, pair)
                 q_erk = adiabaticity_from_ermakov(
                     omega0, wt, ermakov_from_linear(omega0, pair))
-                q_mom = moment_q_star(wt, mom, initial, config.m)
+                q_mom = moment_q_star(wt, mom, initial)
                 scale = abs(q_pair)
                 worst = max(worst, abs(q_erk - q_pair) / scale,
                             abs(q_mom - q_pair) / scale)
@@ -267,21 +267,20 @@ def check_cost_scaling(config: EngineConfig) -> CheckResult:
 
 
 def check_cost_consistency(config: EngineConfig, effective) -> CheckResult:
-    # driven at Omega(t), <p^2>/2m + m Omega^2 <x^2>/2 exceeds the
+    # driven at Omega(t), <p^2>/2 + Omega^2 <x^2>/2 (mass 1) exceeds the
     # adiabatic energy by sa_energy_instant; the moments of the thermal
     # start (no x-p correlation) follow from the effective pair
-    m = config.m
     worst = 0.0
     for strokes in effective.values():
         for protocol, initial, times, states in strokes:
             e0 = initial.mean_energy
-            xx0, pp0 = e0 / (m * initial.omega ** 2), m * e0
+            xx0, pp0 = e0 / initial.omega ** 2, e0
             gap = scale = 0.0
             for t, (x, xd, y, yd) in zip(times, states):
                 sample = sample_protocol(protocol, t)
-                xx = xx0 * y * y + pp0 * x * x / (m * m)
-                pp = m * m * xx0 * yd * yd + pp0 * xd * xd
-                energy = pp / (2.0 * m) + 0.5 * m * sample.omega_eff_sq * xx
+                xx = xx0 * y * y + pp0 * x * x
+                pp = xx0 * yd * yd + pp0 * xd * xd
+                energy = pp / 2.0 + 0.5 * sample.omega_eff_sq * xx
                 adiabatic = sample.omega / initial.omega * e0
                 aux = sa_energy_instant(sample, initial)
                 gap = max(gap, abs(energy - adiabatic - aux))

@@ -123,9 +123,6 @@ def write_manifest(fh: IO[str], command: str, config: EngineConfig,
     fh.write(f"# sta-otto {command} v{__version__}\n")
     fh.write(f"# timestamp: {_timestamp()}\n")
     fh.write(f"# command: {shlex.join(['sta-otto', *argv])}\n")
-    fh.write(f"# grid: tau_min={config.tau_min!r} tau_max={config.tau_max!r}"
-             f" tau_count={config.tau_count!r}"
-             f" tau_spacing={config.tau_spacing}\n")
     for key in _CONFIG_TYPES:
         fh.write(f"# config: {key} = {getattr(config, key)!r}\n")
 

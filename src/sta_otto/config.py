@@ -37,9 +37,10 @@ class EngineConfig:
     The working medium is compressed from omega1 to omega2 while coupled
     to nothing, thermalizes with the hot bath (beta2), expands back, and
     thermalizes with the cold bath (beta1).  Cold means beta1 > beta2.
-    m appears in the Hamiltonian but cancels from every output; it is
-    kept so configurations document the full oscillator.  Field order
-    is the key order of the config file and of the CSV manifest.
+    The oscillator mass is no parameter: every output is an energy
+    ratio, from which it cancels, so the package works in units where
+    m = 1.  Field order is the key order of the config file and of the
+    CSV manifest.
     It owns what it determines: the bath states cold and hot, built
     once.  The solver tolerances are not part of it: the oracle
     integrators run at fixed tolerances of their own.
@@ -49,7 +50,6 @@ class EngineConfig:
     omega2: float = 1.0
     beta1: float = 0.5
     beta2: float = 0.05
-    m: float = 1.0
     hbar: float = 1.0
     tau_min: float = 0.01
     tau_max: float = 10.0
@@ -65,8 +65,8 @@ class EngineConfig:
             raise ConfigError("need omega2 > omega1 > 0 (compression-first cycle)")
         if not self.beta1 > self.beta2 > 0.0:
             raise ConfigError("need beta1 > beta2 > 0 (first bath colder)")
-        if self.m <= 0.0 or self.hbar <= 0.0:
-            raise ConfigError("m and hbar must be positive")
+        if self.hbar <= 0.0:
+            raise ConfigError("hbar must be positive")
         # an absurd but finite bath (beta2 = 1e-100) fails here, not at
         # its first occupation factor mid-solve
         for bath, keys in (("cold", "beta1, omega1, hbar"),

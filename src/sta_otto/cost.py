@@ -19,7 +19,7 @@ and scaling exactly as 1/tau^2 under reparametrization of the same
 shape.
 
 Driven at the effective frequency Omega(t), the oscillator's energy
-<p^2>/2m + m Omega^2 <x^2>/2 is (omega_t / omega0) E0 + <H_sa>(t);
+<p^2>/2 + Omega^2 <x^2>/2 (mass 1) is (omega_t / omega0) E0 + <H_sa>(t);
 validate's cost_consistency checks this on the effective pair.
 """
 

@@ -75,7 +75,8 @@ from typing import Callable, Sequence
 
 from .cost import check_start_frequency
 from .errors import SolverFailure
-from .protocol import FrequencyProtocol, omega_of, sample_protocol
+from .protocol import (RAMP_SHAPE, FrequencyProtocol, omega_of,
+                       sample_protocol)
 from .strokes import ThermalOscillatorState
 
 PairState = tuple[float, float, float, float]   # (X, X', Y, Y')
@@ -227,8 +228,8 @@ def sudden_pair_series(omega_initial: float, omega_final: float
     coefficients depend on the ramp alone, and series_pair_state reads
     a state off them at any tau.
     """
-    d = omega_final - omega_initial
-    omega = (omega_initial, 0.0, 0.0, 10.0 * d, -15.0 * d, 6.0 * d)
+    omega = [(omega_final - omega_initial) * c for c in RAMP_SHAPE]
+    omega[0] += omega_initial
     omega_sq = [0.0] * 11
     for i, a in enumerate(omega):
         for j, b in enumerate(omega):
@@ -318,10 +319,11 @@ def adiabaticity_from_ermakov(omega0: float, omega_t: float,
 
 
 def solve_second_moments(protocol: FrequencyProtocol, times: Sequence[float],
-                         initial: ThermalOscillatorState, m: float
+                         initial: ThermalOscillatorState
                          ) -> list[tuple[float, float, float]]:
-    """(<x^2>, <{x,p}>/2, <p^2>) of an oscillator of mass m that
-    starts in the thermal state initial, under driving, at the times.
+    """(<x^2>, <{x,p}>/2, <p^2>) of an oscillator that starts in the
+    thermal state initial, under driving, at the times, in units where
+    the mass is 1.
 
     The closed system for the second moments never references the
     fundamental pair or the scaling factor, so moment_q_star is the
@@ -333,23 +335,23 @@ def solve_second_moments(protocol: FrequencyProtocol, times: Sequence[float],
     def rhs(t, y):
         xx, c, pp = y
         w2 = omega(t) ** 2
-        return (2.0 * c / m, pp / m - m * w2 * xx, -2.0 * m * w2 * c)
+        return (2.0 * c, pp - w2 * xx, -2.0 * w2 * c)
 
     w0, hbar, nu = initial.omega, initial.hbar, initial.nu
-    y0 = (hbar * nu / (2.0 * m * w0), 0.0, 0.5 * m * hbar * w0 * nu)
+    y0 = (hbar * nu / (2.0 * w0), 0.0, 0.5 * hbar * w0 * nu)
     return _integrate(rhs, y0, protocol, times)
 
 
 def moment_q_star(omega_t: float, moments: tuple[float, float, float],
-                  initial: ThermalOscillatorState, m: float) -> float:
+                  initial: ThermalOscillatorState) -> float:
     """Q* as mean energy over its adiabatic value, from the second moments
-    of an oscillator of mass m started in the thermal state initial.
+    (mass 1) of an oscillator started in the thermal state initial.
 
-    Q* is a ratio of energies, so it must come out independent of beta,
-    m and hbar; the tests exploit that as an extra invariant.
+    Q* is a ratio of energies, so it must come out independent of beta
+    and hbar, as of the mass; the tests exploit that as an extra
+    invariant.
     """
     omega0 = initial.omega
     xx, _, pp = moments
-    energy = pp / (2.0 * m) + 0.5 * m * omega_t**2 * xx
+    energy = pp / 2.0 + 0.5 * omega_t**2 * xx
     return energy * omega0 / (omega_t * initial.mean_energy)
-

@@ -30,6 +30,10 @@ from .errors import ConfigError, OutOfRangeTime
 # rescans between the neighbours of the smallest sample, each 8x narrower
 _INVERSION_SCANS = (256,) + (17,) * 6
 
+# the ramp shape 10 s^3 - 15 s^4 + 6 s^5 as polynomial coefficients in
+# s, lowest power first: omega(s) = omega_i + d * shape(s)
+RAMP_SHAPE = (0.0, 0.0, 0.0, 10.0, -15.0, 6.0)
+
 
 @dataclass(frozen=True)
 class ProtocolSample:

@@ -5,6 +5,7 @@ from dataclasses import fields
 
 import pytest
 
+import sta_otto
 from sta_otto import ConfigError, EngineConfig, cli, cost, cycle
 from sta_otto.checks import run_all_checks
 from sta_otto.cli import (MAX_DUMP_POINTS, main, parse_config_text,
@@ -202,13 +203,12 @@ def test_phase_floor_leaves_finite_rows(tmp_path, capsys):
 
 @pytest.mark.parametrize("text, message", [
     ("omega1 = 1.5\n", "need omega2 > omega1 > 0"),
-    ("m = 0\n", "m and hbar must be positive"),
-    ("hbar = -1\n", "m and hbar must be positive"),
+    ("hbar = -1\n", "hbar must be positive"),
     ("tau_min = 10\ntau_max = 1\n", "need 0 < tau_min < tau_max"),
     ("tau_count = 1\n", "tau_count must be at least 2"),
     ("tau_spacing = cubic\n", "tau_spacing must be 'log' or 'linear'"),
     ("strict = maybe\n", "boolean expected for 'strict'")],
-    ids=["omega order", "m", "hbar", "tau order", "tau_count",
+    ids=["omega order", "hbar", "tau order", "tau_count",
          "tau_spacing", "strict"])
 def test_config_rejections_exit_2(tmp_path, capsys, no_solve, text,
                                   message):
@@ -220,23 +220,26 @@ def test_config_rejections_exit_2(tmp_path, capsys, no_solve, text,
     assert message in err
 
 
-# the configs of three former defects: a tiny abs_tol stalled or overflowed
-# the solve, an unreachable quad_tol was accepted, and a loose rel_tol
-# failed four validate checks
-TOLERANCE_CONFIGS = [("abs_tol = 1e-150\ntau_count = 4\n", "abs_tol"),
-                     ("quad_tol = 1.2e-14\n", "quad_tol"),
-                     ("rel_tol = 1e-6\n", "rel_tol")]
+# configs naming a removed key: three former defects (a tiny abs_tol
+# stalled or overflowed the solve, an unreachable quad_tol was accepted,
+# and a loose rel_tol failed four validate checks), and the mass, which
+# cancels from every output
+REMOVED_KEY_CONFIGS = [("abs_tol = 1e-150\ntau_count = 4\n", "abs_tol"),
+                       ("quad_tol = 1.2e-14\n", "quad_tol"),
+                       ("rel_tol = 1e-6\n", "rel_tol"),
+                       ("m = 1.0\n", "m")]
 
 
-@pytest.mark.parametrize("text, key", TOLERANCE_CONFIGS,
-                         ids=[key for _, key in TOLERANCE_CONFIGS])
+@pytest.mark.parametrize("text, key", REMOVED_KEY_CONFIGS,
+                         ids=[key for _, key in REMOVED_KEY_CONFIGS])
 @pytest.mark.parametrize("command", [("cycle", "--tau", "1"), ("sweep",),
                                      ("crossover",)],
                          ids=["cycle", "sweep", "crossover"])
-def test_solver_tolerance_keys_refused(tmp_path, capsys, no_solve, command,
-                                       text, key):
-    # the oracles run at fixed tolerances: a config that still sets one
-    # is refused by name, before any solve or output file
+def test_removed_keys_refused(tmp_path, capsys, no_solve, command, text,
+                              key):
+    # the oracles run at fixed tolerances, and the mass is no parameter:
+    # a config that still sets one is refused by name, before any solve
+    # or output file
     cfg = tmp_path / "tol.cfg"
     cfg.write_text(text)
     out_csv = tmp_path / "out.csv"
@@ -249,10 +252,9 @@ def test_solver_tolerance_keys_refused(tmp_path, capsys, no_solve, command,
     assert not out_csv.exists()
 
 
-@pytest.mark.parametrize("text, key", TOLERANCE_CONFIGS,
-                         ids=[key for _, key in TOLERANCE_CONFIGS])
-def test_validate_names_solver_tolerance_key(tmp_path, capsys, no_solve,
-                                             text, key):
+@pytest.mark.parametrize("text, key", REMOVED_KEY_CONFIGS,
+                         ids=[key for _, key in REMOVED_KEY_CONFIGS])
+def test_validate_names_removed_key(tmp_path, capsys, no_solve, text, key):
     cfg = tmp_path / "tol.cfg"
     cfg.write_text(text)
     code, out, _ = run_cli(capsys, "validate", str(cfg))
@@ -531,7 +533,7 @@ def test_protocol_dump_stdout(capsys):
     code, out, err = run_cli(capsys, "protocol-dump", "--points", "11")
     assert code == 0 and err == ""
     lines = out.splitlines()
-    assert lines[0] == "# sta-otto protocol-dump v0.1.9"
+    assert lines[0] == f"# sta-otto protocol-dump v{sta_otto.__version__}"
     data = [l for l in lines if not l.startswith("#")]
     header = data[0].split(",")
     assert header == ["t", "omega", "omega_dot", "omega_ddot",
@@ -591,7 +593,7 @@ def test_unwritable_output_exit_2(tmp_path, capsys, request, argv):
 
 def test_manifest_schema_roundtrip(tmp_path):
     config = EngineConfig(omega1=0.4, omega2=1.3, beta1=0.7, beta2=0.1,
-                          m=2.0, hbar=0.5, tau_min=0.02, tau_max=5.0,
+                          hbar=0.5, tau_min=0.02, tau_max=5.0,
                           tau_count=17, tau_spacing="linear", strict=True)
     for f in fields(EngineConfig):
         assert getattr(config, f.name) != f.default, f.name
@@ -609,10 +611,11 @@ def test_manifest_schema_roundtrip(tmp_path):
     assert str(info.value) == f"{path}:{len(header) + 1}: unknown key 'speed'"
 
 
-@pytest.mark.parametrize("key", ["rel_tol", "abs_tol", "quad_tol"])
-def test_manifest_with_solver_tolerance_refused(tmp_path, key):
+@pytest.mark.parametrize("key", ["rel_tol", "abs_tol", "quad_tol", "m"])
+def test_manifest_with_removed_key_refused(tmp_path, key):
     # result CSVs written before the tolerances became constants echo
-    # them as config keys; such a manifest no longer reproduces a run
+    # them as config keys, and those before 0.1.10 echo the mass; such a
+    # manifest no longer reproduces a run
     path = tmp_path / "old.csv"
     with open(path, "w", encoding="utf-8") as fh:
         write_manifest(fh, "sweep", EngineConfig(), ["sweep"])

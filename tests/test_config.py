@@ -1,16 +1,16 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sta_otto import ConfigError, EngineConfig, tau_grid
+from sta_otto import ConfigError, EngineConfig, sweep, tau_grid
 from sta_otto.config import MAX_TAU_COUNT, linspace
 
 
-@pytest.mark.parametrize("name", ["omega1", "omega2", "beta1", "beta2", "m",
+@pytest.mark.parametrize("name", ["omega1", "omega2", "beta1", "beta2",
                                   "hbar", "tau_min", "tau_max"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_fields_rejected(name, bad):
@@ -19,17 +19,33 @@ def test_non_finite_fields_rejected(name, bad):
 
 
 def test_schema_is_the_physics_and_the_grid():
-    # the solver tolerances are module constants, not user settings
+    # the solver tolerances are module constants, not user settings, and
+    # the mass cancels from every output, so it is no setting either
     assert [f.name for f in fields(EngineConfig)] == [
-        "omega1", "omega2", "beta1", "beta2", "m", "hbar", "tau_min",
+        "omega1", "omega2", "beta1", "beta2", "hbar", "tau_min",
         "tau_max", "tau_count", "tau_spacing", "strict"]
 
 
-@pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "quad_tol"])
-def test_solver_tolerance_keywords_refused(name):
+@pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "quad_tol", "m"])
+def test_removed_keywords_refused(name):
     with pytest.raises(TypeError, match=f"unexpected keyword argument "
                                         f"'{name}'"):
         EngineConfig(**{name: 1e-10})
+
+
+# one accepted change of each key away from the default
+_CHANGED = {"omega1": 0.3, "omega2": 1.1, "beta1": 0.6, "beta2": 0.04,
+            "hbar": 0.5, "tau_min": 0.02, "tau_max": 5.0, "tau_count": 5,
+            "tau_spacing": "linear", "strict": True}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(EngineConfig)])
+def test_every_key_changes_the_sweep(name):
+    # a key that changes no output is surplus: every field has a changed
+    # value here, and changing it alone changes a 4-point sweep
+    assert list(_CHANGED) == [f.name for f in fields(EngineConfig)]
+    base = EngineConfig(tau_count=4)
+    assert sweep(replace(base, **{name: _CHANGED[name]})) != sweep(base)
 
 
 def test_tau_count_capped():

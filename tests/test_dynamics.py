@@ -84,10 +84,10 @@ def test_q_star_never_below_one(ramp):
     # 1 + a sum of squares is >= 1 by construction; the independent
     # moment route must agree
     initial = ThermalOscillatorState(0.5, 0.32)
-    moments = solve_second_moments(ramp, TIMES, initial, m=1.0)
+    moments = solve_second_moments(ramp, TIMES, initial)
     omega = omega_of(ramp)
     for t, mom in zip(TIMES, moments):
-        assert moment_q_star(omega(t), mom, initial, m=1.0) >= 1.0 - 1e-9
+        assert moment_q_star(omega(t), mom, initial) >= 1.0 - 1e-9
 
 
 def test_ermakov_route_matches_pair(states, ramp):
@@ -107,32 +107,31 @@ def test_moment_route_matches_pair(ramp):
     times = linspace(0.0, 1.0, 51)
     pairs = solve_linear_pair(ramp, times)
     initial = ThermalOscillatorState(0.5, 0.32)
-    moments = solve_second_moments(ramp, times, initial, m=1.0)
+    moments = solve_second_moments(ramp, times, initial)
     omega = omega_of(ramp)
     for t, pair, mom in zip(times, pairs, moments):
         wt = omega(t)
         q_pair = q_star(0.32, wt, pair)
-        assert moment_q_star(wt, mom, initial, m=1.0) == pytest.approx(
+        assert moment_q_star(wt, mom, initial) == pytest.approx(
             q_pair, rel=1e-9)
 
 
 def test_moment_route_beta_independent(ramp):
-    # Q* is an energy ratio: the initial temperature, the mass and hbar
-    # must drop out (beta scales as 1/hbar, so beta hbar omega stays
-    # the same); the largest spread reads 3.5e-11
+    # Q* is an energy ratio: the initial temperature and hbar must drop
+    # out (beta scales as 1/hbar, so beta hbar omega stays the same), as
+    # the mass does, which is why the moments are taken at mass 1; the
+    # largest spread reads 3.3e-11
     times = (0.25, 0.6, 1.0)
     omega = omega_of(ramp)
     reference = None
-    for m in (0.5, 1.0, 3.0):
-        for hbar in (1e-3, 1.0, 50.0):
-            for beta in (7.0, 0.01):
-                initial = ThermalOscillatorState(beta / hbar, 0.32, hbar)
-                moments = solve_second_moments(ramp, times, initial, m)
-                q = [moment_q_star(omega(t), mom, initial, m)
-                     for t, mom in zip(times, moments)]
-                reference = reference or q
-                assert q == pytest.approx(reference, rel=1e-9), (m, hbar,
-                                                                 beta)
+    for hbar in (1e-3, 1.0, 50.0):
+        for beta in (7.0, 0.01):
+            initial = ThermalOscillatorState(beta / hbar, 0.32, hbar)
+            moments = solve_second_moments(ramp, times, initial)
+            q = [moment_q_star(omega(t), mom, initial)
+                 for t, mom in zip(times, moments)]
+            reference = reference or q
+            assert q == pytest.approx(reference, rel=1e-9), (hbar, beta)
 
 
 def test_ermakov_route_less_pair_route_closed_form():
@@ -191,7 +190,7 @@ def test_effective_pair_through_inversion():
     lambda ramp: solve_linear_pair(ramp, TIMES),
     lambda ramp: solve_effective_pair(ramp, TIMES),
     lambda ramp: solve_second_moments(
-        ramp, TIMES, ThermalOscillatorState(0.5, 0.32), m=1.0)],
+        ramp, TIMES, ThermalOscillatorState(0.5, 0.32))],
     ids=["linear", "effective", "moments"])
 def test_oracle_solves_run_at_fixed_tolerances(monkeypatch, ramp, solve):
     # every DOP853 solve runs at rtol 1e-10 and atol 1e-12, whatever the
@@ -212,7 +211,7 @@ def test_second_moments_start_mismatch_rejected(ramp):
     # the thermal start must sit where the schedule starts (0.32, not 1)
     hot = ThermalOscillatorState(0.05, 1.0)
     with pytest.raises(ConfigError, match="does not match protocol start"):
-        solve_second_moments(ramp, (1.0,), hot, m=1.0)
+        solve_second_moments(ramp, (1.0,), hot)
 
 
 def test_phase_budget_refused_before_any_step(monkeypatch):
@@ -229,7 +228,7 @@ def test_phase_budget_refused_before_any_step(monkeypatch):
             solve(polynomial_ramp(0.32, 1.0, 1e5), (1e5,))
     with pytest.raises(SolverFailure, match="solver budget"):
         solve_second_moments(polynomial_ramp(0.32, 1e6, 0.1), (0.1,),
-                             initial, m=1.0)
+                             initial)
     # the kernel's steps grow with the phase: refused before the first
     with pytest.raises(SolverFailure, match="solver budget"):
         magnus_pair(refuse, 1e5, 1.0)

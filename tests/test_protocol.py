@@ -9,6 +9,7 @@ from sta_otto import (ConfigError, OutOfRangeTime, boundary_residuals,
                       effective_frequency_sq, inversion_threshold, omega_of,
                       polynomial_ramp, sample_protocol)
 from sta_otto.config import linspace
+from sta_otto.protocol import RAMP_SHAPE
 
 
 @pytest.fixture
@@ -26,6 +27,28 @@ def test_quintic_values_frozen(ramp):
     assert s.omega == pytest.approx(0.66, abs=1e-15)
     assert s.omega_dot == pytest.approx(1.275, abs=1e-15)
     assert s.omega_ddot == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("wi, wf, tau", [
+    (0.32, 1.0, 1.0), (1.0, 0.32, 2.5), (0.32e6, 1e6, 1e-6)],
+    ids=["compression", "expansion", "MHz"])
+def test_sample_protocol_follows_ramp_shape(wi, wf, tau):
+    # RAMP_SHAPE, the coefficients that sudden_pair_series builds omega(s)
+    # from, is the shape that sample_protocol evaluates in closed form
+    protocol, d = polynomial_ramp(wi, wf, tau), wf - wi
+    scale, powers = max(wi, wf), list(enumerate(RAMP_SHAPE))
+    for s in linspace(0.0, 1.0, 11):
+        shape = sum(c * s**k for k, c in powers)
+        slope = sum(k * c * s ** (k - 1) for k, c in powers if k >= 1)
+        curve = sum(k * (k - 1) * c * s ** (k - 2) for k, c in powers
+                    if k >= 2)
+        sample = sample_protocol(protocol, s * tau)
+        assert sample.omega == pytest.approx(wi + d * shape,
+                                             rel=1e-14, abs=1e-14 * scale)
+        assert sample.omega_dot * tau == pytest.approx(
+            d * slope, rel=1e-13, abs=1e-13 * scale)
+        assert sample.omega_ddot * tau * tau == pytest.approx(
+            d * curve, rel=1e-13, abs=1e-13 * scale)
 
 
 def test_boundary_residuals_flat_ends(ramp):
