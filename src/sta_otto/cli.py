@@ -7,8 +7,9 @@ key = value text file; every key has a built-in default, the path may
 come from the command line or the STA_OTTO_CONFIG environment variable.
 
 Every CSV starts with a '#'-prefixed manifest echoing the exact
-configuration, so a result file is self-describing and the run can be
-reproduced from the file alone.  Numbers are printed with 12
+configuration, so a result file is self-describing, and any result
+file serves in place of a config file: the run is reproduced from the
+file alone.  Numbers are printed with 12
 significant digits; with SOURCE_DATE_EPOCH set, repeated runs are
 byte-identical.
 
@@ -20,7 +21,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import os
+import re
 import shlex
 import sys
 import time
@@ -101,7 +104,9 @@ def parse_config_text(text: str, source: str = "<config>") -> EngineConfig:
 
 def load_config(path: str | None) -> EngineConfig:
     """Resolve the config: explicit path, then STA_OTTO_CONFIG, then
-    built-in defaults."""
+    built-in defaults.  The file is either key = value text or a result
+    file, whose manifest title marks it and whose leading '#' block
+    echoes the configuration that wrote it."""
     if path is None:
         path = os.environ.get("STA_OTTO_CONFIG")
     if path is None:
@@ -109,7 +114,16 @@ def load_config(path: str | None) -> EngineConfig:
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
     with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), path)
+        text = fh.readline()
+        if not re.match(r"# sta-otto \S+ v\S+$", text):
+            return parse_config_text(text + fh.read(), path)
+        # a result file: its manifest ends at the first data line
+        text += "".join(itertools.takewhile(
+            lambda line: line.startswith("#"), fh))
+    if "\n# config: " not in text:
+        raise ConfigError(f"{path}: no manifest found")
+    # the other header lines stay '#' comments, so errors name file lines
+    return parse_config_text(text.replace("\n# config: ", "\n"), path)
 
 
 def _timestamp() -> str:
@@ -125,22 +139,6 @@ def write_manifest(fh: IO[str], command: str, config: EngineConfig,
     fh.write(f"# command: {shlex.join(['sta-otto', *argv])}\n")
     for key in _CONFIG_TYPES:
         fh.write(f"# config: {key} = {getattr(config, key)!r}\n")
-
-
-def read_manifest(path: str) -> EngineConfig:
-    """Recover the exact configuration echoed atop a result CSV."""
-    prefix = "# config: "
-    header = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.startswith("#"):
-                break
-            header.append(line)
-    if not any(line.startswith(prefix) for line in header):
-        raise ConfigError(f"{path}: no manifest found")
-    # the other header lines stay '#' comments, so errors name file lines
-    return parse_config_text(
-        "".join(line.removeprefix(prefix) for line in header), path)
 
 
 def _metric_row(metrics: CycleMetrics) -> list[str]:
@@ -258,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, fn, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", nargs="?", default=None,
-                       help="key = value config file "
+                       help="key = value config file or result CSV "
                             "(default: $STA_OTTO_CONFIG, else built-ins)")
         p.set_defaults(func=fn)
         return p

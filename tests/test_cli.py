@@ -8,8 +8,8 @@ import pytest
 import sta_otto
 from sta_otto import ConfigError, EngineConfig, cli, cost, cycle
 from sta_otto.checks import run_all_checks
-from sta_otto.cli import (MAX_DUMP_POINTS, main, parse_config_text,
-                          read_manifest, write_manifest)
+from sta_otto.cli import (MAX_DUMP_POINTS, load_config, main,
+                          parse_config_text, write_manifest)
 from sta_otto.config import MAX_TAU_COUNT
 
 from conftest import TAU_STAR
@@ -149,11 +149,19 @@ def test_floating_point_failure_is_one_error_line(tmp_path, capsys):
 
 
 def test_quadrature_failure_is_one_error_line(monkeypatch, capsys, no_solve):
-    # a tolerance too tight for the cost quadrature's roundoff: quad's
-    # three-line message becomes one error line, before any solve.  An
-    # earlier test may have cached the default config's constants, so
-    # the cache is cleared for the quadrature to run
-    monkeypatch.setattr(cost, "_QUAD_EPSREL", 1.2e-14)
+    # a cost quadrature that does not converge: quad's multi-line
+    # message becomes one error line, before any solve.  An earlier test
+    # may have cached the default config's constants, so the cache is
+    # cleared for the quadrature to run
+    import scipy.integrate
+
+    def stalled(*args, **kwargs):
+        return (1.0, 1e-3, {"neval": 4200},
+                "The occurrence of roundoff error is detected, which "
+                "prevents\n  the requested tolerance from being "
+                "achieved.  The error may be \n  underestimated.")
+
+    monkeypatch.setattr(scipy.integrate, "quad", stalled)
     cycle.cycle_constants.cache_clear()
     code, out, err = run_cli(capsys, "cycle", "--tau", "1")
     assert code == 3 and out == ""
@@ -384,8 +392,11 @@ def test_env_config_fallback(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "cycle", "--tau", "5",
                            "--out", str(out_csv))
     assert code == 0
-    recovered = read_manifest(str(out_csv))
+    recovered = load_config(str(out_csv))
     assert recovered == EngineConfig(omega1=0.4, beta1=0.3)
+    # the variable may name a result file too: the row re-runs itself
+    monkeypatch.setenv("STA_OTTO_CONFIG", str(out_csv))
+    assert run_cli(capsys, "cycle", "--tau", "5") == (0, out, "")
 
 
 def test_sweep_csv(tmp_path, capsys):
@@ -406,7 +417,7 @@ def test_sweep_csv(tmp_path, capsys):
         assert len(row) == 23
         float(row[0])
 
-    assert read_manifest(str(out_csv)) == EngineConfig(tau_count=24)
+    assert load_config(str(out_csv)) == EngineConfig(tau_count=24)
 
 
 def test_sweep_linear_spacing(tmp_path, capsys):
@@ -491,14 +502,31 @@ def test_validate_default_config(capsys):
     assert "WARN trap_inversion_scan" in out
 
 
-def test_validate_near_unit_compression_ratio(tmp_path, capsys):
+@pytest.mark.parametrize("omega1", ["0.999", "0.9995", "0.9999"])
+def test_validate_near_unit_compression_ratio(tmp_path, capsys, omega1):
     # omega2/omega1 = 1.001: Q* - 1 is below 1e-11 on much of the grid,
-    # where Husimi's form of the solves read P_NA > P_SA by 1.7e-11
+    # where Husimi's form of the solves read P_NA > P_SA by 1.7e-11.
+    # Closer to unit ratio the two terms of the auxiliary energy cancel
+    # down to O(d^2), d = omega2 - omega1: integrated as they stand, the
+    # cost quadrature failed on roundoff (0.9999) or cost_scaling read
+    # 1.02e-12 against its 1e-12 gate (0.9995)
     cfg = tmp_path / "engine.cfg"
-    cfg.write_text("omega1 = 0.999\n")
+    cfg.write_text(f"omega1 = {omega1}\n")
     code, out, _ = run_cli(capsys, "validate", str(cfg))
     assert code == 0, out
     assert "FAIL" not in out
+
+
+def test_cycle_and_sweep_at_near_unit_ratio(tmp_path, capsys):
+    cfg = tmp_path / "engine.cfg"
+    cfg.write_text("omega1 = 0.9999\ntau_count = 12\n")
+    code, _, err = run_cli(capsys, "cycle", str(cfg), "--tau", "1")
+    assert code == 0 and err == ""
+    out_csv = tmp_path / "sweep.csv"
+    code, out, err = run_cli(capsys, "sweep", str(cfg), "--out",
+                             str(out_csv))
+    assert code == 0 and err == "", err
+    assert "(0 failed)" in out
 
 
 def test_validate_all_rows_error(tmp_path, capsys):
@@ -601,12 +629,12 @@ def test_manifest_schema_roundtrip(tmp_path):
     with open(path, "w", encoding="utf-8") as fh:
         write_manifest(fh, "sweep", config, ["sweep"])
         fh.write("tau\n")
-    assert read_manifest(str(path)) == config
+    assert load_config(str(path)) == config
 
     header = path.read_text(encoding="utf-8").splitlines()[:-1]
     path.write_text("\n".join(header + ["# config: speed = 3", "tau", ""]))
     with pytest.raises(ConfigError) as info:
-        read_manifest(str(path))
+        load_config(str(path))
     # the error names the offending line of the file
     assert str(info.value) == f"{path}:{len(header) + 1}: unknown key 'speed'"
 
@@ -623,13 +651,64 @@ def test_manifest_with_removed_key_refused(tmp_path, key):
     path.write_text("\n".join(header + [f"# config: {key} = 1e-10", "tau",
                                         ""]))
     with pytest.raises(ConfigError) as info:
-        read_manifest(str(path))
+        load_config(str(path))
     assert str(info.value) == (f"{path}:{len(header) + 1}: unknown key "
                                f"{key!r}")
 
 
-def test_read_manifest_without_config_header(tmp_path):
+def test_titled_file_without_manifest_refused(tmp_path, capsys):
+    # the title marks a result file, so a missing manifest is refused
+    # rather than read as the built-in defaults
     path = tmp_path / "bare.csv"
-    path.write_text("# sta-otto sweep\ntau,q_star_1\n1.0,1.5\n")
+    path.write_text(f"# sta-otto sweep v{sta_otto.__version__}\n"
+                    "tau,q_star_1\n1.0,1.5\n")
     with pytest.raises(ConfigError, match="no manifest found"):
-        read_manifest(str(path))
+        load_config(str(path))
+    code, out, err = run_cli(capsys, "cycle", str(path), "--tau", "1")
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: no manifest found\n"
+
+
+def test_untitled_config_with_leading_comments_loads(tmp_path):
+    # only the manifest title marks a result file: other leading
+    # comments, naming the tool or not, leave a key = value file
+    path = tmp_path / "engine.cfg"
+    path.write_text("# sta-otto engine near the default\n# config: m = 2\n"
+                    "\nomega1 = 0.4\n")
+    assert load_config(str(path)) == EngineConfig(omega1=0.4)
+
+
+# every key off its default; strict mode refuses no row, as the grid
+# starts above the inversion threshold tau_c = 2.12
+_EVERY_KEY_CHANGED = {
+    "omega1": "0.4", "omega2": "1.3", "beta1": "0.7", "beta2": "0.1",
+    "hbar": "0.5", "tau_min": "3.0", "tau_max": "5.0", "tau_count": "5",
+    "tau_spacing": "linear", "strict": "true"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep",), ("cycle", "--tau", "4"), ("protocol-dump", "--tau", "4")],
+    ids=["sweep", "cycle", "protocol-dump"])
+def test_result_file_reruns_its_config(tmp_path, capsys, argv):
+    cfg = tmp_path / "engine.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n"
+                           for k, v in _EVERY_KEY_CHANGED.items()))
+    config = load_config(str(cfg))
+    assert set(_EVERY_KEY_CHANGED) == {f.name for f in fields(config)}
+    for f in fields(config):
+        assert getattr(config, f.name) != f.default, f.name
+    first = tmp_path / "first.csv"
+    code, _, err = run_cli(capsys, *argv, str(cfg), "--out", str(first))
+    assert code == 0 and err == ""
+    assert load_config(str(first)) == config
+    # the result file re-runs the command it came from: only the
+    # command line of the manifest differs
+    again = tmp_path / "again.csv"
+    code, _, err = run_cli(capsys, *argv, str(first), "--out", str(again))
+    assert code == 0 and err == ""
+
+    def body(path):
+        return [line for line in path.read_text().splitlines()
+                if not line.startswith("# command: ")]
+    assert body(again) == body(first)
+    assert again.read_text() != first.read_text()

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from sta_otto import (ConfigError, ThermalOscillatorState,
+from sta_otto import (ConfigError, EngineConfig, ThermalOscillatorState,
                       polynomial_ramp, q_star_lcd_instant,
                       sa_cost_time_average, sa_energy_instant,
-                      sample_protocol, shortcut_shape_factor)
+                      sample_protocol, shortcut_shape_factor, stroke_pairs)
 
 from conftest import COST1_TAU1, COST3_TAU1, SHAPE_INTEGRAL
 
@@ -124,3 +124,24 @@ def test_steep_ramp_track_shape():
     signs = [q > 1.0 for q in track if abs(q - 1.0) > 1e-9]
     assert sum(1 for a, b in zip(signs, signs[1:]) if a != b) == 1
     assert signs[0] and not signs[-1]
+
+
+@pytest.mark.parametrize("config", [
+    EngineConfig(),
+    EngineConfig(omega1=0.32e6, omega2=1e6, beta1=0.5e-6, beta2=0.05e-6),
+    EngineConfig(omega1=0.01, beta1=50.0)],
+    ids=["default", "MHz", "ratio 100"])
+def test_cost_integrates_the_auxiliary_energy(config):
+    # sa_cost_time_average integrates the by-parts form omega'^2/(4
+    # omega^3); the time average of sa_energy_instant itself, whose two
+    # terms cancel, must agree with it on both strokes
+    from scipy.integrate import quad
+
+    tau = 1.0 / config.omega2
+    for protocol, initial in stroke_pairs(config, tau):
+        direct, _ = quad(
+            lambda t: sa_energy_instant(sample_protocol(protocol, t),
+                                        initial),
+            0.0, tau, epsabs=0.0, epsrel=1e-13, limit=200)
+        by_parts = sa_cost_time_average(protocol, initial)
+        assert direct / tau == pytest.approx(by_parts, rel=1e-12, abs=0.0)

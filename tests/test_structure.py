@@ -97,6 +97,16 @@ def test_no_module_imports_numpy():
     assert not found, found
 
 
+def _enclosing_functions(tree: ast.AST) -> dict:
+    """node -> name of the function around it, or '<module>'."""
+    scope = {}
+    for node in ast.walk(tree):
+        for child in ast.iter_child_nodes(node):
+            scope[child] = (node.name if isinstance(node, ast.FunctionDef)
+                            else scope.get(node, "<module>"))
+    return scope
+
+
 def test_scipy_only_integrates():
     # scipy is imported where it integrates and nowhere else: solve_ivp
     # for every ODE and quad for the shortcut cost, each inside the one
@@ -104,11 +114,7 @@ def test_scipy_only_integrates():
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        scope = {}
-        for node in ast.walk(tree):
-            for child in ast.iter_child_nodes(node):
-                scope[child] = (node.name if isinstance(node, ast.FunctionDef)
-                                else scope.get(node, "<module>"))
+        scope = _enclosing_functions(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [a.name for a in node.names]
@@ -198,3 +204,23 @@ def test_one_production_solve_and_run_cycle_never_reads_the_series():
     assert "compression_q_star_excess" in reached
     assert not [(f, names[f] & series) for f in sorted(reached)
                 if names[f] & series]
+
+
+def test_one_config_reader():
+    # a key = value file and a result file's manifest are read by one
+    # function: every other open() in the package writes
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scope = _enclosing_functions(tree)
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "open"):
+                continue
+            modes = node.args[1:2] + [k.value for k in node.keywords
+                                      if k.arg == "mode"]
+            mode = modes[0].value if modes else "r"
+            if "r" in mode or "+" in mode:
+                readers.append(f"{path.stem}.{scope[node]}")
+    assert readers == ["cli.load_config"]
