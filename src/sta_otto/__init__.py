@@ -17,7 +17,7 @@ solves nothing load only the standard library.
 
 from types import ModuleType as _ModuleType
 
-__version__ = "0.1.11"
+__version__ = "0.1.12"
 
 from .config import EngineConfig, tau_grid
 from .cost import (q_star_lcd_instant, sa_cost_time_average,
@@ -35,7 +35,6 @@ from .errors import (ConfigError, DivisionByZeroCost, DomainError,
                      InvalidDenominator, NoSignChange, OutOfRangeTime,
                      QuadratureFailure, SolverFailure, StaOttoError,
                      TrapInversionError)
-from .hyperbolic import coth, csch
 from .protocol import (FrequencyProtocol, ProtocolSample, boundary_residuals,
                        effective_frequency_sq, inversion_threshold,
                        omega_of, polynomial_ramp, sample_protocol)

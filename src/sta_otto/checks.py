@@ -296,10 +296,8 @@ def check_fidelity_identity(config: EngineConfig) -> CheckResult:
     for state in (config.cold, config.hot):
         f = gaussian_fidelity(state, state.omega)
         worst_f = max(worst_f, abs(f - 1.0))
-        angle = max(angle, bures_angle(min(f, 1.0)))
-    # arccos near 1 cannot resolve angles below sqrt(eps) ~ 1.5e-8,
-    # so the angle tolerance is necessarily looser than the fidelity's
-    passed = worst_f <= 1e-12 and angle <= 1e-7
+        angle = max(angle, bures_angle(state, state.omega))
+    passed = worst_f <= 1e-12 and angle == 0.0
     return CheckResult("fidelity_identity", passed, worst_f,
                        f"identical states at both baths: F = 1, "
                        f"max angle = {angle:.3g}")

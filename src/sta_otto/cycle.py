@@ -35,8 +35,7 @@ from .errors import (NoSignChange, SolverFailure, StaOttoError,
                      TrapInversionError)
 from .protocol import (FrequencyProtocol, inversion_threshold, omega_of,
                        polynomial_ramp)
-from .qsl import (bures_angle, efficiency_bound, gaussian_fidelity,
-                  power_bound, qsl_time)
+from .qsl import bures_angle, efficiency_bound, power_bound, qsl_time
 from .strokes import (ThermalOscillatorState, engine_condition,
                       heat_sign_threshold, hot_isochore_heat, stroke_work)
 
@@ -146,8 +145,8 @@ def cycle_constants(config: EngineConfig) -> CycleConstants:
         w1_ad=stroke_work(1.0, cold, config.omega2),
         w3_ad=stroke_work(1.0, hot, config.omega1),
         q2_ad=hot_isochore_heat(1.0, cold, hot),
-        angle1=bures_angle(gaussian_fidelity(cold, config.omega2)),
-        angle3=bures_angle(gaussian_fidelity(hot, config.omega1)))
+        angle1=bures_angle(cold, config.omega2),
+        angle3=bures_angle(hot, config.omega1))
 
 
 def _refuse_inversion(config: EngineConfig, tau: float, tau_c: float) -> None:

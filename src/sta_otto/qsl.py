@@ -15,14 +15,25 @@ is unitary) at omega_b.  With nu = coth(beta hbar omega_a / 2),
 
     Delta = nu^2 (2 + omega_a/omega_b + omega_b/omega_a),
     delta = csch(beta hbar omega_a / 2)^4,
-    F = 2 / (sqrt(Delta + delta) - sqrt(delta))
-      = 2 (sqrt(Delta + delta) + sqrt(delta)) / Delta,
+    F = 2 / (sqrt(Delta + delta) - sqrt(delta)).
 
-where the second form avoids cancellation for hot states and the csch
-keeps cold states from underflowing; nu and delta are read from the
-initial ThermalOscillatorState, which owns them.  At zero temperature
+Near unit ratio F rounds to within an ulp of 1, so arccos(sqrt(F))
+would lose the angle.  Both F and 1 - F are therefore read without
+cancellation.  With c = csch^2 = sqrt(delta), nu^2 = 1 + c and
+eps = (omega_a - omega_b)^2/(omega_a omega_b), Delta = nu^2 (4 + eps)
+and Delta + delta = (c + 2)^2 + nu^2 eps.  With
+S = sqrt((c + 2)^2 + nu^2 eps),
+
+    F     = 2 (S + c) / (nu^2 (4 + eps)),
+    1 - F = (eps / (4 + eps)) (S + c) / (S + c + 2),
+
+and the Bures angle arccos(sqrt(F)) is atan2(sqrt(1 - F), sqrt(F)),
+exactly 0 at omega_b = omega_a.  nu and delta are read from the
+initial ThermalOscillatorState, which owns them; csch keeps cold
+states from underflowing.  At zero temperature
 F = 2 sqrt(omega_a omega_b)/(omega_a + omega_b), equal to 1 only for
-omega_b = omega_a.
+omega_b = omega_a.  For small eps the angle tends to
+(sqrt(eps)/2) nu/sqrt(nu^2 + 1).
 """
 
 from __future__ import annotations
@@ -32,27 +43,34 @@ import math
 from .errors import DivisionByZeroCost, DomainError, InvalidDenominator
 from .strokes import ThermalOscillatorState
 
-# fidelities this far outside [0, 1] are rounding noise, anything worse is a bug
-_DOMAIN_SLACK = -1e-12
+
+def _fidelity_pair(initial: ThermalOscillatorState,
+                   omega_b: float) -> tuple[float, float]:
+    """(F, 1 - F) between the thermal state initial, at omega_a, and the
+    adiabatic target of a stroke that ends at omega_b."""
+    if omega_b <= 0.0:
+        raise ValueError("omega_b must be positive")
+
+    nu_sq, c = initial.nu * initial.nu, math.sqrt(initial.csch4)
+    d = initial.omega - omega_b
+    eps = (d / initial.omega) * (d / omega_b)
+    s_plus_c = math.sqrt((c + 2.0) * (c + 2.0) + nu_sq * eps) + c
+    return (2.0 * s_plus_c / (nu_sq * (4.0 + eps)),
+            eps / (4.0 + eps) * (s_plus_c / (s_plus_c + 2.0)))
 
 
 def gaussian_fidelity(initial: ThermalOscillatorState,
                       omega_b: float) -> float:
     """Uhlmann fidelity between the thermal state initial, at omega_a,
     and the adiabatic target of a stroke that ends at omega_b."""
-    if omega_b <= 0.0:
-        raise ValueError("omega_b must be positive")
-
-    omega_a, nu, delta = initial.omega, initial.nu, initial.csch4
-    big = nu * nu * (2.0 + omega_a / omega_b + omega_b / omega_a)
-    return 2.0 * (math.sqrt(big + delta) + math.sqrt(delta)) / big
+    return _fidelity_pair(initial, omega_b)[0]
 
 
-def bures_angle(fidelity: float) -> float:
-    """arccos(sqrt(F)), the geodesic distance on state space."""
-    if fidelity < _DOMAIN_SLACK or fidelity - 1.0 > -_DOMAIN_SLACK:
-        raise DomainError(f"fidelity {fidelity!r} outside [0, 1]")
-    return math.acos(math.sqrt(min(max(fidelity, 0.0), 1.0)))
+def bures_angle(initial: ThermalOscillatorState, omega_b: float) -> float:
+    """arccos(sqrt(F)), the geodesic distance on state space, of the
+    stroke from initial to its adiabatic target at omega_b."""
+    fidelity, infidelity = _fidelity_pair(initial, omega_b)
+    return math.atan2(math.sqrt(infidelity), math.sqrt(fidelity))
 
 
 def qsl_time(angle: float, sa_cost: float, hbar: float = 1.0) -> float:

@@ -16,16 +16,21 @@ engine when the total work is negative (work extracted) and the hot
 heat is positive (heat absorbed).
 
 ThermalOscillatorState owns the occupation factors: it computes coth
-and csch of beta hbar omega / 2 once, and every module reads them from
-a state.  EngineConfig holds the two bath states (cold, hot).
+and csch of x = beta hbar omega / 2 once, and every module reads them
+from a state.  Direct evaluation through sinh/cosh overflows for cold
+states (x > ~350) and loses digits for hot ones (x -> 0), so both are
+read from m = 1 - exp(-2x), computed with expm1 so that it keeps every
+digit for small x:
+
+    coth(x) = (2 - m)/m,    csch(x) = 2 exp(-x)/m.
+
+EngineConfig holds the two bath states (cold, hot).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-from .hyperbolic import coth, csch
 
 
 @dataclass(frozen=True)
@@ -47,7 +52,8 @@ class ThermalOscillatorState:
             raise ValueError("beta, omega, hbar must be positive")
         x = 0.5 * self.beta * self.hbar * self.omega
         try:
-            nu, csch4 = coth(x), csch(x) ** 4
+            m = -math.expm1(-2.0 * x)
+            nu, csch4 = (2.0 - m) / m, (2.0 * math.exp(-x) / m) ** 4
             if math.isinf(csch4):   # a subnormal x: both factors are inf
                 raise OverflowError("csch(x) is inf")
         except ArithmeticError as exc:

@@ -14,6 +14,17 @@ from sta_otto.checks import (check_bound_ordering, check_cost_consistency,
 from conftest import CONFIG_BOX, production_excess
 
 
+def test_fidelity_identity_requires_a_zero_angle(base_config,
+                                                monkeypatch):
+    # identical states are exactly zero apart, so an angle of 1e-9 (below
+    # the 1e-7 that an arccos of a rounded F needed) fails the check
+    assert checks.check_fidelity_identity(base_config).passed
+    monkeypatch.setattr(checks, "bures_angle", lambda state, omega: 1e-9)
+    r = checks.check_fidelity_identity(base_config)
+    assert not r.passed
+    assert r.detail.endswith("max angle = 1e-09")
+
+
 def test_bound_ordering_catches_eta_qsl_above_carnot(base_config,
                                                      base_sweep):
     assert check_bound_ordering(base_config, base_sweep).passed

@@ -502,14 +502,17 @@ def test_validate_default_config(capsys):
     assert "WARN trap_inversion_scan" in out
 
 
-@pytest.mark.parametrize("omega1", ["0.999", "0.9995", "0.9999"])
+@pytest.mark.parametrize("omega1", ["0.999", "0.9995", "0.9999",
+                                    "0.99999999", "0.9999999999999998"])
 def test_validate_near_unit_compression_ratio(tmp_path, capsys, omega1):
     # omega2/omega1 = 1.001: Q* - 1 is below 1e-11 on much of the grid,
     # where Husimi's form of the solves read P_NA > P_SA by 1.7e-11.
     # Closer to unit ratio the two terms of the auxiliary energy cancel
     # down to O(d^2), d = omega2 - omega1: integrated as they stand, the
     # cost quadrature failed on roundoff (0.9999) or cost_scaling read
-    # 1.02e-12 against its 1e-12 gate (0.9995)
+    # 1.02e-12 against its 1e-12 gate (0.9995).  Below 1 - 1e-8 the
+    # Bures angle read from arccos of a rounded F was 0, and the time
+    # bounds with it
     cfg = tmp_path / "engine.cfg"
     cfg.write_text(f"omega1 = {omega1}\n")
     code, out, _ = run_cli(capsys, "validate", str(cfg))
@@ -517,9 +520,11 @@ def test_validate_near_unit_compression_ratio(tmp_path, capsys, omega1):
     assert "FAIL" not in out
 
 
-def test_cycle_and_sweep_at_near_unit_ratio(tmp_path, capsys):
+@pytest.mark.parametrize("omega1", ["0.9999", "0.99999999",
+                                    "0.9999999999999998"])
+def test_cycle_and_sweep_at_near_unit_ratio(tmp_path, capsys, omega1):
     cfg = tmp_path / "engine.cfg"
-    cfg.write_text("omega1 = 0.9999\ntau_count = 12\n")
+    cfg.write_text(f"omega1 = {omega1}\ntau_count = 12\n")
     code, _, err = run_cli(capsys, "cycle", str(cfg), "--tau", "1")
     assert code == 0 and err == ""
     out_csv = tmp_path / "sweep.csv"

@@ -201,15 +201,17 @@ def test_per_config_work_budget(monkeypatch):
 
 
 def test_occupation_factors_computed_once_per_config(monkeypatch):
-    # the bath states own coth(beta hbar omega / 2): one call per bath
-    # when the config is built, none per tau
+    # the bath states own coth(beta hbar omega / 2): one state build per
+    # bath when the config is built, none per tau
     calls = []
+    build = strokes.ThermalOscillatorState.__post_init__
 
-    def counted(x, _coth=strokes.coth):
-        calls.append(x)
-        return _coth(x)
+    def counted(state):
+        calls.append(state)
+        build(state)
 
-    monkeypatch.setattr(strokes, "coth", counted)
+    monkeypatch.setattr(strokes.ThermalOscillatorState, "__post_init__",
+                        counted)
     counts = []
     for n in (4, 8):
         calls.clear()

@@ -1,11 +1,13 @@
+import itertools
 import math
 
+import mpmath
 import pytest
 
-from sta_otto import (DivisionByZeroCost, DomainError, InvalidDenominator,
-                      ThermalOscillatorState, bures_angle, cycle_constants,
-                      efficiency_bound, gaussian_fidelity, power_bound,
-                      qsl_time)
+from sta_otto import (DivisionByZeroCost, DomainError, EngineConfig,
+                      InvalidDenominator, ThermalOscillatorState, bures_angle,
+                      cycle_constants, efficiency_bound, gaussian_fidelity,
+                      power_bound, qsl_time)
 
 from conftest import F1, F3, L1, L3, OVERLAP_ZERO_T, Q2_AD, W1_AD, W3_AD
 
@@ -41,11 +43,11 @@ def test_zero_temperature_limit():
 
 def test_identity_fidelity():
     for beta in (0.05, 0.5, 20.0):
-        f = gaussian_fidelity(thermal(beta, 0.7), 0.7)
-        assert abs(f - 1.0) <= 1e-12
-        # arccos near 1 has a sqrt(eps) floor, so the angle tolerance
-        # cannot be tightened past ~1e-8
-        assert bures_angle(min(f, 1.0)) <= 1e-7
+        state = thermal(beta, 0.7)
+        assert abs(gaussian_fidelity(state, 0.7) - 1.0) <= 1e-12
+        # 1 - F is read without cancellation, so identical states are
+        # exactly zero apart
+        assert bures_angle(state, 0.7) == 0.0
 
 
 def test_fidelity_argument_validation():
@@ -65,12 +67,71 @@ def test_fidelity_stays_physical_at_extremes():
 
 
 def test_bures_angle_edges():
-    assert bures_angle(0.0) == pytest.approx(math.pi / 2.0, rel=1e-15)
-    assert bures_angle(1.0) == 0.0
-    with pytest.raises(DomainError):
-        bures_angle(-1e-6)
-    with pytest.raises(DomainError):
-        bures_angle(1.0 + 1e-6)
+    for beta in (1e-6, 0.5, 1e4):
+        state = thermal(beta, 0.32)
+        assert bures_angle(state, 0.32) == 0.0
+        angles = [bures_angle(state, 0.32 * ratio)
+                  for ratio in (1.5, 10.0, 1e3, 1e10, 1e20)]
+        assert all(0.0 < a < math.pi / 2.0 for a in angles)
+        assert angles == sorted(angles)
+        # the states grow orthogonal as the ratio grows
+        assert math.pi / 2.0 - angles[-1] < 2e-5
+        if beta >= 0.5:   # where nu^2 eps stays finite at ratio 1e300
+            assert bures_angle(state, 0.32e300) == pytest.approx(
+                math.pi / 2.0, rel=1e-15)
+    with pytest.raises(ValueError, match="omega_b"):
+        bures_angle(thermal(0.5, 0.32), 0.0)
+
+
+def _mp_bures_angle(state, omega_b):
+    """arccos(sqrt(F)) from the Delta/delta form, with nu and csch^4
+    taken exactly at the state's beta hbar omega / 2.  It keeps 50
+    digits past the up to 154 (csch^2 < 1e154) that
+    sqrt(Delta + delta) - sqrt(delta) cancels for hot states."""
+    x = 0.5 * state.beta * state.hbar * state.omega
+    with mpmath.workdps(50 + 154):
+        a, b, x = (mpmath.mpf(v) for v in (state.omega, omega_b, x))
+        big = mpmath.coth(x) ** 2 * (2 + a / b + b / a)
+        delta = mpmath.csch(x) ** 4
+        f = 2 / (mpmath.sqrt(big + delta) - mpmath.sqrt(delta))
+        return mpmath.acos(mpmath.sqrt(f))
+
+
+def _box_corners():
+    keys = ("omega1", "omega2", "beta1", "beta2", "hbar")
+    ends = ((0.25, 0.4), (0.8, 1.25), (0.4, 0.625), (0.04, 0.0625),
+            (0.5, 2.0))
+    return [EngineConfig(**dict(zip(keys, corner)))
+            for corner in itertools.product(*ends)]
+
+
+@pytest.mark.parametrize("config", _box_corners() + [
+    EngineConfig(omega1=0.32e6, omega2=1e6, beta1=0.5e-6, beta2=0.05e-6),
+    EngineConfig(omega1=0.01, beta1=50.0),
+    EngineConfig(beta1=1000.0),
+    EngineConfig(beta2=5e-77),
+    EngineConfig(beta1=1e300)] + [
+    EngineConfig(omega1=1.0 - 10.0**-k) for k in (4, 7, 10, 15)])
+def test_bures_angle_matches_mpmath(config):
+    for state, omega_b in ((config.cold, config.omega2),
+                           (config.hot, config.omega1)):
+        want = _mp_bures_angle(state, omega_b)
+        assert abs(bures_angle(state, omega_b) - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("beta", [1e-3, 0.5, 1e3])
+def test_bures_angle_small_ratio_limit(beta):
+    # for small eps = (omega_a - omega_b)^2/(omega_a omega_b) the angle
+    # tends to (sqrt(eps)/2) nu/sqrt(nu^2 + 1), with relative
+    # corrections of order eps
+    state = thermal(beta, 0.7)
+    nu = state.nu
+    for h in (1e-3, 1e-5, 1e-7):
+        omega_b = 0.7 * (1.0 + h)
+        eps = (0.7 - omega_b) ** 2 / (0.7 * omega_b)
+        limit = 0.5 * math.sqrt(eps) * nu / math.sqrt(nu * nu + 1.0)
+        assert bures_angle(state, omega_b) == pytest.approx(
+            limit, rel=eps + 1e-14)
 
 
 def test_qsl_time():

@@ -161,20 +161,19 @@ def test_version_has_one_owner():
 
 def test_occupation_factors_have_one_owner():
     # coth and csch of beta hbar omega / 2 are computed by the thermal
-    # state (strokes) alone; every other module reads them from a state
+    # state (strokes) alone, from expm1; every other module reads them
+    # from a state
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name in ("strokes.py", "hyperbolic.py"):
-            continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(node, ast.Call):
                 continue
             fn = node.func
             name = fn.id if isinstance(fn, ast.Name) else getattr(
                 fn, "attr", None)
-            if name in ("coth", "csch"):
-                found.append(f"{path.name}:{node.lineno}: {name}()")
-    assert not found, found
+            if name in ("coth", "csch", "expm1"):
+                found.append(f"{path.name}: {name}()")
+    assert found == ["strokes.py: expm1()"], found
 
 
 def test_one_production_solve_and_run_cycle_never_reads_the_series():
