@@ -17,7 +17,7 @@ solves nothing load only the standard library.
 
 from types import ModuleType as _ModuleType
 
-__version__ = "0.1.12"
+__version__ = "0.1.13"
 
 from .config import EngineConfig, tau_grid
 from .cost import (q_star_lcd_instant, sa_cost_time_average,
@@ -33,8 +33,7 @@ from .dynamics import (adiabaticity_from_ermakov, ermakov_from_linear,
                        sudden_pair_series, wronskian)
 from .errors import (ConfigError, DivisionByZeroCost, DomainError,
                      InvalidDenominator, NoSignChange, OutOfRangeTime,
-                     QuadratureFailure, SolverFailure, StaOttoError,
-                     TrapInversionError)
+                     QuadratureFailure, SolverFailure, StaOttoError)
 from .protocol import (FrequencyProtocol, ProtocolSample, boundary_residuals,
                        effective_frequency_sq, inversion_threshold,
                        omega_of, polynomial_ramp, sample_protocol)

@@ -11,9 +11,8 @@ rows come from cycle_from_q_star, so they cost no solve of their own:
 the four grid checks read it at Q*1 = 1 over the tau grid, since none
 of them reads a column that Q* enters.  Checks marked as warnings
 (trap inversion on the configured grid, speed bound premise violations)
-inform without failing the suite; strict mode's refusal of a tau at or
-below the inversion threshold is cycle_from_q_star's, and a refused
-point is left out of the rows.
+inform without failing the suite; a point that cycle_from_q_star
+refuses is left out of the rows.
 Every fixed duration a check solves at is given in units of the default
 omega1 (times 0.32/omega1), or, for adiabatic_limit's sudden side, as
 a phase max(omega) tau, so a config in other units of time asks the
@@ -79,10 +78,13 @@ def check_protocol_boundary(config: EngineConfig) -> CheckResult:
 
 
 def check_protocol_midpoint(config: EngineConfig) -> CheckResult:
+    # both residuals relative to the larger frequency omega2, as
+    # boundary_residuals reads them, so one ulp passes in any unit
     protocol = polynomial_ramp(config.omega1, config.omega2, 1.0)
     sample = sample_protocol(protocol, 0.5)
     mid = 0.5 * (config.omega1 + config.omega2)
-    worst = max(abs(sample.omega - mid), abs(sample.omega_ddot))
+    worst = (max(abs(sample.omega - mid), abs(sample.omega_ddot))
+             / config.omega2)
     return CheckResult("protocol_midpoint", worst <= 1e-12, worst,
                        "odd symmetry about s = 1/2")
 
@@ -373,10 +375,7 @@ def check_rescaling_invariance(config: EngineConfig) -> CheckResult:
     # the model's two exact symmetries, each with lam = 2 and beta ->
     # beta/lam: hbar -> lam hbar, and omega -> lam omega at tau/lam.  Both
     # scale energies by lam and times by their factor on tau, so powers by
-    # lam over that factor.  A property of the physics, not of the
-    # inversion policy: strict mode would refuse both taus whenever they
-    # lie below tau_c
-    config = replace(config, strict=False)
+    # lam over that factor
     lam = 2.0
     symmetries = ((rescaled(config, lam), 1.0),   # (config, factor on tau)
                   (replace(config, omega1=lam * config.omega1,
@@ -467,8 +466,8 @@ def run_all_checks(config: EngineConfig) -> list[CheckResult]:
                         (check_power_ordering, solved),
                         (check_p_sa_scaling, grid),
                         (check_eta_ordering, grid)):
-        # every point refused (e.g. strict mode below tau_c): nothing to
-        # check is a failure, not a vacuous pass
+        # every point refused (e.g. a driving cost that underflows to 0):
+        # nothing to check is a failure, not a vacuous pass
         results.append(check(config, rows) if rows else CheckResult(
             check.__name__.removeprefix("check_"), False, math.inf,
             "no valid rows"))

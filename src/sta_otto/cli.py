@@ -61,14 +61,6 @@ def _fmt(value) -> str:
 
 def _coerce(key: str, raw: str, where: str):
     kind = _CONFIG_TYPES[key]
-    if kind is bool:
-        lowered = raw.lower()
-        if lowered in ("true", "1", "yes", "on"):
-            return True
-        if lowered in ("false", "0", "no", "off"):
-            return False
-        raise ConfigError(f"{where}: boolean expected for {key!r}, "
-                          f"got {raw!r}")
     if kind is str:
         # the manifest echoes strings with their repr quotes
         return raw.strip("'\"")
@@ -302,8 +294,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ArithmeticError as exc:
-        # an absurd but finite frequency overflows a float (w**4 in the
-        # cost); an absurd bath is already a config error
+        # an absurd but finite frequency overflows a float (omega**3 in
+        # the cost integrand at omega2 = 1e150); an absurd bath is
+        # already a config error
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -55,7 +55,6 @@ class EngineConfig:
     tau_max: float = 10.0
     tau_count: int = 200
     tau_spacing: str = "log"
-    strict: bool = False
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -76,11 +75,14 @@ class EngineConfig:
             except ValueError as exc:
                 raise ConfigError(f"{keys}: {exc}") from exc
         # colder in beta is not enough: the hot bath must also hold the
-        # larger occupation, or the adiabatic hot heat q2_ad is <= 0
+        # larger occupation, or the adiabatic hot heat q2_ad is <= 0.
+        # Both can round to exactly 1.0 (beta1 = 400, or hbar = 1e300)
         if not self.hot.nu > self.cold.nu:
-            raise ConfigError("beta1, omega1, beta2, omega2: need "
-                              "beta1 omega1 > beta2 omega2 (hot bath "
-                              "occupation above the cold one)")
+            raise ConfigError(
+                f"beta1, omega1, beta2, omega2: the hot bath occupation "
+                f"nu_hot = {self.hot.nu!r} must exceed the cold one "
+                f"nu_cold = {self.cold.nu!r} (nu = coth(beta hbar "
+                f"omega / 2))")
         if not 0.0 < self.tau_min < self.tau_max:
             raise ConfigError("need 0 < tau_min < tau_max")
         # the log grid reads tau_min as 10 ** log10(tau_min) and a root

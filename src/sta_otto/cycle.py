@@ -31,8 +31,7 @@ from .cost import sa_cost_time_average
 from .dynamics import (SERIES_PHASE, magnus_pair, q_star_excess,
                        series_pair_state, solve_linear_pair,
                        sudden_pair_series)
-from .errors import (NoSignChange, SolverFailure, StaOttoError,
-                     TrapInversionError)
+from .errors import NoSignChange, SolverFailure, StaOttoError
 from .protocol import (FrequencyProtocol, inversion_threshold, omega_of,
                        polynomial_ramp)
 from .qsl import bures_angle, efficiency_bound, power_bound, qsl_time
@@ -149,25 +148,18 @@ def cycle_constants(config: EngineConfig) -> CycleConstants:
         angle3=bures_angle(hot, config.omega1))
 
 
-def _refuse_inversion(config: EngineConfig, tau: float, tau_c: float) -> None:
-    """Strict mode refuses a stroke at or below the inversion threshold."""
-    if config.strict and tau <= tau_c:
-        raise TrapInversionError(
-            f"inversion_1: tau = {tau!r} is at or below the "
-            f"trap-inversion threshold tau_c = {tau_c!r}")
-
-
 def run_cycle(config: EngineConfig, tau: float) -> CycleMetrics:
     """Evaluate all three cycle variants plus speed-limit bounds at tau.
 
     One Q* solve per call, compression_q_star_excess: the expansion
     ramp is the time reverse of the compression ramp, and time reversal
-    leaves the endpoint Q* unchanged, so Q*3 = Q*1.  Strict mode
-    refuses a stroke at or below the inversion threshold before the
-    solve; the rest is cycle_from_q_star.
+    leaves the endpoint Q* unchanged, so Q*3 = Q*1.  The
+    tau-independent constants are built first, so a failing cost
+    quadrature is reported before any solve; the rest is
+    cycle_from_q_star.
     """
     _check_tau(config, tau)
-    _refuse_inversion(config, tau, cycle_constants(config).tau_c)
+    cycle_constants(config)
     return cycle_from_q_star(config, tau,
                              1.0 + compression_q_star_excess(config, tau))
 
@@ -179,12 +171,11 @@ def cycle_from_q_star(config: EngineConfig, tau: float,
     Q* enters only the q_star columns (Q*3 = Q*1) and the bare (NA)
     works, heat, efficiency, power and engine flag; every other column,
     the speed-limit bounds included, reads only tau and cycle_constants.
-    Strict mode refuses a tau at or below the inversion threshold.
+    Both strokes carry an inversion flag where tau <= tau_c.
     """
     _check_tau(config, tau)
     const = cycle_constants(config)
 
-    _refuse_inversion(config, tau, const.tau_c)
     flags = ["inversion_1", "inversion_3"] if tau <= const.tau_c else []
 
     q1 = q3 = q_star_1
@@ -452,11 +443,9 @@ def find_efficiency_crossover(config: EngineConfig,
     alone, 7 for the default's far root).  Past the heat-sign pole
     Q*1 = nu_hot/nu_cold the bare cycle is no engine and eta_na > 1 >
     eta_sa, so eta_sa - eta_na changes sign at the pole without a
-    crossing; the level form does not see the pole.  Strict mode
-    refuses a bracket that starts at or below the inversion threshold.
+    crossing; the level form does not see the pole.
     """
     lo, hi = _check_bracket(config, bracket)
-    _refuse_inversion(config, lo, cycle_constants(config).tau_c)
     return _root_in_ln_tau(config, _crossover_level(config), lo, hi,
                            "eta_sa - eta_na (engine branch)")
 
@@ -520,10 +509,7 @@ def find_heat_sign_threshold(config: EngineConfig,
     nu_cold).  Raises NoSignChange when the
     bare drive never gets bad enough inside the bracket, which is the
     generic situation for smooth ramps whose Q* saturates below the
-    threshold.  The root is a property of the bare ramp, whose
-    omega(t) stays positive: its trap never inverts, so strict mode,
-    which refuses the shortcut's inverted trap, does not restrict this
-    search.
+    threshold.
     """
     ln_level = math.log(heat_sign_threshold(config.cold, config.hot) - 1.0)
     return _root_in_ln_tau(config, lambda s: ln_level,

@@ -20,10 +20,6 @@ class OutOfRangeTime(StaOttoError):
     """Protocol sampled outside [0, duration]."""
 
 
-class TrapInversionError(StaOttoError):
-    """Effective trap frequency squared went nonpositive in strict mode."""
-
-
 class SolverFailure(StaOttoError):
     """ODE integration did not reach the end of the interval."""
 

@@ -14,7 +14,7 @@ effective squared frequency
 
 which can go negative for fast driving (trap inversion).  Whether it
 does depends on the duration only through tau <= tau_c, with tau_c from
-inversion_threshold; whether it is fatal is the caller's decision.
+inversion_threshold; a cycle reports it as a flag on both strokes.
 """
 
 from __future__ import annotations
@@ -71,12 +71,17 @@ def polynomial_ramp(omega_initial: float, omega_final: float,
                              float(duration))
 
 
+def _ramp_value(s: float) -> float:
+    # 10 s^3 - 15 s^4 + 6 s^5, the one spelling that omega_of and
+    # _ramp_shape share
+    return s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
+
+
 def _ramp_shape(s: float) -> tuple[float, float, float]:
-    # value and first two s-derivatives of 10 s^3 - 15 s^4 + 6 s^5
-    v = s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
+    # value and first two s-derivatives of the shape
     d1 = 30.0 * s**2 * (1.0 - s) ** 2
     d2 = 60.0 * s * (1.0 - 3.0 * s + 2.0 * s**2)
-    return v, d1, d2
+    return _ramp_value(s), d1, d2
 
 
 def effective_frequency_sq(omega: float, omega_dot: float,
@@ -110,8 +115,7 @@ def omega_of(protocol: FrequencyProtocol) -> Callable[[float], float]:
     tau = protocol.duration
 
     def omega(t: float) -> float:
-        s = t / tau
-        return wi + d * s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
+        return wi + d * _ramp_value(t / tau)
 
     return omega
 
@@ -142,23 +146,28 @@ def inversion_threshold(omega_initial: float, omega_final: float) -> float:
 
     In s = t/tau, Omega^2 = w^2 - h(s)/tau^2 with
     h = 3/4 w_s^2/w^2 - 1/2 w_ss/w, so Omega^2 reaches zero somewhere
-    exactly when tau <= tau_c = sqrt(max_s h/w^2).  The maximum comes
-    from a uniform scan of -h/w^2, refined by rescanning the interval
-    between the neighbours of the smallest sample: 358 evaluations in
-    all, ending on a bracket about 3e-8 wide in s.  Swapping the end
-    frequencies mirrors the ratio about s = 1/2, so the frequencies are
-    sorted first: both strokes of a cycle evaluate the same samples and
-    share tau_c bitwise, and whether a stroke of duration tau inverts is
-    decided by tau <= tau_c alone.
+    exactly when tau <= tau_c = sqrt(max_s h/w^2).  h is a ratio of
+    derivatives, so it reads the same on u = w/w_lo = 1 + k shape(s),
+    k = (w_hi - w_lo)/w_lo, and tau_c = sqrt(max_s h/u^2)/w_lo: h is
+    formed directly, never as a difference with w^2, so tau_c keeps its
+    relative accuracy in any unit of frequency and at any ratio near 1.
+    The maximum comes from a uniform scan of -h/u^2, refined by
+    rescanning the interval between the neighbours of the smallest
+    sample: 358 evaluations in all, ending on a bracket about 3e-8 wide
+    in s.  Swapping the end frequencies mirrors the ratio about
+    s = 1/2, so the frequencies are sorted first: both strokes of a
+    cycle evaluate the same samples and share tau_c bitwise, and
+    whether a stroke of duration tau inverts is decided by tau <= tau_c
+    alone.
     """
-    wi, wf = sorted((float(omega_initial), float(omega_final)))
-    d = wf - wi
+    w_lo, w_hi = sorted((float(omega_initial), float(omega_final)))
+    k = (w_hi - w_lo) / w_lo
 
     def neg_ratio(s):
-        # -h/w^2 = Omega^2/w^2 - 1 evaluated at tau = 1
         v, d1, d2 = _ramp_shape(s)
-        w = wi + d * v
-        return effective_frequency_sq(w, d * d1, d * d2) / (w * w) - 1.0
+        u = 1.0 + k * v
+        h = 0.75 * (k * d1) ** 2 / (u * u) - 0.5 * k * d2 / u
+        return -h / (u * u)
 
     lo, hi = 0.0, 1.0
     for count in _INVERSION_SCANS:
@@ -166,4 +175,4 @@ def inversion_threshold(omega_initial: float, omega_final: float) -> float:
         vals = [neg_ratio(s) for s in ss]
         i = vals.index(min(vals))
         lo, hi = ss[max(i - 1, 0)], ss[min(i + 1, count - 1)]
-    return math.sqrt(max(-vals[i], 0.0))
+    return math.sqrt(max(-vals[i], 0.0)) / w_lo

@@ -1,12 +1,12 @@
 import csv
 import math
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
 import sta_otto
-from sta_otto import ConfigError, EngineConfig, cli, cost, cycle
+from sta_otto import ConfigError, EngineConfig, checks, cli, cycle
 from sta_otto.checks import run_all_checks
 from sta_otto.cli import (MAX_DUMP_POINTS, load_config, main,
                           parse_config_text, write_manifest)
@@ -111,18 +111,20 @@ def test_bath_occupation_order_exit_2(tmp_path, capsys, no_solve, text):
     assert out.endswith("1 of 1 checks failed\n")
 
 
-# finite and accepted, yet w**4 and omega_dot**2 overflow
+# finite and accepted, yet no command runs it: its grid and tau = 1
+# lie past the solver's phase budget, and Omega^2 overflows in a solve
 ABSURD_CONFIG = ("omega1 = 1e78\nomega2 = 1e79\nbeta1 = 1e-77\n"
                  "beta2 = 1e-80\ntau_count = 4\n")
 
 
 def test_absurd_finite_config_exit_3(tmp_path, capsys):
     # every config check passes (finite bath states, hot occupation
-    # above cold), but w**4 in the cost overflows: a numerical failure
-    # with one error line, not a traceback.  validate's durations follow
-    # the config's unit of time, so its solves stay within the solver
-    # budget and overflow Omega^2 instead: a floating-point failure, which
-    # also exits 3.
+    # above cold), but cycle at tau = 1 and every sweep point reach the
+    # 1e5 rad phase budget (cycle at tau = 1e-76 runs): a numerical
+    # failure with one error line, not a traceback.  validate's
+    # durations follow the config's unit of time, so its solves stay
+    # within the budget and overflow Omega^2 inside DOP853 instead: a
+    # floating-point failure, which also exits 3.
     cfg = tmp_path / "absurd.cfg"
     cfg.write_text(ABSURD_CONFIG)
     for argv in (("cycle", "--tau", "1"),
@@ -146,6 +148,27 @@ def test_floating_point_failure_is_one_error_line(tmp_path, capsys):
     assert code == 3
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+# finite and accepted, yet omega**3 in the cost integrand overflows
+OVERFLOW_CONFIG = "omega2 = 1e150\nbeta2 = 1e-160\ntau_count = 4\n"
+
+
+def test_float_overflow_is_one_error_line(tmp_path, capsys):
+    # an ArithmeticError outside any solve: the cost quadrature, which
+    # every cycle runs before its solve, overflows, and validate divides
+    # by the expansion ramp's end frequency omega2 + (omega1 - omega2),
+    # which cancels to 0; each exits 3 with one line naming the error
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(OVERFLOW_CONFIG)
+    for argv, name in ((("cycle", "--tau", "1e-150"), "OverflowError"),
+                       (("sweep", "--out", str(tmp_path / "out.csv")),
+                        "OverflowError"),
+                       (("validate",), "ZeroDivisionError")):
+        code, out, err = run_cli(capsys, *argv, str(cfg))
+        assert code == 3, argv
+        assert err.startswith(f"error: {name}: ") and err.count("\n") == 1
+        assert "Traceback" not in out + err
 
 
 def test_quadrature_failure_is_one_error_line(monkeypatch, capsys, no_solve):
@@ -214,10 +237,8 @@ def test_phase_floor_leaves_finite_rows(tmp_path, capsys):
     ("hbar = -1\n", "hbar must be positive"),
     ("tau_min = 10\ntau_max = 1\n", "need 0 < tau_min < tau_max"),
     ("tau_count = 1\n", "tau_count must be at least 2"),
-    ("tau_spacing = cubic\n", "tau_spacing must be 'log' or 'linear'"),
-    ("strict = maybe\n", "boolean expected for 'strict'")],
-    ids=["omega order", "hbar", "tau order", "tau_count",
-         "tau_spacing", "strict"])
+    ("tau_spacing = cubic\n", "tau_spacing must be 'log' or 'linear'")],
+    ids=["omega order", "hbar", "tau order", "tau_count", "tau_spacing"])
 def test_config_rejections_exit_2(tmp_path, capsys, no_solve, text,
                                   message):
     cfg = tmp_path / "bad.cfg"
@@ -230,12 +251,14 @@ def test_config_rejections_exit_2(tmp_path, capsys, no_solve, text,
 
 # configs naming a removed key: three former defects (a tiny abs_tol
 # stalled or overflowed the solve, an unreachable quad_tol was accepted,
-# and a loose rel_tol failed four validate checks), and the mass, which
-# cancels from every output
+# and a loose rel_tol failed four validate checks), the mass, which
+# cancels from every output, and strict, whose refusal of an inverted
+# trap the inversion flags report instead
 REMOVED_KEY_CONFIGS = [("abs_tol = 1e-150\ntau_count = 4\n", "abs_tol"),
                        ("quad_tol = 1.2e-14\n", "quad_tol"),
                        ("rel_tol = 1e-6\n", "rel_tol"),
-                       ("m = 1.0\n", "m")]
+                       ("m = 1.0\n", "m"),
+                       ("strict = true\n", "strict")]
 
 
 @pytest.mark.parametrize("text, key", REMOVED_KEY_CONFIGS,
@@ -245,9 +268,9 @@ REMOVED_KEY_CONFIGS = [("abs_tol = 1e-150\ntau_count = 4\n", "abs_tol"),
                          ids=["cycle", "sweep", "crossover"])
 def test_removed_keys_refused(tmp_path, capsys, no_solve, command, text,
                               key):
-    # the oracles run at fixed tolerances, and the mass is no parameter:
-    # a config that still sets one is refused by name, before any solve
-    # or output file
+    # the oracles run at fixed tolerances, and neither the mass nor the
+    # inversion policy is a parameter: a config that still sets one is
+    # refused by name, before any solve or output file
     cfg = tmp_path / "tol.cfg"
     cfg.write_text(text)
     out_csv = tmp_path / "out.csv"
@@ -378,10 +401,55 @@ def test_validate_mhz_engine_default_grid(tmp_path, capsys, monkeypatch):
     assert lines[-1] == "0 of 22 checks failed"
 
 
+def test_inversion_flags_in_ghz_units(tmp_path, capsys):
+    # the default engine in GHz units: tau = 1e-9 is the default's
+    # tau = 1, below tau_c, so both report the inverted trap, and
+    # validate warns at the default's 161 of 200 grid points
+    cfg = tmp_path / "engine.cfg"
+    cfg.write_text("omega1 = 0.32e9\nomega2 = 1e9\nbeta1 = 0.5e-9\n"
+                   "beta2 = 0.05e-9\ntau_min = 1e-11\ntau_max = 1e-8\n")
+    for argv, tau in (((str(cfg),), "1e-9"), ((), "1")):
+        code, out, err = run_cli(capsys, "cycle", "--tau", tau, *argv)
+        assert code == 0 and err == ""
+        assert "\nflags = inversion_1|inversion_3\n" in out, out
+    code, out, _ = run_cli(capsys, "validate", str(cfg))
+    assert code == 0
+    assert "WARN trap_inversion_scan: residual = 161  (" in out, out
+
+
+# a 2 pi 50 kHz -> 2 pi 150 kHz trap, in rad/s and s
+_KHZ_CONFIG = ("omega1 = 314159.2653589793\nomega2 = 942477.7960769379\n"
+               "beta1 = 5e-7\nbeta2 = 5e-8\ntau_min = 1e-8\n"
+               "tau_max = 1e-5\n")
+
+
+def test_validate_khz_trap_passes(tmp_path, capsys, monkeypatch):
+    # protocol_midpoint reads its residuals relative to omega2, so one
+    # ulp of omega near 1e6 passes; a midpoint planted 1e-11 relative
+    # off still fails
+    cfg = tmp_path / "engine.cfg"
+    cfg.write_text(_KHZ_CONFIG)
+    code, out, err = run_cli(capsys, "validate", str(cfg))
+    assert code == 0 and err == "", out
+    assert "PASS protocol_midpoint: " in out
+    config = load_config(str(cfg))
+    sample = checks.sample_protocol
+
+    def planted(protocol, t):
+        s = sample(protocol, t)
+        return replace(s, omega=s.omega + 1e-11 * config.omega2)
+
+    monkeypatch.setattr(checks, "sample_protocol", planted)
+    result = checks.check_protocol_midpoint(config)
+    assert not result.passed and result.residual == pytest.approx(
+        1e-11, rel=1e-3)
+
+
 def test_parse_config_text_roundtrip():
-    text = "omega1 = 0.4  # comment\n\nstrict = yes\ntau_count = 50\n"
+    text = "omega1 = 0.4  # comment\n\ntau_spacing = linear\ntau_count = 50\n"
     config = parse_config_text(text)
-    assert config == EngineConfig(omega1=0.4, strict=True, tau_count=50)
+    assert config == EngineConfig(omega1=0.4, tau_spacing="linear",
+                                  tau_count=50)
 
 
 def test_env_config_fallback(tmp_path, capsys, monkeypatch):
@@ -445,10 +513,12 @@ def test_sweep_deterministic_bytes(tmp_path, capsys):
     assert first == out.read_bytes()
 
 
-def test_sweep_strict_failure_budget(tmp_path, capsys):
-    cfg = tmp_path / "strict.cfg"
-    cfg.write_text("strict = true\ntau_count = 12\n")
-    out_csv = tmp_path / "strict.csv"
+def test_sweep_failure_budget(tmp_path, capsys):
+    # a grid wholly past the solver's 1e5 rad phase budget: every row is
+    # an error row, which is more than the budget of failed rows allows
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text("tau_min = 2e5\ntau_max = 4e5\ntau_count = 12\n")
+    out_csv = tmp_path / "long.csv"
     code, out, err = run_cli(capsys, "sweep", str(cfg), "--out",
                              str(out_csv))
     assert code == 3
@@ -457,7 +527,7 @@ def test_sweep_strict_failure_budget(tmp_path, capsys):
     assert len(rows) == 12
     tagged = [r for r in rows if r[-1].startswith("error:")]
     assert tagged
-    assert all(r[-1].startswith("error:TrapInversionError:")
+    assert all(r[-1].startswith("error:SolverFailure:stroke phase ")
                for r in tagged)
     for row in tagged:
         assert all(cell == "0.00000000000" for cell in row[1:-1])
@@ -535,11 +605,12 @@ def test_cycle_and_sweep_at_near_unit_ratio(tmp_path, capsys, omega1):
 
 
 def test_validate_all_rows_error(tmp_path, capsys):
-    # strict mode and a grid wholly below tau_c ~ 2.62: every grid row
-    # is refused, which the grid checks must report, not crash on;
-    # power_ordering's tau = 10 row lies above tau_c
-    cfg = tmp_path / "strict.cfg"
-    cfg.write_text("strict = true\ntau_max = 2.0\ntau_count = 12\n")
+    # a grid so long that the driving cost k1/tau^2 underflows to 0:
+    # every grid row is refused (no speed-limit time for a zero cost),
+    # which the grid checks must report, not crash on; power_ordering
+    # reads the rows at its own three taus
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text("tau_min = 1e160\ntau_max = 1e170\ntau_count = 12\n")
     code, out, err = run_cli(capsys, "validate", str(cfg))
     assert code == 1 and err == ""
     names = [line.split(" ", 1)[1].split(":", 1)[0]
@@ -627,7 +698,7 @@ def test_unwritable_output_exit_2(tmp_path, capsys, request, argv):
 def test_manifest_schema_roundtrip(tmp_path):
     config = EngineConfig(omega1=0.4, omega2=1.3, beta1=0.7, beta2=0.1,
                           hbar=0.5, tau_min=0.02, tau_max=5.0,
-                          tau_count=17, tau_spacing="linear", strict=True)
+                          tau_count=17, tau_spacing="linear")
     for f in fields(EngineConfig):
         assert getattr(config, f.name) != f.default, f.name
     path = tmp_path / "manifest.csv"
@@ -644,11 +715,13 @@ def test_manifest_schema_roundtrip(tmp_path):
     assert str(info.value) == f"{path}:{len(header) + 1}: unknown key 'speed'"
 
 
-@pytest.mark.parametrize("key", ["rel_tol", "abs_tol", "quad_tol", "m"])
+@pytest.mark.parametrize("key", ["rel_tol", "abs_tol", "quad_tol", "m",
+                                 "strict"])
 def test_manifest_with_removed_key_refused(tmp_path, key):
     # result CSVs written before the tolerances became constants echo
-    # them as config keys, and those before 0.1.10 echo the mass; such a
-    # manifest no longer reproduces a run
+    # them as config keys, those before 0.1.10 echo the mass and those
+    # before 0.1.13 the strict flag; such a manifest no longer
+    # reproduces a run
     path = tmp_path / "old.csv"
     with open(path, "w", encoding="utf-8") as fh:
         write_manifest(fh, "sweep", EngineConfig(), ["sweep"])
@@ -683,12 +756,11 @@ def test_untitled_config_with_leading_comments_loads(tmp_path):
     assert load_config(str(path)) == EngineConfig(omega1=0.4)
 
 
-# every key off its default; strict mode refuses no row, as the grid
-# starts above the inversion threshold tau_c = 2.12
+# every key off its default
 _EVERY_KEY_CHANGED = {
     "omega1": "0.4", "omega2": "1.3", "beta1": "0.7", "beta2": "0.1",
     "hbar": "0.5", "tau_min": "3.0", "tau_max": "5.0", "tau_count": "5",
-    "tau_spacing": "linear", "strict": "true"}
+    "tau_spacing": "linear"}
 
 
 @pytest.mark.parametrize("argv", [

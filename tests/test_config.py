@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -23,10 +24,11 @@ def test_schema_is_the_physics_and_the_grid():
     # the mass cancels from every output, so it is no setting either
     assert [f.name for f in fields(EngineConfig)] == [
         "omega1", "omega2", "beta1", "beta2", "hbar", "tau_min",
-        "tau_max", "tau_count", "tau_spacing", "strict"]
+        "tau_max", "tau_count", "tau_spacing"]
 
 
-@pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "quad_tol", "m"])
+@pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "quad_tol", "m",
+                                  "strict"])
 def test_removed_keywords_refused(name):
     with pytest.raises(TypeError, match=f"unexpected keyword argument "
                                         f"'{name}'"):
@@ -36,7 +38,7 @@ def test_removed_keywords_refused(name):
 # one accepted change of each key away from the default
 _CHANGED = {"omega1": 0.3, "omega2": 1.1, "beta1": 0.6, "beta2": 0.04,
             "hbar": 0.5, "tau_min": 0.02, "tau_max": 5.0, "tau_count": 5,
-            "tau_spacing": "linear", "strict": True}
+            "tau_spacing": "linear"}
 
 
 @pytest.mark.parametrize("name", [f.name for f in fields(EngineConfig)])
@@ -135,13 +137,24 @@ def test_absurd_bath_rejected(changes, keys):
     {"omega1": 0.125, "beta1": 1.0, "beta2": 0.125},
     {"beta1": 0.06},
     {"omega2": 1e100},
-], ids=["equal occupation", "beta1 = 0.06", "omega2 = 1e100"])
+    {"beta1": 400.0, "beta2": 100.0},
+    {"hbar": 1e300},
+], ids=["equal occupation", "beta1 = 0.06", "omega2 = 1e100",
+        "beta1 = 400", "hbar = 1e300"])
 def test_bath_occupation_order_rejected(changes):
     # first bath colder in beta, but not in occupation: q2_ad would be
-    # 0 (equal occupation) or negative, so the config is refused
-    with pytest.raises(ConfigError, match=r"^beta1, omega1, beta2, omega2: "
-                                          r"need beta1 omega1 > beta2 omega2"):
+    # 0 (equal occupation) or negative, so the config is refused.  At
+    # beta1 = 400 (beta1 omega1 = 128 > beta2 omega2 = 100) and at
+    # hbar = 1e300 both occupations round to exactly 1.0, so the message
+    # names them
+    with pytest.raises(ConfigError) as info:
         EngineConfig(**changes)
+    match = re.match(r"beta1, omega1, beta2, omega2: the hot bath "
+                     r"occupation nu_hot = (\S+) must exceed the cold one "
+                     r"nu_cold = (\S+) ", str(info.value))
+    assert match, str(info.value)
+    nu_hot, nu_cold = map(float, match.groups())
+    assert not nu_hot > nu_cold
     with pytest.raises(ConfigError, match=r"\(first bath colder\)$"):
         EngineConfig(beta1=0.01)
 

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from sta_otto import (CycleMetrics, EngineConfig, NoSignChange,
-                      SolverFailure, TrapInversionError,
-                      compression_q_star_excess, cycle_constants,
-                      find_efficiency_crossover, find_heat_sign_threshold,
-                      inversion_threshold, polynomial_ramp, q_star_excess,
-                      rescaled, run_cycle, solve_linear_pair, sweep)
+                      SolverFailure, compression_q_star_excess,
+                      cycle_constants, find_efficiency_crossover,
+                      find_heat_sign_threshold, polynomial_ramp,
+                      q_star_excess, rescaled, run_cycle, solve_linear_pair,
+                      sweep)
 from sta_otto import cycle, strokes
 from sta_otto.checks import check_rescaling_invariance
 from sta_otto.dynamics import SERIES_PHASE
@@ -118,39 +118,6 @@ def test_sweep_deterministic(base_config, base_sweep):
     assert again == base_sweep
 
 
-def test_strict_mode(base_config):
-    strict = replace(base_config, strict=True)
-    with pytest.raises(TrapInversionError):
-        run_cycle(strict, 0.1)
-    rows = sweep(replace(strict, tau_count=12))
-    errors = [m for m in rows if m.failed]
-    assert 0 < len(errors) < len(rows)
-    for m in errors:
-        assert m.flags[0].startswith("error:TrapInversionError:")
-        assert not m.is_engine_na
-        for name in _FLOAT_FIELDS:
-            value = getattr(m, name)
-            assert math.isfinite(value)
-            if name != "tau":
-                assert value == 0.0
-
-
-def test_strict_message(base_config):
-    # tau <= tau_c alone decides; the message names both numbers
-    strict = replace(base_config, strict=True)
-    tau_c = inversion_threshold(0.32, 1.0)
-    for tau in (0.1, 2.5):
-        message = (f"inversion_1: tau = {tau!r} is at or below the "
-                   f"trap-inversion threshold tau_c = {tau_c!r}")
-        with pytest.raises(TrapInversionError) as info:
-            run_cycle(strict, tau)
-        assert str(info.value) == message
-        # a root search refuses a bracket that starts there
-        with pytest.raises(TrapInversionError) as info:
-            find_efficiency_crossover(strict, (tau, 40.0))
-        assert str(info.value) == message
-
-
 def test_per_tau_work_budget(base_config, monkeypatch):
     # one Q* solve per tau on one route: DOP853 at phase max(omega) tau
     # = 0.5, the Magnus kernel at 5, past SERIES_PHASE; no quadrature
@@ -172,8 +139,7 @@ def test_per_config_work_budget(monkeypatch):
     # the calls a config costs, pinned so that a port of these routines
     # keeps them: one cost quadrature and one inversion threshold per
     # config, one ODE solve per tau (DOP853 at or below phase
-    # SERIES_PHASE, the Magnus kernel past it), nothing for a strict
-    # refusal
+    # SERIES_PHASE, the Magnus kernel past it)
     import scipy.integrate
 
     calls = Counter()
@@ -192,12 +158,6 @@ def test_per_config_work_budget(monkeypatch):
         calls.clear()
         run_cycle(config, tau)
         assert calls == {route: 1}
-    strict = replace(config, strict=True)
-    cycle_constants(strict)
-    calls.clear()
-    with pytest.raises(TrapInversionError):
-        run_cycle(strict, 0.1)
-    assert calls == {}
 
 
 def test_occupation_factors_computed_once_per_config(monkeypatch):
@@ -542,18 +502,6 @@ def test_search_reads_q_star_excess_below_float_spacing(base_config,
         return math.log(excess) - math.log(level)
 
     assert gap(root - 1e-6) * gap(root + 1e-6) < 0.0
-
-
-def test_strict_mode_leaves_heat_sign_search_alone():
-    # the heat-sign root belongs to the bare ramp, whose omega(t) > 0
-    # never inverts the trap; strict mode refuses only the shortcut's
-    strict = EngineConfig(beta1=0.2, strict=True)
-    tau_death = find_heat_sign_threshold(strict, (0.01, 10.0))
-    assert tau_death == pytest.approx(TAU_HEAT_DEATH_B02, rel=1e-6)
-    assert tau_death == find_heat_sign_threshold(
-        replace(strict, strict=False), (0.01, 10.0))
-    with pytest.raises(TrapInversionError):
-        find_efficiency_crossover(strict, (0.01, 10.0))
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)

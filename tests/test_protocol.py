@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -152,6 +151,25 @@ def test_inversion_threshold_matches_a_bounded_minimiser(omega1, omega2):
         reference, rel=1e-12)
 
 
+@pytest.mark.parametrize("lam", [1e-6, 1e3, 1e6, 1e9, 1e30, 1e78])
+def test_inversion_threshold_is_scale_covariant(lam):
+    # omega -> lam omega is time -> time/lam: tau_c scales by 1/lam in
+    # any unit of frequency, with no cancellation against omega^2
+    tau_c = inversion_threshold(0.32, 1.0)
+    assert inversion_threshold(0.32 * lam, lam) * lam == pytest.approx(
+        tau_c, rel=1e-14)
+
+
+@pytest.mark.parametrize("omega1", [0.99999999, 0.9999999999999998])
+def test_inversion_threshold_near_unit_ratio(omega1):
+    # to first order in k = (omega2 - omega1)/omega1, h/u^2 is
+    # -k shape''(s)/2, whose maximum 5 k/sqrt(3) lies at
+    # s = (3 + sqrt(3))/6; the next order is k times smaller
+    k = (1.0 - omega1) / omega1
+    assert inversion_threshold(omega1, 1.0) == pytest.approx(
+        math.sqrt(5.0 * k / math.sqrt(3.0)) / omega1, rel=max(10 * k, 1e-14))
+
+
 def test_reversed_protocol():
     # the expansion ramp is the compression ramp run backwards in time
     for tau in (0.1, 1.0, 7.3):
@@ -163,8 +181,12 @@ def test_reversed_protocol():
                 sample_protocol(compression, tau - t).omega, rel=1e-14)
 
 
-def test_omega_of_matches_sampling(ramp):
+@pytest.mark.parametrize("wi, wf, tau", [
+    (0.32, 1.0, 1.0), (1.0, 0.32, 2.5), (0.32e6, 1e6, 1e-6),
+    (0.01, 1.0, 3.0)], ids=["compression", "expansion", "MHz", "ratio 100"])
+def test_omega_of_matches_sampling(wi, wf, tau):
+    # one spelling of the ramp value: bitwise the same omega
+    ramp = polynomial_ramp(wi, wf, tau)
     omega = omega_of(ramp)
-    for t in np.linspace(0.0, 1.0, 17):
-        assert omega(float(t)) == pytest.approx(
-            sample_protocol(ramp, float(t)).omega, rel=1e-15)
+    for t in linspace(0.0, tau, 2001):
+        assert omega(t) == sample_protocol(ramp, t).omega, t

@@ -176,6 +176,19 @@ def test_occupation_factors_have_one_owner():
     assert found == ["strokes.py: expm1()"], found
 
 
+def test_ramp_shape_is_spelled_once():
+    # the quintic's -15 s^4 appears twice in the package: RAMP_SHAPE's
+    # coefficient form, at module level, and the one value function that
+    # omega_of and sample_protocol share
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scope = _enclosing_functions(tree)
+        found += [f"{path.stem}.{scope[node]}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and node.value == 15.0]
+    assert found == ["protocol.<module>", "protocol._ramp_value"], found
+
+
 def test_one_production_solve_and_run_cycle_never_reads_the_series():
     # compression_q_star_excess holds cycle's one call of each production
     # route, solve_linear_pair (DOP853) and magnus_pair; the sudden-side
